@@ -216,10 +216,14 @@ class Mapping:
         """Index-space :meth:`assign` fast path for heuristic kernels.
 
         Skips the label→index dictionary lookups; indices refer to the
-        ETC matrix's row/column order and must be in range (out-of-range
-        indices raise ``IndexError``).  Timing arithmetic is identical
-        to :meth:`assign`.
+        ETC matrix's row/column order and must be in range (negative or
+        out-of-range indices raise ``IndexError``).  Timing arithmetic is
+        identical to :meth:`assign`.
         """
+        if task_index < 0 or machine_index < 0:
+            raise IndexError(
+                f"negative task/machine index ({task_index}, {machine_index})"
+            )
         etc = self._etc
         task = etc.tasks[task_index]
         if task in self._by_task:

@@ -38,7 +38,12 @@ from repro.heuristics.minmin import Duplex, MaxMin, MinMin, minmin_round_table
 from repro.heuristics.olb import OLB
 from repro.heuristics.random_baseline import RandomMapper
 from repro.heuristics.segmented import SegmentedMinMin
-from repro.heuristics.sufferage import Sufferage, SufferageDecision, SufferagePass
+from repro.heuristics.sufferage import (
+    Sufferage,
+    SufferageDecision,
+    SufferagePass,
+    SufferageTrace,
+)
 from repro.heuristics.swa import SwitchingAlgorithm, SWAStep, balance_index
 from repro.heuristics.tabu import TabuSearch
 
@@ -70,6 +75,7 @@ __all__ = [
     "Sufferage",
     "SufferageDecision",
     "SufferagePass",
+    "SufferageTrace",
     "KPercentBest",
     "KPBStep",
     "kpb_subset_size",

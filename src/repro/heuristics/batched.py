@@ -490,59 +490,32 @@ def _kpb_batch(
 
 def _sufferage_batch(batch: ETCBatch, ready0: np.ndarray) -> BatchResult:
     """Stacked Sufferage: the dominant first pass (all tasks pending in
-    every instance) runs as one 3-D scan; later passes reconsider only
-    displaced tasks and reuse the single-instance pass math verbatim.
+    every instance) runs as one 3-D scan; each instance then finishes on
+    the single-instance index-space kernel
+    (:func:`repro.heuristics.sufferage._passes`), seeded with its slice
+    of that scan, committing through the same float arithmetic as
+    :meth:`repro.core.schedule.Mapping.assign_index`.
     """
-    from repro.heuristics.sufferage import _fast_decisions
+    from repro.heuristics.sufferage import _fast_decisions, _passes
 
     values = batch.values
-    size, num_tasks, num_machines = values.shape
     ready = ready0.copy()
     task_seq, machine_seq, starts, completions = _alloc(batch)
-    cursor = [0] * size
-    pending: list[list[int]] = [list(range(num_tasks)) for _ in range(size)]
-
-    # Pass 1, batched: identical elementwise tolerance math to
-    # repro.heuristics.sufferage._fast_decisions, across the batch axis.
-    completion = values + ready[:, None, :]
-    best = completion.min(axis=2)
-    tied = (completion - best[:, :, None]) <= np.maximum(
-        DEFAULT_ABS_TOL, DEFAULT_REL_TOL * completion
-    )
-    chosen = tied.argmax(axis=2)
-    b_idx = np.arange(size)[:, None]
-    t_idx = np.arange(num_tasks)[None, :]
-    earliest = completion[b_idx, t_idx, chosen]
-    if num_machines >= 2:
-        completion[b_idx, t_idx, chosen] = np.inf
-        sufferage = completion.min(axis=2) - earliest
-    else:
-        sufferage = np.zeros((size, num_tasks))
-    first_pass = [
-        list(zip(chosen[b].tolist(), earliest[b].tolist(), sufferage[b].tolist()))
-        for b in range(size)
-    ]
-
-    for b in range(size):
-        per_task = first_pass[b]
-        while pending[b]:
-            snapshot = list(pending[b])
-            if per_task is None:
-                per_task = _fast_decisions(values[b], snapshot, ready[b])
-            _sufferage_pass(
-                b,
-                snapshot,
-                per_task,
-                pending,
-                cursor,
-                values,
-                ready,
-                task_seq,
-                machine_seq,
-                starts,
-                completions,
-            )
-            per_task = None
+    # Pass 1, batched: the single-instance pass math over the stack.
+    chosen, earliest, sufferage = _fast_decisions(values + ready[:, None, :])
+    for b in range(len(batch)):
+        step = 0
+        first = (chosen[b], earliest[b], sufferage[b])
+        for tasks, machines in _passes(values[b], ready[b], first=first):
+            for task, machine in zip(tasks, machines):
+                start = float(ready[b, machine])
+                finish = start + float(values[b, task, machine])
+                ready[b, machine] = finish
+                task_seq[b, step] = task
+                machine_seq[b, step] = machine
+                starts[b, step] = start
+                completions[b, step] = finish
+                step += 1
     return BatchResult(
         batch=batch,
         heuristic="sufferage",
@@ -553,56 +526,6 @@ def _sufferage_batch(batch: ETCBatch, ready0: np.ndarray) -> BatchResult:
         finish_times=ready,
         initial_ready=ready0,
     )
-
-
-def _sufferage_pass(
-    b: int,
-    snapshot: list[int],
-    per_task: list[tuple[int, float, float]],
-    pending: list[list[int]],
-    cursor: list[int],
-    values: np.ndarray,
-    ready: np.ndarray,
-    task_seq: np.ndarray,
-    machine_seq: np.ndarray,
-    starts: np.ndarray,
-    completions: np.ndarray,
-) -> None:
-    """One Sufferage contest + commit for instance ``b``.
-
-    Index-space transcription of the single-instance pass body: the
-    snapshot is scanned in task order, displacement requires strictly
-    greater sufferage beyond the absolute tolerance, commits land in
-    task order and update ready times sequentially through the same
-    float arithmetic as :meth:`repro.core.schedule.Mapping.assign_index`.
-    """
-    holders: dict[int, tuple[int, float]] = {}
-    for position, task in enumerate(snapshot):
-        machine, _earliest, sufferage = per_task[position]
-        incumbent = holders.get(machine)
-        if incumbent is None:
-            holders[machine] = (task, sufferage)
-            pending[b].remove(task)
-        elif incumbent[1] < sufferage - DEFAULT_ABS_TOL:
-            displaced, _ = incumbent
-            holders[machine] = (task, sufferage)
-            pending[b].remove(task)
-            pending[b].append(displaced)
-            pending[b].sort()
-        # else: the incumbent keeps the machine (sufferage ties included)
-    commits = sorted(
-        ((task, machine) for machine, (task, _) in holders.items())
-    )
-    for task, machine in commits:
-        start = float(ready[b, machine])
-        finish = start + float(values[b, task, machine])
-        ready[b, machine] = finish
-        k = cursor[b]
-        task_seq[b, k] = task
-        machine_seq[b, k] = machine
-        starts[b, k] = start
-        completions[b, k] = finish
-        cursor[b] = k + 1
 
 
 _KERNELS = {

@@ -37,10 +37,25 @@ Conventions (documented, needed for the paper's examples):
 The per-pass decision trace is kept on :attr:`Sufferage.last_trace` so
 the bench harness can regenerate the per-pass rows of paper Tables 16
 and 17.
+
+Kernel (the default, ``incremental=True``).  Pending tasks are an int
+row array.  Ready times are fixed within a pass, so one vectorised scan
+(:func:`_fast_decisions`) gives every pending task its earliest machine,
+earliest CT and sufferage value.  The holder contest then runs for all
+machines at once: sufferage values scatter into a ``(machines,
+pending)`` grid filled with ``-inf`` and each machine's first argmax is
+the final holder whenever no other candidate on that machine comes
+within ``DEFAULT_ABS_TOL`` of the top; only the remaining machines
+replay the sequential scan.  Winners commit in task order and drop out
+of the pending array.  The trace is a :class:`SufferageTrace` that keeps
+each pass's arrays and builds the :class:`SufferagePass` tuple only when
+it is first read, so untraced runs never build decision objects.  The
+paper transcription (``incremental=False``) is the test oracle.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +71,7 @@ from repro.core.ties import (
 from repro.heuristics.base import Heuristic, register_heuristic
 from repro.obs.tracer import get_tracer
 
-__all__ = ["Sufferage", "SufferageDecision", "SufferagePass"]
+__all__ = ["Sufferage", "SufferageDecision", "SufferagePass", "SufferageTrace"]
 
 
 @dataclass(frozen=True)
@@ -92,10 +107,10 @@ class Sufferage(Heuristic):
     name = "sufferage"
 
     def __init__(self, *, incremental: bool = True) -> None:
-        #: Use the maintained completion-table kernel (default); the
-        #: per-pass rebuild reference path is kept for equivalence tests.
+        #: Use the index-space kernel (default); the paper-transcription
+        #: reference path is kept as the oracle for equivalence tests.
         self.incremental = bool(incremental)
-        self.last_trace: tuple[SufferagePass, ...] = ()
+        self.last_trace: Sequence[SufferagePass] = ()
 
     def _run(
         self,
@@ -103,121 +118,27 @@ class Sufferage(Heuristic):
         tie_breaker: TieBreaker,
         seed_mapping: dict[str, str] | None,
     ) -> None:
-        if self.incremental:
-            self._run_incremental(mapping, tie_breaker)
-        else:
+        if not self.incremental:
             self._run_reference(mapping, tie_breaker)
-
-    def _run_incremental(self, mapping: Mapping, tie_breaker: TieBreaker) -> None:
-        """Streamlined kernel: fused pass scan, index-space commits.
-
-        Sufferage commits one task per machine per pass, so *every*
-        ready time changes between passes and an incrementally
-        maintained table would be refreshed wholesale — no asymptotic
-        win (unlike Min-Min's one-column-per-round structure).  The
-        savings here are constant-factor but real: the pass scan in
-        :func:`_fast_decisions` exploits positivity to halve the
-        elementwise passes of the reference tolerance math, and commits
-        go through the index-space :meth:`Mapping.assign_index` against
-        the live ready-time view.
-        """
+            return
         etc = mapping.etc
+        # The deterministic policy picks machines in one vectorised tie
+        # scan; other policies draw per task, in snapshot order.
+        breaker = None if type(tie_breaker) is DeterministicTieBreaker else tie_breaker
+        records: list[tuple[np.ndarray, ...]] = []
+        passes = _passes(etc.values, mapping.ready_times_view(), records, breaker)
+        for tasks, machines in passes:
+            for task, machine in zip(tasks, machines):
+                mapping.assign_index(task, machine)
+        self.last_trace = SufferageTrace(etc.tasks, etc.machines, records)
         tracer = get_tracer()
-        order = {t: i for i, t in enumerate(etc.tasks)}
-        machine_col = {m: j for j, m in enumerate(etc.machines)}
-        values = etc.values
-        ready = mapping.ready_times_view()
-        pending: list[str] = list(etc.tasks)
-        passes: list[SufferagePass] = []
-        pass_index = 0
-        # The deterministic policy admits a fully vectorised scan (the
-        # measured hot path at scale — see the scaling bench); other
-        # policies take the per-task route so genuine ties still flow
-        # through the TieBreaker one decision at a time.
-        fast_path = type(tie_breaker) is DeterministicTieBreaker
-        while pending:
-            snapshot = list(pending)
-            per_task = (
-                _fast_decisions(values, [order[t] for t in snapshot], ready)
-                if fast_path
-                else None
-            )
-            # machine label -> (task, sufferage) tentative holder
-            holders: dict[str, tuple[str, float]] = {}
-            decisions: list[SufferageDecision] = []
-            for position, task in enumerate(snapshot):
-                if per_task is not None:
-                    machine_idx, earliest, sufferage = per_task[position]
-                else:
-                    completion = mapping.completion_times_if(task)
-                    machine_idx = tie_breaker.choose(tied_argmin(completion))
-                    earliest = float(completion[machine_idx])
-                    sufferage = _sufferage_value(completion, machine_idx)
-                machine = etc.machines[machine_idx]
-                incumbent = holders.get(machine)
-                if incumbent is None:
-                    holders[machine] = (task, sufferage)
-                    pending.remove(task)
-                    decisions.append(
-                        SufferageDecision(task, machine, earliest, sufferage, "claimed")
-                    )
-                elif incumbent[1] < sufferage - DEFAULT_ABS_TOL:
-                    displaced, _ = incumbent
-                    holders[machine] = (task, sufferage)
-                    pending.remove(task)
-                    pending.append(displaced)
-                    pending.sort(key=order.__getitem__)
-                    decisions.append(
-                        SufferageDecision(
-                            task,
-                            machine,
-                            earliest,
-                            sufferage,
-                            "displaced",
-                            displaced_task=displaced,
-                        )
-                    )
-                else:
-                    decisions.append(
-                        SufferageDecision(
-                            task,
-                            machine,
-                            earliest,
-                            sufferage,
-                            "rejected",
-                            displaced_task=incumbent[0],
-                        )
-                    )
-            # Step iii: commit this pass's holders, then ready times update.
-            commits = sorted(
-                ((task, machine) for machine, (task, _) in holders.items()),
-                key=lambda pair: order[pair[0]],
-            )
-            for task, machine in commits:
-                mapping.assign_index(order[task], machine_col[machine])
-            if tracer.enabled:
-                for d in decisions:
-                    tracer.event(
-                        "sufferage.decision",
-                        pass_index=pass_index,
-                        task=d.task,
-                        machine=d.machine,
-                        earliest_ct=d.earliest_ct,
-                        sufferage=d.sufferage,
-                        outcome=d.outcome,
-                        displaced_task=d.displaced_task,
-                    )
+        if tracer.enabled:
+            for p in self.last_trace:
+                for d in p.decisions:
+                    # vars() keeps field order: the reference's kwargs.
+                    tracer.event("sufferage.decision", pass_index=p.index, **vars(d))
                     tracer.count("decisions")
-                tracer.event(
-                    "sufferage.pass",
-                    index=pass_index,
-                    committed=tuple(commits),
-                )
-            passes.append(
-                SufferagePass(pass_index, tuple(decisions), tuple(commits))
-            )
-            pass_index += 1
-        self.last_trace = tuple(passes)
+                tracer.event("sufferage.pass", index=p.index, committed=p.committed)
 
     def _run_reference(self, mapping: Mapping, tie_breaker: TieBreaker) -> None:
         etc = mapping.etc
@@ -319,32 +240,185 @@ def _sufferage_value(completion: np.ndarray, best_idx: int) -> float:
 
 
 def _fast_decisions(
-    values: np.ndarray, rows: list[int], ready: np.ndarray
-) -> list[tuple[int, float, float]]:
+    completion: np.ndarray, tie_breaker: TieBreaker | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_vectorised_decisions` with positivity-exact tolerance math.
 
-    Completion times are strictly positive (positive ETC, non-negative
-    ready times) and every entry is ``>=`` its row minimum, so the
-    reference tolerance scale ``max(|completion|, |best|)`` is exactly
-    ``completion`` and ``|completion - best|`` is exactly
-    ``completion - best`` — the same booleans from half the elementwise
-    passes.  The gathered ``completion`` buffer is owned, so the
-    second-minimum masking happens in place instead of on a copy.
+    Returns ``(chosen, earliest, sufferage)`` over the last axis of an
+    owned completion array of any leading shape (the batched kernel
+    passes a whole stack).  Completion times are strictly positive and
+    every entry is ``>=`` its row minimum, so the reference tolerance
+    scale ``max(|completion|, |best|)`` is exactly ``completion`` and
+    ``|completion - best|`` is exactly ``completion - best`` — the same
+    booleans from half the elementwise passes.  With a ``tie_breaker``
+    each row's machine is drawn through ``choose(tied_argmin(row))`` in
+    row order, the reference path's draw order.  The buffer is owned,
+    so the second-minimum masking happens in place.
     """
-    completion = values[rows] + ready[None, :]
-    best = completion.min(axis=1)
-    tied = (completion - best[:, None]) <= np.maximum(
-        DEFAULT_ABS_TOL, DEFAULT_REL_TOL * completion
-    )
-    chosen = tied.argmax(axis=1)  # first tolerance-tied minimum per row
+    rows = completion.reshape(-1, completion.shape[-1])
+    if tie_breaker is None:
+        best = rows.min(axis=1)
+        tied = (rows - best[:, None]) <= np.maximum(
+            DEFAULT_ABS_TOL, DEFAULT_REL_TOL * rows
+        )
+        chosen = tied.argmax(axis=1)  # first tolerance-tied minimum per row
+    else:
+        chosen = np.array(
+            [tie_breaker.choose(tied_argmin(row)) for row in rows], dtype=np.intp
+        )
     idx = np.arange(len(rows))
-    earliest = completion[idx, chosen]
-    if completion.shape[1] >= 2:
-        completion[idx, chosen] = np.inf
-        sufferage = completion.min(axis=1) - earliest
+    earliest = rows[idx, chosen]
+    if rows.shape[1] >= 2:
+        rows[idx, chosen] = np.inf
+        sufferage = rows.min(axis=1) - earliest
     else:
         sufferage = np.zeros(len(rows))
-    return list(zip(chosen.tolist(), earliest.tolist(), sufferage.tolist()))
+    shape = completion.shape[:-1]
+    return chosen.reshape(shape), earliest.reshape(shape), sufferage.reshape(shape)
+
+
+def _passes(
+    values: np.ndarray,
+    ready: np.ndarray,
+    records: list[tuple[np.ndarray, ...]] | None = None,
+    tie_breaker: TieBreaker | None = None,
+    first: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> Iterator[tuple[list[int], list[int]]]:
+    """The index-space kernel: yield each pass's ``(tasks, machines)``.
+
+    The winners come in task order; the caller commits them into
+    ``ready`` (which the next pass reads) before resuming.  ``first``
+    supplies precomputed first-pass arrays (the batched kernel computes
+    them for a whole stack); ``records`` collects ``(rows, chosen,
+    earliest, sufferage, winners)`` per pass for :class:`SufferageTrace`.
+    """
+    rows = np.arange(values.shape[0])
+    while rows.size:
+        if first is None:
+            chosen, earliest, sufferage = _fast_decisions(
+                values[rows] + ready, tie_breaker
+            )
+        else:
+            (chosen, earliest, sufferage), first = first, None
+        winners = _contest(chosen, sufferage, values.shape[1])
+        if records is not None:
+            records.append((rows, chosen, earliest, sufferage, winners))
+        yield rows[winners].tolist(), chosen[winners].tolist()
+        keep = np.ones(rows.size, dtype=bool)
+        keep[winners] = False
+        rows = rows[keep]
+
+
+def _contest(
+    chosen: np.ndarray, sufferage: np.ndarray, num_machines: int
+) -> np.ndarray:
+    """Snapshot positions of every claimed machine's final holder, sorted.
+
+    The sequential scan lets a later task displace the holder only with
+    ``holder < s - DEFAULT_ABS_TOL``.  A machine's first argmax therefore
+    ends up holding it whenever every other candidate has
+    ``s < top - DEFAULT_ABS_TOL``: each earlier holder loses to it and
+    no later candidate beats it.  Machines with a near-tie replay the
+    sequential scan.
+    """
+    n = chosen.size
+    grid = np.full((num_machines, n), -np.inf)
+    grid[chosen, np.arange(n)] = sufferage
+    holder = grid.argmax(axis=1)
+    top = grid[np.arange(num_machines), holder]
+    claimed = top > -np.inf
+    near = np.count_nonzero(grid >= (top - DEFAULT_ABS_TOL)[:, None], axis=1)
+    for machine in np.flatnonzero(claimed & (near > 1)).tolist():
+        positions = np.flatnonzero(chosen == machine)
+        candidates = zip(positions.tolist(), sufferage[positions].tolist())
+        holder[machine], held = next(candidates)
+        for position, value in candidates:
+            if held < value - DEFAULT_ABS_TOL:
+                holder[machine], held = position, value
+    return np.sort(holder[claimed])
+
+
+class SufferageTrace(Sequence):
+    """The ``tuple[SufferagePass, ...]`` of one kernel run, built lazily.
+
+    Holds each pass's arrays; the first read (indexing, iteration,
+    comparison, hashing) replays the holder contests into the tuple the
+    reference path builds and caches it.  Compares and hashes equal to
+    that tuple; pickles as its arrays.
+    """
+
+    __slots__ = ("_tasks", "_machines", "_records", "_built")
+
+    def __init__(
+        self,
+        tasks: tuple[str, ...],
+        machines: tuple[str, ...],
+        records: list[tuple[np.ndarray, ...]],
+    ) -> None:
+        self._tasks = tasks
+        self._machines = machines
+        self._records = records
+        self._built: tuple[SufferagePass, ...] | None = None
+
+    def _tuple(self) -> tuple[SufferagePass, ...]:
+        if self._built is None:
+            self._built = tuple(
+                self._build(index, *record)
+                for index, record in enumerate(self._records)
+            )
+        return self._built
+
+    def _build(self, index, rows, chosen, earliest, sufferage, winners):
+        tasks, machines = self._tasks, self._machines
+        holders: dict[int, tuple[int, float]] = {}
+        decisions = []
+        for task, machine, ct, value in zip(
+            rows.tolist(), chosen.tolist(), earliest.tolist(), sufferage.tolist()
+        ):
+            incumbent = holders.get(machine)
+            if incumbent is None:
+                holders[machine] = (task, value)
+                outcome, other = "claimed", None
+            elif incumbent[1] < value - DEFAULT_ABS_TOL:
+                holders[machine] = (task, value)
+                outcome, other = "displaced", tasks[incumbent[0]]
+            else:
+                outcome, other = "rejected", tasks[incumbent[0]]
+            decisions.append(
+                SufferageDecision(
+                    tasks[task], machines[machine], ct, value, outcome, other
+                )
+            )
+        committed = tuple(
+            (tasks[t], machines[m])
+            for t, m in zip(rows[winners].tolist(), chosen[winners].tolist())
+        )
+        return SufferagePass(index, tuple(decisions), committed)
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, index):
+        return self._tuple()[index]
+
+    def __iter__(self):
+        return iter(self._tuple())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SufferageTrace):
+            other = other._tuple()
+        if isinstance(other, tuple):
+            return self._tuple() == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._tuple())
+
+    def __reduce__(self):
+        return (SufferageTrace, (self._tasks, self._machines, self._records))
+
+    def __repr__(self) -> str:
+        return f"SufferageTrace({self._tuple()!r})"
 
 
 def _vectorised_decisions(

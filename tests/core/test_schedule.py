@@ -190,6 +190,16 @@ class TestIndexFastPath:
         with pytest.raises(IndexError):
             Mapping(tiny_etc).assign_index(99, 0)
 
+    @pytest.mark.parametrize(("task", "machine"), [(-1, -1), (-1, 0), (0, -1)])
+    def test_assign_index_negative_rejected(self, tiny_etc, task, machine):
+        # Python's negative indexing would silently commit the last
+        # task/machine; the documented contract is IndexError.
+        m = Mapping(tiny_etc)
+        with pytest.raises(IndexError):
+            m.assign_index(task, machine)
+        assert m.num_assigned == 0
+        assert list(m.ready_times()) == [0.0, 0.0]
+
     def test_ready_times_view_is_live(self, tiny_etc):
         m = Mapping(tiny_etc)
         view = m.ready_times_view()

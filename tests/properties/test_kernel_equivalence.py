@@ -10,6 +10,8 @@ that makes genuine ties common, so the tolerance logic and the random
 policy's draw-consumption discipline are both exercised hard.
 """
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +32,7 @@ from repro.etc.witness import (
 from repro.heuristics.kpb import KPercentBest
 from repro.heuristics.mct import MCT
 from repro.heuristics.minmin import Duplex, MaxMin, MinMin
-from repro.heuristics.sufferage import Sufferage
+from repro.heuristics.sufferage import Sufferage, SufferageTrace
 from repro.obs.export import event_to_dict
 from repro.obs.tracer import CollectingTracer, use_tracer
 
@@ -211,14 +213,94 @@ def test_paper_witness_examples_replay_identically(example):
 @given(data=etc_and_ready())
 @settings(max_examples=20, deadline=None)
 def test_sufferage_last_trace_identical(data):
-    """Pass/decision traces (paper Tables 16–17) match across kernels."""
+    """Pass/decision traces (paper Tables 16–17), assignments and event
+    streams match across kernels, with a live tracer and under both tie
+    policies."""
     etc, ready = data
-    traces = []
-    for incremental in (True, False):
-        heuristic = Sufferage(incremental=incremental)
-        heuristic.map_tasks(etc, list(ready), DeterministicTieBreaker())
-        traces.append(heuristic.last_trace)
-    assert traces[0] == traces[1]
+    for make_breaker in TIE_POLICIES.values():
+        runs = [
+            _traced_run(Sufferage(incremental=incremental), etc, ready, make_breaker())
+            for incremental in (True, False)
+        ]
+        assert runs[0] == runs[1]
+        assert runs[1][3] == runs[0][3]  # the reference tuple compares back
+
+
+@pytest.mark.parametrize("policy", sorted(TIE_POLICIES))
+@given(data=etc_and_ready())
+@settings(max_examples=15, deadline=None)
+def test_sufferage_iteration_traces_identical(policy, data):
+    """Every iteration's recorded trace matches the reference's."""
+    etc, ready = data
+    results = [
+        IterativeScheduler(
+            Sufferage(incremental=incremental), tie_breaker=TIE_POLICIES[policy]()
+        ).run(etc, dict(zip(etc.machines, ready)))
+        for incremental in (True, False)
+    ]
+    fast, slow = ([r.trace for r in result.iterations] for result in results)
+    assert len(fast) == len(slow)
+    for kernel_trace, reference_trace in zip(fast, slow):
+        assert isinstance(reference_trace, tuple)
+        assert kernel_trace == reference_trace
+        assert reference_trace == kernel_trace
+
+
+class TestSufferageTrace:
+    """The lazy trace stands in for the tuple the reference builds."""
+
+    @staticmethod
+    def _traces(etc):
+        out = []
+        for incremental in (True, False):
+            heuristic = Sufferage(incremental=incremental)
+            heuristic.map_tasks(etc)
+            out.append(heuristic.last_trace)
+        return out
+
+    def test_sequence_and_equality(self):
+        lazy, reference = self._traces(sufferage_example_etc())
+        assert isinstance(lazy, SufferageTrace)
+        assert isinstance(reference, tuple)
+        assert lazy == reference and reference == lazy
+        assert not (lazy != reference)
+        assert len(lazy) == len(reference) >= 2
+        assert list(lazy) == list(reference)
+        assert lazy[0] == reference[0] and lazy[-1] == reference[-1]
+        assert lazy[1:] == reference[1:]
+        assert reference[0] in lazy
+        assert lazy != reference[:-1]
+
+    def test_pickle_round_trip(self):
+        lazy, reference = self._traces(sufferage_example_etc())
+        unbuilt = pickle.loads(pickle.dumps(lazy))
+        assert unbuilt == reference
+        list(lazy)  # a built trace pickles the same way
+        assert pickle.loads(pickle.dumps(lazy)) == reference
+
+    def test_hashable_like_the_tuple(self):
+        lazy, reference = self._traces(sufferage_example_etc())
+        assert hash(lazy) == hash(reference)
+        assert {lazy: "x"}[reference] == "x"
+
+    def test_not_built_during_untraced_iterative_run(self, monkeypatch):
+        import repro.heuristics.sufferage as sufferage_module
+
+        built = []
+        real = sufferage_module.SufferagePass
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sufferage_module, "SufferagePass", counting)
+        result = IterativeScheduler(Sufferage()).run(sufferage_example_etc())
+        assert built == []
+        assert all(isinstance(r.trace, SufferageTrace) for r in result.iterations)
+        assert len(result.original.trace) >= 2
+        assert built == []  # len() reads the records, not the passes
+        list(result.original.trace)
+        assert len(built) == len(result.original.trace)
 
 
 # ----------------------------------------------------------------------
