@@ -120,6 +120,12 @@ class DeterministicTieBreaker(TieBreaker):
     deterministic = True
 
     def choose(self, candidates: np.ndarray | Sequence[int]) -> int:
+        if isinstance(candidates, (list, tuple)):
+            # Kernel candidate lists are short Python lists: the
+            # built-in min skips the array round trip.
+            if not candidates:
+                raise ConfigurationError("cannot break a tie among zero candidates")
+            return int(min(candidates))
         arr = np.asarray(candidates)
         if arr.size == 0:
             raise ConfigurationError("cannot break a tie among zero candidates")

@@ -1,11 +1,11 @@
-"""Incremental completion-table kernels for the greedy heuristic family.
+"""Incremental completion-table kernel (Max-Min) and short-row tie scans.
 
-The reference implementations of Min-Min/Max-Min rebuild the full
-``(unmapped × machines)`` completion-time table from scratch every
-round — a fancy-index copy plus a broadcast add plus a full row-min,
-O(T·M) per round and O(T²·M) per run.  But one assignment changes the
-ready time of exactly *one* machine, so only one column of the table
-(and the per-row minima that column held) can change.  The kernel here
+The reference Max-Min kernel rebuilds the full ``(unmapped ×
+machines)`` completion-time table from scratch every round — a
+fancy-index copy plus a broadcast add plus a full row-min, O(T·M) per
+round and O(T²·M) per run.  But one assignment changes the ready time
+of exactly *one* machine, so only one column of the table (and the
+per-row minima that column held) can change.  The kernel here
 maintains the table in place:
 
 * :meth:`IncrementalCompletionTable.refresh_column` recomputes the
@@ -22,19 +22,19 @@ Constant-factor discipline matters as much as the asymptotics at paper
 scale (512×32): per-round numpy call overhead dominates once the
 element counts drop to hundreds.  Three measures keep it down:
 
-* deactivated rows have a ``±inf`` sentinel written into ``best``
-  (``+inf`` when selecting minima, ``-inf`` for maxima) so the
-  selection can use plain ``min()``/``max()`` reductions instead of
-  ``where=``-masked ones (~7x slower at this size);
+* deactivated rows have a ``-inf`` sentinel written into ``best`` so
+  the selection can use a plain ``max()`` reduction instead of a
+  ``where=``-masked one (~7x slower at this size);
 * every per-round elementwise op writes into preallocated scratch
   buffers (no allocation churn);
 * tolerance tie detection over a single short row uses
   :func:`tied_min_indices` — a plain Python scan that beats the numpy
-  pipeline below ~100 elements.
+  pipeline below ~100 elements.  MCT, KPB and Min-Min's sorted-column
+  kernel (:mod:`repro.heuristics.minmin`) share these scans.
 
 Every shortcut is an exact floating-point identity with the reference
 code (completion times are strictly positive because ETC values are
-validated positive and ready times non-negative; min/max selection and
+validated positive and ready times non-negative; max selection and
 negation are exact in IEEE arithmetic), not an approximation; the
 property suite asserts byte-identical decisions and obs traces against
 the retained reference paths under random ETCs, ready times, and tie
@@ -65,11 +65,6 @@ class IncrementalCompletionTable:
     ready:
         Initial ready-time vector (length ``M``); only read once — the
         table is kept current through :meth:`refresh_column`.
-    fill:
-        Sentinel written into ``best`` when a row deactivates: ``+inf``
-        when the consumer selects minima over ``best`` (Min-Min),
-        ``-inf`` for maxima (Max-Min).  Real completion times are
-        finite, so the sentinel can never be mistaken for one.
 
     Attributes
     ----------
@@ -78,32 +73,28 @@ class IncrementalCompletionTable:
         *inactive* (already-mapped) rows are still refreshed (cheaper
         than masking) but their ``best`` entries hold the sentinel.
     best:
-        Per-row minimum of ``table`` for active rows; ``fill`` for
-        inactive ones.
+        Per-row minimum of ``table`` for active rows; ``-inf`` (never a
+        real completion time) for inactive ones.
     active:
         Boolean mask of not-yet-mapped rows.
     """
 
-    __slots__ = ("values", "table", "best", "active", "fill", "_stale", "_buf", "_tol", "_tied")
+    __slots__ = ("values", "table", "best", "active", "_stale", "_buf", "_tied")
 
-    def __init__(
-        self, values: np.ndarray, ready: np.ndarray, *, fill: float = np.inf
-    ) -> None:
+    def __init__(self, values: np.ndarray, ready: np.ndarray) -> None:
         num_tasks = values.shape[0]
         self.values = values
         self.table = values + np.asarray(ready, dtype=np.float64)[None, :]
         self.best = self.table.min(axis=1)
         self.active = np.ones(num_tasks, dtype=bool)
-        self.fill = float(fill)
         self._stale = np.empty(num_tasks, dtype=bool)
         self._buf = np.empty(num_tasks, dtype=np.float64)
-        self._tol = np.empty(num_tasks, dtype=np.float64)
         self._tied = np.empty(num_tasks, dtype=bool)
 
     def deactivate(self, row: int) -> None:
         """Mark ``row`` as mapped; its ``best`` entry becomes the sentinel."""
         self.active[row] = False
-        self.best[row] = self.fill
+        self.best[row] = -np.inf
 
     def refresh_column(self, col: int, new_ready: float) -> None:
         """Recompute column ``col`` for ready time ``new_ready``.
@@ -125,42 +116,14 @@ class IncrementalCompletionTable:
             self.best[rows] = self.table[rows].min(axis=1)
 
 
-def oldest_extremal_row(table: IncrementalCompletionTable, sign: int) -> int:
-    """Oldest active row attaining the tolerance-tied extremum of ``best``.
+def oldest_extremal_row(table: IncrementalCompletionTable) -> int:
+    """Oldest active row attaining the tolerance-tied maximum of ``best``.
 
-    Exactly reproduces ``int(tied_argmin(sign * best[unmapped]).min())``
-    from the reference two-phase kernels (``sign=+1`` Min-Min with
-    ``fill=+inf``, ``sign=-1`` Max-Min with ``fill=-inf``) for strictly
-    positive completion times, where ``unmapped`` is the ascending list
-    of active row indices.
+    Exactly reproduces ``int(tied_argmin(-best[unmapped]).min())`` from
+    the reference Max-Min kernel for strictly positive completion
+    times, where ``unmapped`` is the ascending list of active rows.
     """
     best = table.best
-    if sign > 0:
-        # The exact argmin is always tolerance-tied with itself; an
-        # *earlier* row wins only if it lies within its own tolerance
-        # of the minimum.  Checking the prefix minimum against twice
-        # the tolerance (rounding error is ~1 ulp, i.e. ~1e-16
-        # relative, vs the 1e-9 relative tolerance) proves the common
-        # case — no earlier tie — without the full elementwise scan.
-        j = int(best.argmin())
-        if j:
-            target = best[j]
-            prefix_min = best[:j].min()
-            margin = 2.0 * max(DEFAULT_ABS_TOL, DEFAULT_REL_TOL * prefix_min)
-            if prefix_min - target <= margin:
-                # Near the tolerance boundary (or an exact tie): defer
-                # to the reference's elementwise scan.  signed = best
-                # (> 0), so the reference tolerance scale
-                # max(|signed|, |target|) is elementwise best; the +inf
-                # sentinel ties with itself (inf <= inf), hence the
-                # active mask.
-                diff = np.subtract(best, target, out=table._buf)
-                tol = np.multiply(best, DEFAULT_REL_TOL, out=table._tol)
-                np.maximum(tol, DEFAULT_ABS_TOL, out=tol)
-                tied = np.less_equal(diff, tol, out=table._tied)
-                tied &= table.active
-                return int(tied.argmax())
-        return j
     # signed = -best (< 0): |signed| <= |target| everywhere, so the
     # tolerance scale collapses to the scalar |target| = max(best).
     # The -inf sentinel yields diff = +inf > tol, masking itself —

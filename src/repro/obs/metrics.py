@@ -226,32 +226,14 @@ class HistogramStat:
 
     def observe(self, value: float) -> "HistogramStat":
         """Stat with one more observation folded in."""
-        idx = self._bucket_index(value)
-        counts = list(self.counts)
-        counts[idx] += 1
-        return HistogramStat(
-            buckets=self.buckets,
-            counts=tuple(counts),
-            count=self.count + 1,
-            sum=self.sum + value,
-            min=value if value < self.min else self.min,
-            max=value if value > self.max else self.max,
-        )
+        acc = _HistogramAccumulator(self)
+        acc.observe(value)
+        return acc.freeze()
 
     def combine(self, other: "HistogramStat") -> "HistogramStat":
-        if self.buckets != other.buckets:
-            raise ValueError(
-                f"cannot merge histograms with different buckets: "
-                f"{self.buckets} vs {other.buckets}"
-            )
-        return HistogramStat(
-            buckets=self.buckets,
-            counts=tuple(a + b for a, b in zip(self.counts, other.counts)),
-            count=self.count + other.count,
-            sum=self.sum + other.sum,
-            min=min(self.min, other.min),
-            max=max(self.max, other.max),
-        )
+        acc = _HistogramAccumulator(self)
+        acc.combine(other)
+        return acc.freeze()
 
     @property
     def mean(self) -> float:
@@ -286,13 +268,68 @@ class HistogramStat:
         return self.max
 
 
-class Histograms:
-    """Named fixed-bucket histograms (merge-deterministic)."""
+class _HistogramAccumulator:
+    """Mutable running form of one :class:`HistogramStat`.
 
-    __slots__ = ("_stats",)
+    The one home of the histogram arithmetic: :class:`Histograms` folds
+    observations in place (no per-call stat or counts tuple), and the
+    immutable :meth:`HistogramStat.observe`/:meth:`HistogramStat.combine`
+    go through it too, so both fold in the same order.
+    """
+
+    __slots__ = ("buckets", "counts", "count", "sum", "min", "max")
+
+    def __init__(self, stat: HistogramStat) -> None:
+        self.buckets = stat.buckets
+        self.counts = list(stat.counts)
+        self.count = stat.count
+        self.sum = stat.sum
+        self.min = stat.min
+        self.max = stat.max
+
+    def observe(self, value: float) -> None:
+        self.counts[bisect.bisect_left(self.buckets, value)] += 1
+        self.count += 1
+        self.sum = self.sum + value
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+
+    def combine(self, other: HistogramStat) -> None:
+        if self.buckets != other.buckets:
+            raise ValueError(
+                f"cannot merge histograms with different buckets: "
+                f"{self.buckets} vs {other.buckets}"
+            )
+        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
+        self.count = self.count + other.count
+        self.sum = self.sum + other.sum
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
+
+    def freeze(self) -> HistogramStat:
+        return HistogramStat(
+            buckets=self.buckets,
+            counts=tuple(self.counts),
+            count=self.count,
+            sum=self.sum,
+            min=self.min,
+            max=self.max,
+        )
+
+
+class Histograms:
+    """Named fixed-bucket histograms (merge-deterministic).
+
+    Observations fold into mutable per-name accumulators; the immutable
+    :class:`HistogramStat` is built when read.
+    """
+
+    __slots__ = ("_acc",)
 
     def __init__(self) -> None:
-        self._stats: dict[str, HistogramStat] = {}
+        self._acc: dict[str, _HistogramAccumulator] = {}
 
     def observe(
         self,
@@ -307,34 +344,40 @@ class Histograms:
         for the same name are ignored, so concurrent instrumentation
         sites cannot disagree about a histogram's shape mid-run.
         """
-        stat = self._stats.get(name)
-        if stat is None:
-            stat = HistogramStat.empty(buckets if buckets is not None else DEFAULT_BUCKETS)
-        self._stats[name] = stat.observe(value)
+        acc = self._acc.get(name)
+        if acc is None:
+            acc = self._acc[name] = _HistogramAccumulator(
+                HistogramStat.empty(buckets if buckets is not None else DEFAULT_BUCKETS)
+            )
+        acc.observe(value)
 
     def get(self, name: str) -> HistogramStat | None:
-        return self._stats.get(name)
+        acc = self._acc.get(name)
+        return None if acc is None else acc.freeze()
 
     def merge(self, other: "Histograms | MappingABC[str, HistogramStat]") -> None:
-        items = other._stats if isinstance(other, Histograms) else other
+        items = other.as_dict() if isinstance(other, Histograms) else other
         for name, stat in items.items():
-            mine = self._stats.get(name)
-            self._stats[name] = stat if mine is None else mine.combine(stat)
+            mine = self._acc.get(name)
+            if mine is None:
+                self._acc[name] = _HistogramAccumulator(stat)
+            else:
+                mine.combine(stat)
 
     def as_dict(self) -> dict[str, HistogramStat]:
-        return {name: self._stats[name] for name in sorted(self._stats)}
+        return {name: self._acc[name].freeze() for name in sorted(self._acc)}
 
     def __len__(self) -> int:
-        return len(self._stats)
+        return len(self._acc)
 
     def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self._stats))
+        return iter(sorted(self._acc))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Histograms):
-            return self._stats == other._stats
+            return self.as_dict() == other.as_dict()
         if isinstance(other, MappingABC):
-            return self._stats == dict(other)
+            return self.as_dict() == dict(other)
         return NotImplemented
 
     def __repr__(self) -> str:

@@ -182,6 +182,23 @@ def _parse_bool(payload: dict, name: str, default: bool) -> bool:
     return value
 
 
+def _parse_labels(spec: dict, name: str) -> list[str] | None:
+    """Optional ``etc.tasks``/``etc.machines``: a JSON array of strings.
+
+    Checked here because :class:`ETCMatrix` coerces any iterable of
+    labels with ``str()`` (a string would split into characters, a
+    number would alias its decimal string in the cache key).
+    """
+    if name not in spec:
+        return None
+    labels = spec[name]
+    _require(
+        isinstance(labels, list) and all(isinstance(x, str) for x in labels),
+        f"'etc.{name}' must be an array of strings, got {labels!r}",
+    )
+    return labels
+
+
 def _parse_etc(spec) -> ETCMatrix:
     """Inline instance → validated :class:`ETCMatrix`.
 
@@ -208,7 +225,9 @@ def _parse_etc(spec) -> ETCMatrix:
         unknown = set(spec) - {"values", "tasks", "machines"}
         _require(not unknown, f"unknown 'etc' field(s): {sorted(unknown)}")
         return ETCMatrix(
-            spec["values"], tasks=spec.get("tasks"), machines=spec.get("machines")
+            spec["values"],
+            tasks=_parse_labels(spec, "tasks"),
+            machines=_parse_labels(spec, "machines"),
         )
     except RequestValidationError:
         raise

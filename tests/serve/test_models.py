@@ -123,6 +123,47 @@ def test_malformed_etc_rejected(etc):
 
 
 @pytest.mark.parametrize(
+    "field, labels",
+    [
+        ("machines", "abc"),
+        ("tasks", {"t0": 0, "t1": 1, "t2": 2, "t3": 3}),
+        ("tasks", [0, 1, 2, 3]),
+        ("tasks", ["t0", "t1", "t2", 3]),
+        ("machines", ("m0", "m1", "m2")),
+        ("machines", None),
+        ("machines", 3),
+    ],
+)
+def test_etc_labels_must_be_string_arrays(field, labels):
+    """Labels are never coerced: ``"abc"`` is not machines a, b, c."""
+    with pytest.raises(RequestValidationError) as excinfo:
+        parse_request({"kind": "map", "etc": {"values": VALUES, field: labels}})
+    assert f"'etc.{field}' must be an array of strings" in str(excinfo.value)
+
+
+def test_numeric_labels_do_not_share_a_key_with_strings():
+    with pytest.raises(RequestValidationError):
+        parse_request(
+            {"kind": "map", "etc": {"values": [[1.0]], "tasks": [7]}}
+        )
+    request = parse_request(
+        {"kind": "map", "etc": {"values": [[1.0]], "tasks": ["7"]}}
+    )
+    assert request.etc_tasks == ("7",)
+
+
+def test_explicit_string_labels_accepted():
+    request = parse_request(
+        map_payload(
+            etc={"values": VALUES, "tasks": ["a", "b", "c", "d"],
+                 "machines": ["x", "y", "z"]}
+        )
+    )
+    assert request.etc_tasks == ("a", "b", "c", "d")
+    assert request.etc_machines == ("x", "y", "z")
+
+
+@pytest.mark.parametrize(
     "ensemble",
     [
         "spec",

@@ -106,6 +106,21 @@ def test_validation_error_is_400(tmp_path):
     assert service.counts["computed"] == 0
 
 
+def test_coerced_labels_are_400_and_never_cached(tmp_path):
+    """A string of machine labels is a validation error, not machines a, b."""
+    service = make_service(tmp_path)
+    payload = {"kind": "map", "etc": {"values": [[1.0, 2.0]], "machines": "ab"}}
+    try:
+        status, body = run(service.handle(payload))
+    finally:
+        service.close()
+    assert status == 400
+    assert body["error"]["type"] == "validation"
+    assert "'etc.machines' must be an array of strings" in body["error"]["message"]
+    assert service.counts["computed"] == 0
+    assert not list(tmp_path.rglob("*.json"))
+
+
 def test_execution_error_is_500(tmp_path, monkeypatch):
     def explode(request):
         raise ReproError("synthetic compute failure")
