@@ -33,22 +33,12 @@ trace id through every worker so the merged spans form a single tree.
 from __future__ import annotations
 
 import dataclasses
-import os
-import secrets
-
-import numpy as np
 
 from repro.analysis.experiments import ExperimentConfig, RunRecord
-from repro.exceptions import ConfigurationError
 
 __all__ = [
     "split_into_cells",
     "run_experiment_parallel",
-    "SHM_PREFIX",
-    "ShmDescriptor",
-    "SharedMemoryArena",
-    "attach_shared",
-    "detach_shared",
 ]
 
 
@@ -97,149 +87,3 @@ def run_experiment_parallel(
         on_error="raise",
     )
     return list(result.records)
-
-
-# ----------------------------------------------------------------------
-# Zero-copy shared-memory fan-out
-# ----------------------------------------------------------------------
-#: Name prefix of every segment this module creates — the leak tests
-#: assert ``/dev/shm`` holds nothing with this prefix after a run.
-SHM_PREFIX = "repro-shm"
-
-
-@dataclasses.dataclass(frozen=True)
-class ShmDescriptor:
-    """Tiny picklable handle to one published array.
-
-    This is what crosses the process boundary instead of the array:
-    pickling it costs tens of bytes regardless of payload size, and the
-    worker re-materialises the data as a read-only view of the same
-    physical pages via :func:`attach_shared`.
-    """
-
-    name: str
-    shape: tuple[int, ...]
-    dtype: str
-
-    @property
-    def nbytes(self) -> int:
-        count = 1
-        for dim in self.shape:
-            count *= dim
-        return count * np.dtype(self.dtype).itemsize
-
-
-class SharedMemoryArena:
-    """Parent-side publisher of arrays into POSIX shared memory.
-
-    ``publish`` copies an array into a fresh segment exactly once and
-    returns the :class:`ShmDescriptor` workers attach by name — the
-    "publish once, fan out descriptors" half of the zero-copy transport.
-    The arena owns every segment it creates: ``close()`` (or leaving the
-    ``with`` block, normally or via an exception) closes **and unlinks**
-    them all, so no run — including an aborted one — leaves segments
-    behind in ``/dev/shm``.
-    """
-
-    def __init__(self) -> None:
-        self._segments: list = []
-        self._token = secrets.token_hex(4)
-        self._counter = 0
-
-    def publish(self, values: np.ndarray) -> ShmDescriptor:
-        """Copy ``values`` into a new shared segment (one memcpy)."""
-        from multiprocessing import shared_memory
-
-        arr = np.ascontiguousarray(values)
-        if arr.nbytes == 0:
-            raise ConfigurationError("cannot publish an empty array")
-        name = f"{SHM_PREFIX}-{os.getpid()}-{self._token}-{self._counter}"
-        self._counter += 1
-        segment = shared_memory.SharedMemory(name=name, create=True, size=arr.nbytes)
-        self._segments.append(segment)
-        view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=segment.buf)
-        view[...] = arr
-        return ShmDescriptor(name=name, shape=arr.shape, dtype=arr.dtype.str)
-
-    def __len__(self) -> int:
-        return len(self._segments)
-
-    def close(self) -> None:
-        """Close and unlink every published segment (idempotent)."""
-        segments, self._segments = self._segments, []
-        for segment in segments:
-            try:
-                segment.close()
-            except OSError:  # pragma: no cover - best-effort teardown
-                pass
-            try:
-                segment.unlink()
-            except FileNotFoundError:
-                pass
-            except OSError:  # pragma: no cover - best-effort teardown
-                pass
-
-    def __enter__(self) -> "SharedMemoryArena":
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        self.close()
-        return False
-
-    def __repr__(self) -> str:
-        return f"SharedMemoryArena(segments={len(self._segments)})"
-
-
-#: Worker-side attachment cache: segment name -> (SharedMemory, ndarray).
-#: Persistent pool workers attach each published block at most once.
-_ATTACHED: dict = {}
-
-
-def attach_shared(descriptor: ShmDescriptor) -> np.ndarray:
-    """Read-only view of a published array (worker side, cached).
-
-    Attaching maps the publisher's pages — no bytes are copied and no
-    new memory is allocated beyond page tables.  The view is cached per
-    segment name so persistent workers attach once per published block
-    however many work items reference it.
-
-    On Python < 3.13 attaching *registers* the segment with the
-    resource tracker (no ``track=False`` yet).  That is benign with the
-    fork start method Linux pools use: forked workers share the
-    parent's tracker process, registration is idempotent there, and the
-    publisher's ``unlink`` performs the single matching unregister — so
-    no premature unlinks and no tracker warnings.  Spawn-based
-    platforms would need per-worker unregister hacks; this codebase
-    targets fork.
-    """
-    cached = _ATTACHED.get(descriptor.name)
-    if cached is not None:
-        return cached[1]
-    from multiprocessing import shared_memory
-
-    segment = shared_memory.SharedMemory(name=descriptor.name)
-    view = np.ndarray(
-        descriptor.shape, dtype=np.dtype(descriptor.dtype), buffer=segment.buf
-    )
-    view.setflags(write=False)
-    _ATTACHED[descriptor.name] = (segment, view)
-    return view
-
-
-def detach_shared(name: str | None = None) -> None:
-    """Drop cached attachments (one segment, or all with ``name=None``).
-
-    Closes the local mapping only — unlinking is the publisher's job.
-    Safe to call for names never attached.
-    """
-    names = [name] if name is not None else list(_ATTACHED)
-    for key in names:
-        cached = _ATTACHED.pop(key, None)
-        if cached is None:
-            continue
-        segment, view = cached
-        del view
-        try:
-            segment.close()
-        except (OSError, BufferError):  # pragma: no cover - best effort
-            pass

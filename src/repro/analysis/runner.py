@@ -275,8 +275,7 @@ def pack_same_shape_batches(cells: list, batch_size: int, *, key=None) -> list[l
 
     Cells whose ``(num_tasks, num_machines)`` match are packed, in grid
     order, into lists of at most ``batch_size``; remainder batches stay
-    partial rather than mixing shapes (batched kernels require a
-    homogeneous stack).  Groups come back in order of first appearance,
+    partial rather than mixing shapes.  Groups come back in order of first appearance,
     so a homogeneous grid round-trips to plain chunking.  ``key``
     overrides the shape extractor for callers whose items wrap the
     config (the runner passes a ``_CellWork``-aware one).

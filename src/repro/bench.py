@@ -1,11 +1,11 @@
 """Benchmark-regression harness for the scheduling hot paths.
 
 The kernels in :mod:`repro.heuristics` keep *reference* implementations
-alongside the optimised defaults (``incremental=False``), so every
-tracked workload can time both variants in the same process and report
-the speedup directly — the checked-in ``BENCH_baseline.json`` therefore
-records pre- **and** post-optimisation numbers for the paper-scale
-workloads.
+alongside the optimised defaults (the ``reference`` kernel backend), so
+every tracked workload can time both variants in the same process and
+report the speedup directly — the checked-in ``BENCH_baseline.json``
+therefore records pre- **and** post-optimisation numbers for the
+paper-scale workloads.
 
 Three entry points:
 
@@ -73,10 +73,6 @@ DEFAULT_REPEATS = 5
 
 _FULL_SHAPE = (512, 32)
 _SMOKE_SHAPE = (64, 8)
-_BATCH_SHAPE = (128, 16)
-_BATCH_SMOKE_SHAPE = (32, 8)
-_SMOKE_BATCH = 8
-DEFAULT_BATCH = 64
 _ETC_SEED = 20070612  # fixed: every run times the same instance
 
 
@@ -84,15 +80,12 @@ _ETC_SEED = 20070612  # fixed: every run times the same instance
 class BenchOptions:
     """Knobs a :class:`Workload` build receives.
 
-    ``backend=None`` means each workload's historical default (the
-    batched workload uses the ``batched`` backend, the mapper workloads
-    the incremental kernels), so reports stay comparable run to run
-    unless a backend is chosen deliberately.
+    ``backend=None`` means the incremental kernels, so reports stay
+    comparable run to run unless a backend is chosen deliberately.
     """
 
     smoke: bool = False
     backend: str | None = None
-    batch_size: int = DEFAULT_BATCH
 
 
 def _bench_etc(smoke: bool):
@@ -128,21 +121,22 @@ class Workload:
     ]
 
 
-def _mapper_workload(heuristic_factory) -> Callable:
+def _mapper_workload(heuristic: str) -> Callable:
     def build(options: BenchOptions):
         from repro.core.ties import DeterministicTieBreaker
+        from repro.heuristics.backends import get_backend
 
         etc = _bench_etc(options.smoke)
         # These workloads time a *fixed* kernel pair (incremental vs
         # reference) so their speedup column stays meaningful; the
-        # backend knob drives the experiment/batched workloads instead.
+        # backend knob drives the experiment workload instead.
         def run():
-            return heuristic_factory(incremental=True).map_tasks(
+            return get_backend("incremental").make(heuristic).map_tasks(
                 etc, tie_breaker=DeterministicTieBreaker()
             )
 
         def run_reference():
-            return heuristic_factory(incremental=False).map_tasks(
+            return get_backend("reference").make(heuristic).map_tasks(
                 etc, tie_breaker=DeterministicTieBreaker()
             )
 
@@ -153,15 +147,15 @@ def _mapper_workload(heuristic_factory) -> Callable:
 
 def _iterative_workload(options: BenchOptions):
     from repro.core.iterative import IterativeScheduler
-    from repro.heuristics.minmin import MinMin
+    from repro.heuristics.minmin import MinMin, ReferenceMinMin
 
     etc = _bench_etc(options.smoke)
 
     def run():
-        return IterativeScheduler(MinMin(incremental=True)).run(etc)
+        return IterativeScheduler(MinMin()).run(etc)
 
     def run_reference():
-        return IterativeScheduler(MinMin(incremental=False)).run(etc)
+        return IterativeScheduler(ReferenceMinMin()).run(etc)
 
     return run, run_reference
 
@@ -222,120 +216,6 @@ def _cached_grid_workload(options: BenchOptions):
 
     def run_reference():
         return run_grid(config, max_workers=1, cache_dir=None)
-
-    return run, run_reference
-
-
-def _batched_greedy_workload(options: BenchOptions):
-    """Stacked batched Min-Min vs looping the single-instance kernel.
-
-    The optimised thunk maps one :class:`~repro.etc.batch.ETCBatch`
-    (``batch_size`` instances, 128×16 full / 32×8 smoke) through the
-    batched backend's 3-D kernel; the reference thunk loops the
-    incremental single-instance kernel over the same matrices.  The
-    speedup column is the direct measure of the batch-axis
-    vectorisation (the two paths are decision-identical, enforced by
-    the equivalence battery).
-    """
-    from repro.etc.batch import ETCBatch
-    from repro.etc.generation import (
-        Consistency,
-        Heterogeneity,
-        generate_range_based,
-    )
-    from repro.heuristics.backends import get_backend
-    from repro.heuristics.minmin import MinMin
-
-    tasks, machines = _BATCH_SMOKE_SHAPE if options.smoke else _BATCH_SHAPE
-    size = min(options.batch_size, _SMOKE_BATCH) if options.smoke else options.batch_size
-    matrices = [
-        generate_range_based(
-            tasks,
-            machines,
-            Heterogeneity.HIHI,
-            Consistency.INCONSISTENT,
-            rng=_ETC_SEED + i,
-        )
-        for i in range(size)
-    ]
-    batch = ETCBatch.from_matrices(matrices)
-    backend = get_backend(options.backend or "batched")
-
-    def run():
-        return backend.map_batch("min-min", batch, nominal_size=size).makespans()
-
-    def run_reference():
-        mapper = MinMin(incremental=True)
-        return [mapper.map_tasks(etc).makespan() for etc in matrices]
-
-    return run, run_reference
-
-
-def _cell_cost(values) -> float:
-    """Cheap whole-payload reduction standing in for cell compute.
-
-    Touches every element exactly once (per-task best completion time,
-    summed), so both transport variants pay identical compute and the
-    measured gap is transport alone.
-    """
-    return float(values.min(axis=2).sum())
-
-
-def _shm_cell_cost(descriptor) -> float:
-    """Pool worker for the shm variant: attach by name, reduce."""
-    from repro.analysis.parallel import attach_shared
-
-    return _cell_cost(attach_shared(descriptor))
-
-
-def _pickled_cell_cost(values) -> float:
-    """Pool worker for the reference variant: the array itself crossed
-    the pipe (pickled on submit, unpickled here)."""
-    return _cell_cost(values)
-
-
-def _shm_grid_workload(options: BenchOptions):
-    """Zero-copy shm fan-out vs pickling the same payloads to the pool.
-
-    ``build`` generates one ETC-scale stack per grid cell (64 cells of
-    24×256×32 full, 8 cells of 4×32×8 smoke), publishes every stack
-    into POSIX shared memory once (:class:`SharedMemoryArena`), and
-    starts a process pool shared by both thunks.  The optimised thunk
-    fans out :class:`ShmDescriptor` handles (tens of bytes each;
-    workers attach the published pages and cache the attachment); the
-    reference thunk submits the arrays themselves, paying
-    pickle + pipe + unpickle per cell.  Same pool, same worker count,
-    same reduction — the speedup column isolates the transport.
-    """
-    import atexit
-    from concurrent.futures import ProcessPoolExecutor
-
-    import numpy as np
-
-    from repro.analysis.parallel import SharedMemoryArena
-
-    # Per-cell payloads are sized so transport (pickle + pipe vs a
-    # descriptor handoff) dominates the worker's reduction even in
-    # smoke mode — 1 MiB/cell smoke, 1.5 MiB/cell full.
-    if options.smoke:
-        cells, workers, shape = 8, 2, (16, 256, 32)
-    else:
-        cells, workers, shape = 64, 8, (24, 256, 32)
-    rng = np.random.default_rng(_ETC_SEED)
-    payloads = [
-        rng.uniform(1.0, 3000.0, size=shape) for _ in range(cells)
-    ]
-    arena = SharedMemoryArena()
-    atexit.register(arena.close)
-    descriptors = [arena.publish(values) for values in payloads]
-    pool = ProcessPoolExecutor(max_workers=workers)
-    atexit.register(pool.shutdown)
-
-    def run():
-        return [r for r in pool.map(_shm_cell_cost, descriptors)]
-
-    def run_reference():
-        return [r for r in pool.map(_pickled_cell_cost, payloads)]
 
     return run, run_reference
 
@@ -496,7 +376,7 @@ def _tracing_overhead_workload(options: BenchOptions):
     from repro.obs.tracer import CollectingTracer, use_tracer
 
     etc = _bench_etc(options.smoke)
-    scheduler = IterativeScheduler(MinMin(incremental=True))
+    scheduler = IterativeScheduler(MinMin())
 
     def run():
         with use_tracer(CollectingTracer()):
@@ -552,7 +432,7 @@ def _rolling_serving_workload(options: BenchOptions):
     def serve(horizon: float):
         return RollingSimulation(
             make_source(),
-            MinMin(incremental=True),
+            MinMin(),
             horizon=horizon,
             refine_iterations=2,
             rng=_ETC_SEED,
@@ -689,50 +569,26 @@ def _serve_load_workload(options: BenchOptions):
     return run, run_reference
 
 
-def _make_minmin(**kwargs):
-    from repro.heuristics.minmin import MinMin
-
-    return MinMin(**kwargs)
-
-
-def _make_mct(**kwargs):
-    from repro.heuristics.mct import MCT
-
-    return MCT(**kwargs)
-
-
-def _make_sufferage(**kwargs):
-    from repro.heuristics.sufferage import Sufferage
-
-    return Sufferage(**kwargs)
-
-
-def _make_kpb(**kwargs):
-    from repro.heuristics.kpb import KPercentBest
-
-    return KPercentBest(70.0, **kwargs)
-
-
 WORKLOADS: tuple[Workload, ...] = (
     Workload(
         "minmin-512x32",
         "Min-Min mapper, 512 tasks x 32 machines (64x8 in smoke mode)",
-        _mapper_workload(_make_minmin),
+        _mapper_workload("min-min"),
     ),
     Workload(
         "mct-512x32",
         "MCT mapper, 512 tasks x 32 machines",
-        _mapper_workload(_make_mct),
+        _mapper_workload("mct"),
     ),
     Workload(
         "sufferage-512x32",
         "Sufferage mapper, 512 tasks x 32 machines",
-        _mapper_workload(_make_sufferage),
+        _mapper_workload("sufferage"),
     ),
     Workload(
         "kpb-512x32",
         "K-Percent Best (70%) mapper, 512 tasks x 32 machines",
-        _mapper_workload(_make_kpb),
+        _mapper_workload("k-percent-best"),
     ),
     Workload(
         "iterative-minmin-512x32",
@@ -749,20 +605,6 @@ WORKLOADS: tuple[Workload, ...] = (
         "Warm-cache resume via run_grid vs uncached recompute (the "
         "reference variant)",
         _cached_grid_workload,
-    ),
-    Workload(
-        "batched-greedy",
-        "Min-Min over a stacked batch of 64 ETC instances, 128 tasks x "
-        "16 machines (8 of 32x8 in smoke mode), vs looping the "
-        "single-instance kernel (the reference variant)",
-        _batched_greedy_workload,
-    ),
-    Workload(
-        "shm-grid",
-        "Shared-memory descriptor fan-out of 64 grid-cell payloads to an "
-        "8-worker pool (8 cells / 2 workers in smoke mode) vs pickling "
-        "the same arrays through the pool pipes (the reference variant)",
-        _shm_grid_workload,
     ),
     Workload(
         "tracing-overhead",
@@ -844,7 +686,6 @@ def run_bench(
     with_reference: bool = True,
     only: Sequence[str] | None = None,
     backend: str | None = None,
-    batch_size: int = DEFAULT_BATCH,
     profile: int | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> dict:
@@ -853,19 +694,16 @@ def run_bench(
     ``only`` restricts the run to a subset of workload names;
     ``with_reference=False`` skips the pre-optimisation variants (halves
     runtime, but the report then carries no speedup figures);
-    ``backend`` / ``batch_size`` reach the workload builds as
-    :class:`BenchOptions`; ``profile=N`` additionally runs each
+    ``backend`` reaches the workload builds as :class:`BenchOptions`; ``profile=N`` additionally runs each
     optimised thunk once under :mod:`cProfile` after timing and stores
     the top-``N`` cumulative entries in the workload's ``profile``
     field; ``progress`` receives one line per finished workload.
     """
     if repeats < 1:
         raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
-    if batch_size < 1:
-        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     if profile is not None and profile < 1:
         raise ConfigurationError(f"profile must be >= 1, got {profile}")
-    options = BenchOptions(smoke=smoke, backend=backend, batch_size=batch_size)
+    options = BenchOptions(smoke=smoke, backend=backend)
     selected = WORKLOADS
     if only is not None:
         known = {w.name: w for w in WORKLOADS}

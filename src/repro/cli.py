@@ -1316,7 +1316,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         with_reference=not args.no_reference,
         only=args.workloads.split(",") if args.workloads else None,
         backend=args.backend,
-        batch_size=args.batch_size,
         profile=args.profile,
         progress=lambda line: print(line, file=sys.stderr),
     )
@@ -1346,7 +1345,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 "with_reference": not args.no_reference,
                 "workloads": args.workloads,
                 "backend": args.backend,
-                "batch_size": args.batch_size,
             },
             metrics=metrics,
             extra={"bench_report": report},
@@ -1531,7 +1529,6 @@ def cmd_obs_diff(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 def build_parser() -> argparse.ArgumentParser:
     from repro.analysis.runner import DEFAULT_CACHE_DIR
-    from repro.bench import DEFAULT_BATCH
     from repro.heuristics.backends import DEFAULT_BACKEND, backend_names
     from repro.obs.ledger import DEFAULT_LEDGER_PATH
 
@@ -1960,10 +1957,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="list the registered workloads and exit")
     b.add_argument("--backend", choices=backend_names(), default=None,
                    help="kernel backend for the backend-aware workloads "
-                        "(default: each workload's historical default)")
-    b.add_argument("--batch-size", type=int, default=DEFAULT_BATCH,
-                   help="batch size for the batched-greedy workload "
-                        "(default: %(default)s)")
+                        "(default: incremental)")
     b.add_argument("--baseline",
                    help="bench JSON to compare against (exit 1 on regression)")
     b.add_argument("--tolerance", type=float, default=0.5,

@@ -31,6 +31,8 @@ __all__ = [
     "tied_indices",
     "tied_argmin",
     "tied_argmax",
+    "tied_min_indices",
+    "first_tied_min_index",
     "TieBreaker",
     "DeterministicTieBreaker",
     "RandomTieBreaker",
@@ -77,6 +79,49 @@ def tied_argmax(
     if arr.size == 0:
         raise ConfigurationError("tied_argmax of empty array")
     return tied_indices(arr, float(arr.max()), rel_tol, abs_tol)
+
+
+def tied_min_indices(row: np.ndarray) -> list[int]:
+    """Exact :func:`tied_argmin` for short strictly positive rows.
+
+    A plain Python scan over ``row.tolist()`` outruns the vectorised
+    pipeline below ~100 elements (the machine axis is 32 at paper
+    scale).  For strictly positive values the tolerance
+    ``max(abs_tol, rel_tol * max(|v|, |target|))`` is exactly
+    ``max(abs_tol, rel_tol * v)`` because ``v >= target > 0``, and
+    ``|v - target|`` is exactly ``v - target``; both simplifications
+    are value-identical, so the returned candidate list matches
+    :func:`tied_argmin` element for element.
+    """
+    lst = row.tolist()
+    target = min(lst)
+    out = []
+    for j, v in enumerate(lst):
+        tol = DEFAULT_REL_TOL * v
+        if tol < DEFAULT_ABS_TOL:
+            tol = DEFAULT_ABS_TOL
+        if v - target <= tol:
+            out.append(j)
+    return out
+
+
+def first_tied_min_index(row: np.ndarray) -> int:
+    """First index of :func:`tied_min_indices` without building the list.
+
+    Exactly what ``DeterministicTieBreaker.choose(tied_min_indices(row))``
+    returns (the candidate list ascends, so its minimum is its first
+    element); used on the deterministic fast paths when no tracer needs
+    the full candidate set.  Early-exits at the first tied element.
+    """
+    lst = row.tolist()
+    target = min(lst)
+    for j, v in enumerate(lst):
+        tol = DEFAULT_REL_TOL * v
+        if tol < DEFAULT_ABS_TOL:
+            tol = DEFAULT_ABS_TOL
+        if v - target <= tol:
+            return j
+    raise AssertionError("unreachable: the minimum always ties with itself")
 
 
 class TieBreaker(abc.ABC):

@@ -1,28 +1,21 @@
-"""Stacked batches of same-shape ETC matrices.
+"""Read-only stacked views of same-shape ETC matrices.
 
-The paper's evaluation — and any production deployment of the iterative
-technique — maps *fleets* of independent ETC instances, not one matrix
-at a time.  :class:`ETCBatch` stores N same-shape instances as one
-C-contiguous ``(batch, tasks, machines)`` float64 block so the batched
-kernels in :mod:`repro.heuristics.batched` can process every instance in
-a single stacked 3-D numpy pass, while :meth:`ETCBatch.instance` hands
-back zero-copy :class:`~repro.etc.matrix.ETCMatrix` views for any code
-that still wants the single-instance API.
+An :class:`~repro.etc.store.ETCStore` entry holds N same-shape
+instances as one C-contiguous ``(batch, tasks, machines)`` float64
+block.  :class:`ETCBatch` wraps a memmap window of such a block without
+copying or re-scanning it, and :meth:`ETCBatch.instance` hands back
+zero-copy :class:`~repro.etc.matrix.ETCMatrix` views for the
+single-instance heuristics.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 
 import numpy as np
 
-from repro.etc.matrix import (
-    ETCMatrix,
-    _check_labels,
-    default_machine_labels,
-    default_task_labels,
-)
-from repro.exceptions import ETCShapeError, ETCValueError
+from repro.etc.matrix import ETCMatrix
+from repro.exceptions import ETCShapeError
 
 __all__ = ["ETCBatch"]
 
@@ -30,89 +23,13 @@ __all__ = ["ETCBatch"]
 class ETCBatch:
     """An immutable stack of same-shape, same-label ETC matrices.
 
-    Parameters
-    ----------
-    values:
-        Array-like of shape ``(batch, num_tasks, num_machines)``.  All
-        entries must be finite and strictly positive, exactly as for
-        :class:`~repro.etc.matrix.ETCMatrix`.  A float64 C-contiguous
-        ndarray is adopted without copying (and marked read-only);
-        anything else is converted once.
-    tasks / machines:
-        Optional shared labels, identical for every instance in the
-        batch; default to ``t0..`` / ``m0..``.
+    Built only by :meth:`_from_trusted` (the store wraps validated
+    on-disk entries); the ``values`` block is a read-only
+    ``(batch, num_tasks, num_machines)`` float64 array and every
+    instance shares the ``tasks`` / ``machines`` labels.
     """
 
     __slots__ = ("_values", "_tasks", "_machines")
-
-    def __init__(
-        self,
-        values: np.ndarray,
-        tasks: Sequence[str] | None = None,
-        machines: Sequence[str] | None = None,
-    ) -> None:
-        arr = np.asarray(values, dtype=np.float64)
-        if not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr)
-        if arr.ndim != 3:
-            raise ETCShapeError(
-                f"ETC batch values must be 3-D, got ndim={arr.ndim}"
-            )
-        if 0 in arr.shape:
-            raise ETCShapeError(
-                f"ETC batch must be non-empty, got shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ETCValueError("ETC values must be finite (no NaN/inf)")
-        if np.any(arr <= 0.0):
-            raise ETCValueError("ETC values must be strictly positive")
-        arr.setflags(write=False)
-        self._values = arr
-        _, num_tasks, num_machines = arr.shape
-        self._tasks = (
-            default_task_labels(num_tasks)
-            if tasks is None
-            else _check_labels(tasks, "task", num_tasks)
-        )
-        self._machines = (
-            default_machine_labels(num_machines)
-            if machines is None
-            else _check_labels(machines, "machine", num_machines)
-        )
-
-    @classmethod
-    def from_matrices(cls, matrices: Sequence[ETCMatrix]) -> "ETCBatch":
-        """Stack already-validated matrices (one ``np.stack`` copy).
-
-        Every matrix must have the same shape *and* the same labels —
-        a batch is a fleet of instances of one scheduling problem
-        family, so decisions (task/machine indices) are comparable
-        across the batch.
-        """
-        matrices = list(matrices)
-        if not matrices:
-            raise ETCShapeError("cannot build an ETC batch from zero matrices")
-        first = matrices[0]
-        for matrix in matrices[1:]:
-            if matrix.shape != first.shape:
-                raise ETCShapeError(
-                    f"batch matrices disagree on shape: {matrix.shape} "
-                    f"!= {first.shape}"
-                )
-            if (
-                matrix.tasks != first.tasks
-                or matrix.machines != first.machines
-            ):
-                raise ETCShapeError(
-                    "batch matrices must share task/machine labels"
-                )
-        stacked = np.stack([m.values for m in matrices])
-        self = object.__new__(cls)
-        stacked.setflags(write=False)
-        self._values = stacked
-        self._tasks = first.tasks
-        self._machines = first.machines
-        return self
 
     @classmethod
     def _from_trusted(

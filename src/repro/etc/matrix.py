@@ -165,18 +165,6 @@ class ETCMatrix:
         return self
 
     @classmethod
-    def stack(cls, matrices: "Sequence[ETCMatrix]") -> "ETCBatch":
-        """Stack same-shape, same-label matrices into an :class:`ETCBatch`.
-
-        The batch performs exactly one ``np.stack`` copy; the per-index
-        :meth:`repro.etc.batch.ETCBatch.instance` accessor then hands
-        back zero-copy views of the stacked buffer.
-        """
-        from repro.etc.batch import ETCBatch
-
-        return ETCBatch.from_matrices(matrices)
-
-    @classmethod
     def from_dict(
         cls, table: Mapping[str, Mapping[str, float]]
     ) -> "ETCMatrix":

@@ -14,19 +14,12 @@ from repro.heuristics.base import (
 from repro.heuristics.annealing import SimulatedAnnealing
 from repro.heuristics.backends import (
     DEFAULT_BACKEND,
-    BatchedBackend,
     IncrementalBackend,
     KernelBackend,
     ReferenceBackend,
     backend_names,
     get_backend,
     register_backend,
-)
-from repro.heuristics.batched import (
-    GREEDY_FAMILY,
-    BatchResult,
-    batch_ready_vector,
-    map_batch,
 )
 from repro.heuristics.genitor import Genitor
 from repro.heuristics.gsa import GeneticSimulatedAnnealing
@@ -55,15 +48,10 @@ __all__ = [
     "KernelBackend",
     "ReferenceBackend",
     "IncrementalBackend",
-    "BatchedBackend",
     "register_backend",
     "get_backend",
     "backend_names",
     "DEFAULT_BACKEND",
-    "BatchResult",
-    "GREEDY_FAMILY",
-    "batch_ready_vector",
-    "map_batch",
     "MET",
     "MCT",
     "OLB",

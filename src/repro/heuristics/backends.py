@@ -1,16 +1,16 @@
 """Pluggable kernel backends for the heuristic family.
 
-Three kernel generations coexist in this codebase: the *reference*
-implementations that transcribe the paper's figures line by line, the
-*incremental* single-instance kernels of
-:mod:`repro.heuristics.kernels`, and the *batched* stacked 3-D kernels
-of :mod:`repro.heuristics.batched`.  This module gives them one seam: a
+Two kernel generations coexist in this codebase: the *reference*
+implementations that transcribe the paper's figures line by line (the
+``Reference*`` classes beside each heuristic, kept as test oracles),
+and the *incremental* single-instance kernels that the registered
+heuristics run by default.  This module gives them one seam: a
 :class:`KernelBackend` builds single-instance heuristics
-(:meth:`KernelBackend.make`) and maps whole batches
-(:meth:`KernelBackend.map_batch`), and a registry resolves backends by
-name — ``reference | incremental | batched`` today, a compiled backend
-tomorrow — so call sites (experiment runner, study pipeline, CLI,
-bench) select kernels without touching heuristic code.
+(:meth:`KernelBackend.make`), and a registry resolves backends by name
+— ``reference | incremental``, with ``batched`` kept as an accepted
+alias of ``incremental`` so stored configs and cache keys that name it
+keep working — so call sites (experiment runner, study pipeline, CLI,
+serve) select kernels without touching heuristic code.
 
 All backends are *decision-identical*: they differ only in how fast
 they arrive at the same mappings, which the equivalence battery in
@@ -20,24 +20,20 @@ they arrive at the same mappings, which the equivalence battery in
 from __future__ import annotations
 
 import abc
-from collections.abc import Mapping as MappingABC
-from collections.abc import Sequence
 
-import numpy as np
-
-from repro.core.ties import TieBreaker
-from repro.etc.batch import ETCBatch
 from repro.exceptions import UnknownBackendError
 from repro.heuristics.base import Heuristic, get_heuristic
-from repro.heuristics.batched import BatchResult, map_batch
+from repro.heuristics.kpb import ReferenceKPercentBest
+from repro.heuristics.mct import ReferenceMCT
+from repro.heuristics.minmin import ReferenceDuplex, ReferenceMaxMin, ReferenceMinMin
+from repro.heuristics.sufferage import ReferenceSufferage
 
 __all__ = [
     "DEFAULT_BACKEND",
-    "KERNELED_HEURISTICS",
+    "REFERENCE_HEURISTICS",
     "KernelBackend",
     "ReferenceBackend",
     "IncrementalBackend",
-    "BatchedBackend",
     "register_backend",
     "get_backend",
     "backend_names",
@@ -46,15 +42,21 @@ __all__ = [
 #: The default backend: the incremental single-instance kernels.
 DEFAULT_BACKEND = "incremental"
 
-#: Heuristics that accept an ``incremental=`` kernel toggle; the
-#: reference backend forces it off for these.
-KERNELED_HEURISTICS = frozenset(
-    {"min-min", "max-min", "duplex", "mct", "k-percent-best", "sufferage"}
-)
+#: Heuristic name -> paper-transcription oracle, for every heuristic
+#: whose default kernel differs from the transcription.  The reference
+#: classes are deliberately not in the heuristic registry.
+REFERENCE_HEURISTICS: dict[str, type[Heuristic]] = {
+    "min-min": ReferenceMinMin,
+    "max-min": ReferenceMaxMin,
+    "duplex": ReferenceDuplex,
+    "mct": ReferenceMCT,
+    "k-percent-best": ReferenceKPercentBest,
+    "sufferage": ReferenceSufferage,
+}
 
 
 class KernelBackend(abc.ABC):
-    """One kernel generation: builds heuristics and maps batches."""
+    """One kernel generation: builds single-instance heuristics."""
 
     #: Registry name; set by concrete backends.
     name: str = ""
@@ -63,84 +65,29 @@ class KernelBackend(abc.ABC):
     def make(self, heuristic: str, **kwargs) -> Heuristic:
         """Build a single-instance heuristic wired to this backend."""
 
-    def map_batch(
-        self,
-        heuristic: str,
-        batch: ETCBatch,
-        ready_times: MappingABC[str, float] | Sequence[float] | np.ndarray | None = None,
-        tie_breaker: TieBreaker | None = None,
-        *,
-        nominal_size: int | None = None,
-        **kwargs,
-    ) -> BatchResult:
-        """Map every instance of ``batch`` (looped unless overridden)."""
-        return map_batch(
-            heuristic,
-            batch,
-            ready_times,
-            tie_breaker,
-            make=self.make,
-            vectorize=False,
-            nominal_size=nominal_size,
-            **kwargs,
-        )
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
 
 
 class ReferenceBackend(KernelBackend):
-    """The paper-transcription kernels (``incremental=False``)."""
+    """The paper-transcription kernels (the test oracles)."""
 
     name = "reference"
 
     def make(self, heuristic: str, **kwargs) -> Heuristic:
-        if heuristic in KERNELED_HEURISTICS:
-            kwargs.setdefault("incremental", False)
-        return get_heuristic(heuristic, **kwargs)
+        reference = REFERENCE_HEURISTICS.get(heuristic)
+        if reference is None:
+            return get_heuristic(heuristic, **kwargs)
+        return reference(**kwargs)
 
 
 class IncrementalBackend(KernelBackend):
-    """The default single-instance kernels (``incremental=True``)."""
+    """The default single-instance kernels (the registered heuristics)."""
 
     name = "incremental"
 
     def make(self, heuristic: str, **kwargs) -> Heuristic:
         return get_heuristic(heuristic, **kwargs)
-
-
-class BatchedBackend(IncrementalBackend):
-    """Stacked 3-D kernels for batches; incremental for single calls.
-
-    :meth:`map_batch` vectorises across the batch axis when the
-    heuristic has a stacked kernel and the preconditions hold
-    (deterministic ties, no tracer); otherwise it falls back to looping
-    the incremental kernel — recorded by the ``kernels.batch.fallback``
-    counter when a tracer listens.
-    """
-
-    name = "batched"
-
-    def map_batch(
-        self,
-        heuristic: str,
-        batch: ETCBatch,
-        ready_times: MappingABC[str, float] | Sequence[float] | np.ndarray | None = None,
-        tie_breaker: TieBreaker | None = None,
-        *,
-        nominal_size: int | None = None,
-        **kwargs,
-    ) -> BatchResult:
-        return map_batch(
-            heuristic,
-            batch,
-            ready_times,
-            tie_breaker,
-            make=self.make,
-            vectorize=True,
-            nominal_size=nominal_size,
-            **kwargs,
-        )
 
 
 _BACKENDS: dict[str, KernelBackend] = {}
@@ -168,10 +115,11 @@ def get_backend(name: str | KernelBackend) -> KernelBackend:
 
 
 def backend_names() -> tuple[str, ...]:
-    """Registered backend names, sorted."""
+    """Registered backend names (aliases included), sorted."""
     return tuple(sorted(_BACKENDS))
 
 
 register_backend(ReferenceBackend())
 register_backend(IncrementalBackend())
-register_backend(BatchedBackend())
+# The retired stacked-batch backend's name stays valid as an alias.
+_BACKENDS["batched"] = _BACKENDS["incremental"]

@@ -33,14 +33,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.schedule import Mapping
-from repro.core.ties import DeterministicTieBreaker, TieBreaker, tied_argmin
+from repro.core.ties import (
+    DeterministicTieBreaker,
+    TieBreaker,
+    first_tied_min_index,
+    tied_argmin,
+    tied_min_indices,
+)
 from repro.etc.matrix import ETCMatrix
 from repro.exceptions import ConfigurationError
 from repro.heuristics.base import Heuristic, register_heuristic
-from repro.heuristics.kernels import first_tied_min_index, tied_min_indices
 from repro.obs.tracer import get_tracer
 
-__all__ = ["KPercentBest", "KPBStep", "kpb_subset_size"]
+__all__ = ["KPercentBest", "ReferenceKPercentBest", "KPBStep", "kpb_subset_size"]
 
 
 def kpb_subset_size(num_machines: int, percent: float) -> int:
@@ -67,15 +72,12 @@ class KPercentBest(Heuristic):
 
     name = "k-percent-best"
 
-    def __init__(self, percent: float = 70.0, *, incremental: bool = True) -> None:
+    def __init__(self, percent: float = 70.0) -> None:
         if not 0.0 < percent <= 100.0:
             raise ConfigurationError(
                 f"percent must be in (0, 100], got {percent}"
             )
         self.percent = float(percent)
-        #: Use the batched-subset kernel (default); the per-task argsort
-        #: reference path is kept for equivalence tests.
-        self.incremental = bool(incremental)
         self.last_trace: tuple[KPBStep, ...] = ()
 
     def subset_for(self, etc: ETCMatrix, task: str) -> tuple[str, ...]:
@@ -91,14 +93,8 @@ class KPercentBest(Heuristic):
         tie_breaker: TieBreaker,
         seed_mapping: dict[str, str] | None,
     ) -> None:
-        if self.incremental:
-            self._run_incremental(mapping, tie_breaker)
-        else:
-            self._run_reference(mapping, tie_breaker)
-
-    def _run_incremental(self, mapping: Mapping, tie_breaker: TieBreaker) -> None:
-        """Batched kernel: subsets depend only on ETC values, so all T
-        per-task argsorts collapse into one vectorised axis-1 argsort."""
+        """Subsets depend only on ETC values, so all T per-task
+        argsorts collapse into one vectorised axis-1 argsort."""
         etc = mapping.etc
         tracer = get_tracer()
         values = etc.values
@@ -144,7 +140,19 @@ class KPercentBest(Heuristic):
             )
         self.last_trace = tuple(trace)
 
-    def _run_reference(self, mapping: Mapping, tie_breaker: TieBreaker) -> None:
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(percent={self.percent})"
+
+
+class ReferenceKPercentBest(KPercentBest):
+    """Per-task argsort paper transcription of KPB: the test oracle."""
+
+    def _run(
+        self,
+        mapping: Mapping,
+        tie_breaker: TieBreaker,
+        seed_mapping: dict[str, str] | None,
+    ) -> None:
         etc = mapping.etc
         tracer = get_tracer()
         size = kpb_subset_size(etc.num_machines, self.percent)
@@ -177,6 +185,3 @@ class KPercentBest(Heuristic):
                 )
             )
         self.last_trace = tuple(trace)
-
-    def __repr__(self) -> str:
-        return f"KPercentBest(percent={self.percent})"

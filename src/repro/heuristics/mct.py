@@ -20,12 +20,17 @@ shows by example that random tie-breaking can increase makespan.
 from __future__ import annotations
 
 from repro.core.schedule import Mapping
-from repro.core.ties import DeterministicTieBreaker, TieBreaker, tied_argmin
+from repro.core.ties import (
+    DeterministicTieBreaker,
+    TieBreaker,
+    first_tied_min_index,
+    tied_argmin,
+    tied_min_indices,
+)
 from repro.heuristics.base import Heuristic, register_heuristic
-from repro.heuristics.kernels import first_tied_min_index, tied_min_indices
 from repro.obs.tracer import get_tracer
 
-__all__ = ["MCT"]
+__all__ = ["MCT", "ReferenceMCT"]
 
 
 @register_heuristic
@@ -34,23 +39,12 @@ class MCT(Heuristic):
 
     name = "mct"
 
-    def __init__(self, *, incremental: bool = True) -> None:
-        #: Use the index-space kernel (default); the label-space
-        #: reference path is kept for equivalence tests.
-        self.incremental = bool(incremental)
-
     def _run(
         self,
         mapping: Mapping,
         tie_breaker: TieBreaker,
         seed_mapping: dict[str, str] | None,
     ) -> None:
-        if self.incremental:
-            self._run_incremental(mapping, tie_breaker)
-        else:
-            self._run_reference(mapping, tie_breaker)
-
-    def _run_incremental(self, mapping: Mapping, tie_breaker: TieBreaker) -> None:
         """Index-space kernel: no label lookups, live ready vector."""
         etc = mapping.etc
         tracer = get_tracer()
@@ -79,7 +73,16 @@ class MCT(Heuristic):
                 tracer.count("decisions")
                 tracer.observe("decision.tie_candidates", len(candidates))
 
-    def _run_reference(self, mapping: Mapping, tie_breaker: TieBreaker) -> None:
+
+class ReferenceMCT(MCT):
+    """Label-space paper transcription of MCT: the test oracle."""
+
+    def _run(
+        self,
+        mapping: Mapping,
+        tie_breaker: TieBreaker,
+        seed_mapping: dict[str, str] | None,
+    ) -> None:
         etc = mapping.etc
         tracer = get_tracer()
         for task in etc.tasks:

@@ -22,22 +22,22 @@ tie-breaking policy.  The worked example in Tables 1–3 exercises exactly
 such a machine tie; under the deterministic policy both kinds of tie are
 deterministic, as the Theorem in Section 3.2 requires.
 
-Kernels.  ``incremental=False`` is the paper transcription above (a
+Kernels.  :class:`ReferenceMinMin` is the paper transcription above (a
 fresh completion-time table every round) and serves as the test
-oracle.  Min-Min's default kernel works on presorted ETC columns: by
-Eq. 1, ``CT(t, m) = ETC(t, m) + RT(m)``, so raising ``RT(m)`` shifts
-machine ``m``'s whole column and never reorders it.  One stable argsort
-per call gives each machine its tasks in CT order; a head pointer per
+oracle.  :class:`MinMin` works on presorted ETC columns: by Eq. 1,
+``CT(t, m) = ETC(t, m) + RT(m)``, so raising ``RT(m)`` shifts machine
+``m``'s whole column and never reorders it.  One stable argsort per
+call gives each machine its tasks in CT order; a head pointer per
 column skips mapped tasks, and the second Min is the minimum of the
 column heads.  A decision needs no row scan unless another head, or the
 next task in the winning column, lies inside a tie window of four
 tolerances above the minimum; those near ties fall back to the
 reference's oldest-task / first-tied-machine rule over the few tasks
 inside the window (with a shortcut for exactly equal ETC runs).
-Max-Min keeps the incremental completion table of
-:mod:`repro.heuristics.kernels`.  Both kernels are decision-for-decision
-identical to the oracle (tie-candidate sets, tie-breaker draw order,
-obs events).
+:class:`MaxMin` keeps an :class:`IncrementalCompletionTable` (one
+column refresh per committed pair).  Both kernels are
+decision-for-decision identical to the oracle (tie-candidate sets,
+tie-breaker draw order, obs events).
 """
 
 from __future__ import annotations
@@ -52,34 +52,35 @@ from repro.core.ties import (
     DEFAULT_REL_TOL,
     DeterministicTieBreaker,
     TieBreaker,
-    tied_argmin,
-)
-from repro.heuristics.base import Heuristic, register_heuristic
-from repro.heuristics.kernels import (
-    IncrementalCompletionTable,
     first_tied_min_index,
-    oldest_extremal_row,
+    tied_argmin,
     tied_min_indices,
 )
+from repro.heuristics.base import Heuristic, register_heuristic
 from repro.obs.tracer import get_tracer
 
-__all__ = ["MinMin", "MaxMin", "Duplex"]
+__all__ = [
+    "MinMin",
+    "MaxMin",
+    "Duplex",
+    "ReferenceMinMin",
+    "ReferenceMaxMin",
+    "ReferenceDuplex",
+    "IncrementalCompletionTable",
+    "oldest_extremal_row",
+]
 
 
-class _TwoPhaseGreedy(Heuristic):
-    """Shared machinery for Min-Min and Max-Min.
+class _TwoPhaseReference(Heuristic):
+    """Paper-transcription kernel shared by Min-Min and Max-Min.
 
-    Subclasses choose how the second phase selects among the per-task
-    best completion times (min for Min-Min, max for Max-Min).
+    Rebuilds the full completion-time table every round; the second
+    phase selects among the per-task best completion times by
+    ``_second_phase_sign`` (min for Min-Min, max for Max-Min).
     """
 
     #: +1 selects the smallest per-task best CT (Min-Min), -1 the largest.
     _second_phase_sign: float = +1.0
-
-    def __init__(self, *, incremental: bool = True) -> None:
-        #: Use the subclass's fast ``_run_incremental`` kernel (default);
-        #: the reference per-round rebuild is kept for equivalence tests.
-        self.incremental = bool(incremental)
 
     def _run(
         self,
@@ -87,13 +88,6 @@ class _TwoPhaseGreedy(Heuristic):
         tie_breaker: TieBreaker,
         seed_mapping: dict[str, str] | None,
     ) -> None:
-        if self.incremental:
-            self._run_incremental(mapping, tie_breaker)
-        else:
-            self._run_reference(mapping, tie_breaker)
-
-    def _run_reference(self, mapping: Mapping, tie_breaker: TieBreaker) -> None:
-        """Reference kernel: rebuild the full table every round."""
         etc = mapping.etc
         tracer = get_tracer()
         unmapped = list(range(etc.num_tasks))  # row indices, oldest first
@@ -128,13 +122,17 @@ class _TwoPhaseGreedy(Heuristic):
 
 
 @register_heuristic
-class MinMin(_TwoPhaseGreedy):
+class MinMin(Heuristic):
     """Min-Min: repeatedly commit the globally earliest-finishing pair."""
 
     name = "min-min"
-    _second_phase_sign = +1.0
 
-    def _run_incremental(self, mapping: Mapping, tie_breaker: TieBreaker) -> None:
+    def _run(
+        self,
+        mapping: Mapping,
+        tie_breaker: TieBreaker,
+        seed_mapping: dict[str, str] | None,
+    ) -> None:
         """Sorted-column kernel: merge presorted ETC columns by their heads."""
         etc = mapping.etc
         num_tasks = etc.num_tasks
@@ -324,7 +322,7 @@ def _oldest_tied_task(inside, g, window, cols, svals, ready, pos, mapped) -> int
 
 
 @register_heuristic
-class MaxMin(_TwoPhaseGreedy):
+class MaxMin(Heuristic):
     """Max-Min baseline: commit the pair whose best finish is *latest*.
 
     Not analysed in the paper but the canonical sibling of Min-Min
@@ -332,9 +330,13 @@ class MaxMin(_TwoPhaseGreedy):
     """
 
     name = "max-min"
-    _second_phase_sign = -1.0
 
-    def _run_incremental(self, mapping: Mapping, tie_breaker: TieBreaker) -> None:
+    def _run(
+        self,
+        mapping: Mapping,
+        tie_breaker: TieBreaker,
+        seed_mapping: dict[str, str] | None,
+    ) -> None:
         """Incremental kernel: one column refresh per committed pair."""
         etc = mapping.etc
         tracer = get_tracer()
@@ -378,8 +380,8 @@ class Duplex(Heuristic):
 
     name = "duplex"
 
-    def __init__(self, *, incremental: bool = True) -> None:
-        self.incremental = bool(incremental)
+    #: The two heuristics raced, Min-Min first.
+    _parts: tuple[type[Heuristic], type[Heuristic]] = (MinMin, MaxMin)
 
     def _run(
         self,
@@ -389,15 +391,129 @@ class Duplex(Heuristic):
     ) -> None:
         etc = mapping.etc
         ready = mapping.initial_ready_times()
-        min_map = MinMin(incremental=self.incremental).map_tasks(
-            etc, ready, tie_breaker
-        )
-        max_map = MaxMin(incremental=self.incremental).map_tasks(
-            etc, ready, tie_breaker
-        )
+        min_map, max_map = [
+            part().map_tasks(etc, ready, tie_breaker) for part in self._parts
+        ]
         winner = min_map if min_map.makespan() <= max_map.makespan() else max_map
         for assignment in winner.assignments:
             mapping.assign(assignment.task, assignment.machine)
+
+
+class ReferenceMinMin(_TwoPhaseReference, MinMin):
+    """Paper-transcription Min-Min (Figure 2): the test oracle."""
+
+    _second_phase_sign = +1.0
+
+
+class ReferenceMaxMin(_TwoPhaseReference, MaxMin):
+    """Full-table-rebuild Max-Min: the test oracle."""
+
+    _second_phase_sign = -1.0
+
+
+class ReferenceDuplex(Duplex):
+    """Duplex over the reference Min-Min and Max-Min."""
+
+    _parts = (ReferenceMinMin, ReferenceMaxMin)
+
+
+class IncrementalCompletionTable:
+    """``CT(t, m) = ETC(t, m) + ready(m)`` under single-column updates.
+
+    The reference Max-Min rebuilds the ``(unmapped x machines)`` table
+    every round, O(T*M) per round.  One assignment changes the ready
+    time of exactly one machine, so only that column (and the per-row
+    minima it held) can change.  :meth:`refresh_column` recomputes the
+    column exactly as ``ETC[:, m] + ready[m]`` (never by adding a delta,
+    which would drift by one float rounding), so every entry stays
+    bit-identical to a fresh rebuild.  Because ETC values are strictly
+    positive, a committed assignment strictly raises the machine's ready
+    time, so only rows whose minimum sat in that column are re-reduced.
+    Deactivated rows hold a ``-inf`` sentinel in ``best`` so selection is
+    a plain ``max()`` (a ``where=``-masked reduction is ~7x slower at
+    paper scale), and per-round elementwise ops write into preallocated
+    scratch buffers.
+
+    Parameters
+    ----------
+    values:
+        The read-only ``(T, M)`` ETC array.
+    ready:
+        Initial ready-time vector (length ``M``); only read once — the
+        table is kept current through :meth:`refresh_column`.
+
+    Attributes
+    ----------
+    table:
+        The maintained ``(T, M)`` completion-time table.  Entries of
+        *inactive* (already-mapped) rows are still refreshed (cheaper
+        than masking) but their ``best`` entries hold the sentinel.
+    best:
+        Per-row minimum of ``table`` for active rows; ``-inf`` (never a
+        real completion time) for inactive ones.
+    active:
+        Boolean mask of not-yet-mapped rows.
+    """
+
+    __slots__ = ("values", "table", "best", "active", "_stale", "_buf", "_tied")
+
+    def __init__(self, values: np.ndarray, ready: np.ndarray) -> None:
+        num_tasks = values.shape[0]
+        self.values = values
+        self.table = values + np.asarray(ready, dtype=np.float64)[None, :]
+        self.best = self.table.min(axis=1)
+        self.active = np.ones(num_tasks, dtype=bool)
+        self._stale = np.empty(num_tasks, dtype=bool)
+        self._buf = np.empty(num_tasks, dtype=np.float64)
+        self._tied = np.empty(num_tasks, dtype=bool)
+
+    def deactivate(self, row: int) -> None:
+        """Mark ``row`` as mapped; its ``best`` entry becomes the sentinel."""
+        self.active[row] = False
+        self.best[row] = -np.inf
+
+    def refresh_column(self, col: int, new_ready: float) -> None:
+        """Recompute column ``col`` for ready time ``new_ready``.
+
+        ``new_ready`` must be strictly greater than the ready time the
+        column currently reflects (always true after an assignment,
+        since ETC values are strictly positive) — the row-min patching
+        below relies on column values only ever increasing.
+        """
+        column = self.table[:, col]
+        # Rows whose minimum lives in this column (column == best) are
+        # the only ones whose best can change when the column rises.
+        # Inactive rows are masked out (their sentinel must survive).
+        stale = np.less_equal(column, self.best, out=self._stale)
+        stale &= self.active
+        np.add(self.values[:, col], new_ready, out=column)
+        rows = stale.nonzero()[0]
+        if rows.size:
+            self.best[rows] = self.table[rows].min(axis=1)
+
+
+def oldest_extremal_row(table: IncrementalCompletionTable) -> int:
+    """Oldest active row attaining the tolerance-tied maximum of ``best``.
+
+    Exactly reproduces ``int(tied_argmin(-best[unmapped]).min())`` from
+    the reference Max-Min kernel for strictly positive completion
+    times, where ``unmapped`` is the ascending list of active rows.
+    """
+    best = table.best
+    # signed = -best (< 0): |signed| <= |target| everywhere, so the
+    # tolerance scale collapses to the scalar |target| = max(best).
+    # The -inf sentinel yields diff = +inf > tol, masking itself —
+    # and peak - prefix_max is the elementwise expression evaluated
+    # at the prefix's closest element, so the prefix check is exact.
+    j = int(best.argmax())
+    if j:
+        peak = best[j]
+        tol = max(DEFAULT_ABS_TOL, DEFAULT_REL_TOL * abs(peak))
+        if peak - best[:j].max() <= tol:
+            diff = np.subtract(peak, best, out=table._buf)
+            tied = np.less_equal(diff, tol, out=table._tied)
+            return int(tied.argmax())
+    return j
 
 
 def minmin_round_table(mapping_so_far: Mapping) -> np.ndarray:

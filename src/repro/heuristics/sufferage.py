@@ -38,7 +38,7 @@ The per-pass decision trace is kept on :attr:`Sufferage.last_trace` so
 the bench harness can regenerate the per-pass rows of paper Tables 16
 and 17.
 
-Kernel (the default, ``incremental=True``).  Pending tasks are an int
+Kernel (:class:`Sufferage`).  Pending tasks are an int
 row array.  Ready times are fixed within a pass, so one vectorised scan
 (:func:`_fast_decisions`) gives every pending task its earliest machine,
 earliest CT and sufferage value.  The holder contest then runs for all
@@ -50,7 +50,7 @@ replay the sequential scan.  Winners commit in task order and drop out
 of the pending array.  The trace is a :class:`SufferageTrace` that keeps
 each pass's arrays and builds the :class:`SufferagePass` tuple only when
 it is first read, so untraced runs never build decision objects.  The
-paper transcription (``incremental=False``) is the test oracle.
+paper transcription (:class:`ReferenceSufferage`) is the test oracle.
 """
 
 from __future__ import annotations
@@ -71,7 +71,13 @@ from repro.core.ties import (
 from repro.heuristics.base import Heuristic, register_heuristic
 from repro.obs.tracer import get_tracer
 
-__all__ = ["Sufferage", "SufferageDecision", "SufferagePass", "SufferageTrace"]
+__all__ = [
+    "Sufferage",
+    "ReferenceSufferage",
+    "SufferageDecision",
+    "SufferagePass",
+    "SufferageTrace",
+]
 
 
 @dataclass(frozen=True)
@@ -106,10 +112,7 @@ class Sufferage(Heuristic):
 
     name = "sufferage"
 
-    def __init__(self, *, incremental: bool = True) -> None:
-        #: Use the index-space kernel (default); the paper-transcription
-        #: reference path is kept as the oracle for equivalence tests.
-        self.incremental = bool(incremental)
+    def __init__(self) -> None:
         self.last_trace: Sequence[SufferagePass] = ()
 
     def _run(
@@ -118,9 +121,6 @@ class Sufferage(Heuristic):
         tie_breaker: TieBreaker,
         seed_mapping: dict[str, str] | None,
     ) -> None:
-        if not self.incremental:
-            self._run_reference(mapping, tie_breaker)
-            return
         etc = mapping.etc
         # The deterministic policy picks machines in one vectorised tie
         # scan; other policies draw per task, in snapshot order.
@@ -140,7 +140,16 @@ class Sufferage(Heuristic):
                     tracer.count("decisions")
                 tracer.event("sufferage.pass", index=p.index, committed=p.committed)
 
-    def _run_reference(self, mapping: Mapping, tie_breaker: TieBreaker) -> None:
+
+class ReferenceSufferage(Sufferage):
+    """Label-space paper transcription of Figure 17: the test oracle."""
+
+    def _run(
+        self,
+        mapping: Mapping,
+        tie_breaker: TieBreaker,
+        seed_mapping: dict[str, str] | None,
+    ) -> None:
         etc = mapping.etc
         tracer = get_tracer()
         order = {t: i for i, t in enumerate(etc.tasks)}
@@ -244,37 +253,36 @@ def _fast_decisions(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_vectorised_decisions` with positivity-exact tolerance math.
 
-    Returns ``(chosen, earliest, sufferage)`` over the last axis of an
-    owned completion array of any leading shape (the batched kernel
-    passes a whole stack).  Completion times are strictly positive and
-    every entry is ``>=`` its row minimum, so the reference tolerance
-    scale ``max(|completion|, |best|)`` is exactly ``completion`` and
-    ``|completion - best|`` is exactly ``completion - best`` — the same
-    booleans from half the elementwise passes.  With a ``tie_breaker``
-    each row's machine is drawn through ``choose(tied_argmin(row))`` in
-    row order, the reference path's draw order.  The buffer is owned,
-    so the second-minimum masking happens in place.
+    Returns ``(chosen, earliest, sufferage)`` per row of an owned
+    ``(pending, machines)`` completion array.  Completion times are
+    strictly positive and every entry is ``>=`` its row minimum, so the
+    reference tolerance scale ``max(|completion|, |best|)`` is exactly
+    ``completion`` and ``|completion - best|`` is exactly
+    ``completion - best`` — the same booleans from half the elementwise
+    passes.  With a ``tie_breaker`` each row's machine is drawn through
+    ``choose(tied_argmin(row))`` in row order, the reference path's draw
+    order.  The buffer is owned, so the second-minimum masking happens
+    in place.
     """
-    rows = completion.reshape(-1, completion.shape[-1])
     if tie_breaker is None:
-        best = rows.min(axis=1)
-        tied = (rows - best[:, None]) <= np.maximum(
-            DEFAULT_ABS_TOL, DEFAULT_REL_TOL * rows
+        best = completion.min(axis=1)
+        tied = (completion - best[:, None]) <= np.maximum(
+            DEFAULT_ABS_TOL, DEFAULT_REL_TOL * completion
         )
         chosen = tied.argmax(axis=1)  # first tolerance-tied minimum per row
     else:
         chosen = np.array(
-            [tie_breaker.choose(tied_argmin(row)) for row in rows], dtype=np.intp
+            [tie_breaker.choose(tied_argmin(row)) for row in completion],
+            dtype=np.intp,
         )
-    idx = np.arange(len(rows))
-    earliest = rows[idx, chosen]
-    if rows.shape[1] >= 2:
-        rows[idx, chosen] = np.inf
-        sufferage = rows.min(axis=1) - earliest
+    idx = np.arange(len(completion))
+    earliest = completion[idx, chosen]
+    if completion.shape[1] >= 2:
+        completion[idx, chosen] = np.inf
+        sufferage = completion.min(axis=1) - earliest
     else:
-        sufferage = np.zeros(len(rows))
-    shape = completion.shape[:-1]
-    return chosen.reshape(shape), earliest.reshape(shape), sufferage.reshape(shape)
+        sufferage = np.zeros(len(completion))
+    return chosen, earliest, sufferage
 
 
 def _passes(
@@ -282,24 +290,19 @@ def _passes(
     ready: np.ndarray,
     records: list[tuple[np.ndarray, ...]] | None = None,
     tie_breaker: TieBreaker | None = None,
-    first: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> Iterator[tuple[list[int], list[int]]]:
     """The index-space kernel: yield each pass's ``(tasks, machines)``.
 
     The winners come in task order; the caller commits them into
-    ``ready`` (which the next pass reads) before resuming.  ``first``
-    supplies precomputed first-pass arrays (the batched kernel computes
-    them for a whole stack); ``records`` collects ``(rows, chosen,
-    earliest, sufferage, winners)`` per pass for :class:`SufferageTrace`.
+    ``ready`` (which the next pass reads) before resuming.  ``records``
+    collects ``(rows, chosen, earliest, sufferage, winners)`` per pass
+    for :class:`SufferageTrace`.
     """
     rows = np.arange(values.shape[0])
     while rows.size:
-        if first is None:
-            chosen, earliest, sufferage = _fast_decisions(
-                values[rows] + ready, tie_breaker
-            )
-        else:
-            (chosen, earliest, sufferage), first = first, None
+        chosen, earliest, sufferage = _fast_decisions(
+            values[rows] + ready, tie_breaker
+        )
         winners = _contest(chosen, sufferage, values.shape[1])
         if records is not None:
             records.append((rows, chosen, earliest, sufferage, winners))

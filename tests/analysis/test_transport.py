@@ -1,28 +1,16 @@
-"""Zero-copy transport tests: shared-memory fan-out and the store-backed
-grid runner.
+"""Zero-copy transport tests: the store-backed grid runner.
 
 The contract under test (docs/architecture.md, "Transport & storage"):
-store/shm transport changes *how bytes move*, never *what is computed* —
+store transport changes *how bytes move*, never *what is computed* —
 records, cache entries and traced event streams must be byte-identical
 to the in-memory path, transport-only parent-side counters excepted —
-and no run, including aborted ones, may leak ``/dev/shm`` segments,
-store locks, or parent-side mmap handles.
+and no run, including aborted ones, may leak store locks or
+parent-side mmap handles.
 """
 
-import os
-import pickle
-
-import numpy as np
 import pytest
 
 from repro.analysis.experiments import ExperimentConfig, run_experiment
-from repro.analysis.parallel import (
-    SHM_PREFIX,
-    SharedMemoryArena,
-    ShmDescriptor,
-    attach_shared,
-    detach_shared,
-)
 from repro.analysis.runner import (
     _WORKER_STORES,
     CellCache,
@@ -40,13 +28,6 @@ from repro.obs.tracer import CollectingTracer, use_tracer
 TRANSPORT_PREFIXES = ("store.", "runner.ipc.")
 
 
-def shm_leftovers():
-    try:
-        return [n for n in os.listdir("/dev/shm") if n.startswith(SHM_PREFIX)]
-    except FileNotFoundError:  # pragma: no cover - non-tmpfs platforms
-        return []
-
-
 @pytest.fixture(scope="module")
 def grid_config():
     return ExperimentConfig(
@@ -58,59 +39,6 @@ def grid_config():
         instances_per_cell=2,
         seed=3,
     )
-
-
-class TestSharedMemoryArena:
-    def test_publish_attach_round_trip(self):
-        values = np.arange(24.0).reshape(2, 3, 4) + 1.0
-        with SharedMemoryArena() as arena:
-            descriptor = arena.publish(values)
-            assert descriptor.nbytes == values.nbytes
-            view = attach_shared(descriptor)
-            assert np.array_equal(view, values)
-            assert not view.flags.writeable
-            # Cached: a second attach is the same view object.
-            assert attach_shared(descriptor) is view
-            detach_shared(descriptor.name)
-        assert not shm_leftovers()
-
-    def test_descriptor_is_tiny_and_picklable(self):
-        values = np.ones((64, 128, 16))
-        with SharedMemoryArena() as arena:
-            descriptor = arena.publish(values)
-            payload = pickle.dumps(descriptor)
-            assert len(payload) < 512 < values.nbytes
-            assert pickle.loads(payload) == descriptor
-            detach_shared()
-
-    def test_close_unlinks_all_segments(self):
-        arena = SharedMemoryArena()
-        names = [arena.publish(np.ones((4, 4))).name for _ in range(3)]
-        assert len(arena) == 3
-        arena.close()
-        assert len(arena) == 0
-        for name in names:
-            assert not os.path.exists(f"/dev/shm/{name}")
-        arena.close()  # idempotent
-
-    def test_abnormal_exit_cleans_up(self):
-        with pytest.raises(RuntimeError):
-            with SharedMemoryArena() as arena:
-                arena.publish(np.ones((8, 8)))
-                raise RuntimeError("simulated crash mid-fan-out")
-        assert not shm_leftovers()
-
-    def test_empty_publish_rejected(self):
-        with SharedMemoryArena() as arena:
-            with pytest.raises(ConfigurationError):
-                arena.publish(np.empty((0, 4)))
-
-    def test_detach_unknown_name_is_noop(self):
-        detach_shared("never-attached")
-
-    def test_descriptor_nbytes(self):
-        d = ShmDescriptor(name="x", shape=(3, 4, 5), dtype="<f8")
-        assert d.nbytes == 3 * 4 * 5 * 8
 
 
 class TestStoreTransportIdentity:
@@ -252,7 +180,6 @@ class TestStoreTransportCleanup:
         run_grid(grid_config, cache_dir=tmp_path / "cells", store_dir=store_root)
         assert str(store_root) not in _WORKER_STORES
         assert not (store_root / "store.lock").exists()
-        assert not shm_leftovers()
 
     def test_quarantined_store_cells_release_handles(self, grid_config, tmp_path):
         """A store whose payload is corrupted after publish fails every
@@ -276,8 +203,8 @@ class TestStoreTransportCleanup:
 
     def test_timed_out_store_cells_release_handles(self, tmp_path):
         """Pooled store run where every attempt exceeds the per-cell
-        timeout: cells are quarantined and the parent leaves no lock,
-        no cached handle, and no shm segments behind."""
+        timeout: cells are quarantined and the parent leaves no lock
+        and no cached handle behind."""
         config = ExperimentConfig(
             heuristics=("min-min",),
             num_tasks=256,
@@ -298,7 +225,6 @@ class TestStoreTransportCleanup:
         assert len(result.quarantined) == result.total_cells == 2
         assert str(store_root) not in _WORKER_STORES
         assert not (store_root / "store.lock").exists()
-        assert not shm_leftovers()
 
     def test_interrupted_publish_releases_lock_and_handles(
         self, grid_config, tmp_path, monkeypatch

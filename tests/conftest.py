@@ -7,7 +7,6 @@ import os
 import numpy as np
 import pytest
 from hypothesis import settings as hypothesis_settings
-from hypothesis import strategies as st
 
 from repro.etc import (
     ETCMatrix,
@@ -32,68 +31,9 @@ hypothesis_settings.register_profile("default", deadline=None)
 hypothesis_settings.register_profile("deep", deadline=None, max_examples=200)
 hypothesis_settings.load_profile(HYPOTHESIS_PROFILE)
 
-#: Per-test example budget for the batch-vs-loop battery (18 heuristic ×
-#: backend combinations make even a small per-test budget a large sweep).
+#: Per-test example budget for the heavier batteries (each example
+#: round-trips a whole ensemble through the ETC store).
 BATCH_MAX_EXAMPLES = 60 if HYPOTHESIS_PROFILE == "deep" else 8
-
-
-@st.composite
-def stacked_batches(draw):
-    """A same-shape :class:`~repro.etc.ETCBatch` plus a ready-time spec.
-
-    Deliberately adversarial for batch-vs-loop identity: an integer-grid
-    mode makes tolerance ties the norm, instances and ETC rows are
-    sometimes duplicated verbatim (maximal cross-batch and per-row tie
-    pressure), shapes include the degenerate corners (batch of 1, one
-    task, one machine, tasks < machines), and the ready times cycle
-    through ``None`` / one shared vector / a per-instance ``(B, M)``
-    array.
-    """
-    from repro.etc import ETCBatch
-
-    size = draw(st.integers(1, 4))
-    num_tasks = draw(st.integers(1, 6))
-    num_machines = draw(st.integers(1, 5))
-    if draw(st.booleans()):
-        cell = st.integers(1, 4).map(float)
-    else:
-        cell = st.floats(0.5, 50.0, allow_nan=False, allow_infinity=False)
-    row = st.lists(cell, min_size=num_machines, max_size=num_machines)
-
-    matrices: list[ETCMatrix] = []
-    for index in range(size):
-        if index and draw(st.integers(0, 3)) == 0:
-            matrices.append(matrices[draw(st.integers(0, index - 1))])
-            continue
-        values = draw(st.lists(row, min_size=num_tasks, max_size=num_tasks))
-        if num_tasks > 1 and draw(st.integers(0, 2)) == 0:
-            src = draw(st.integers(0, num_tasks - 1))
-            dst = draw(st.integers(0, num_tasks - 1))
-            values[dst] = list(values[src])
-        matrices.append(ETCMatrix(values))
-    batch = ETCBatch.from_matrices(matrices)
-
-    ready_cell = st.floats(0.0, 20.0, allow_nan=False, allow_infinity=False)
-    mode = draw(st.sampled_from(["none", "shared", "per-instance"]))
-    if mode == "none":
-        ready = None
-    elif mode == "shared":
-        ready = draw(
-            st.lists(ready_cell, min_size=num_machines, max_size=num_machines)
-        )
-    else:
-        ready = np.array(
-            draw(
-                st.lists(
-                    st.lists(
-                        ready_cell, min_size=num_machines, max_size=num_machines
-                    ),
-                    min_size=size,
-                    max_size=size,
-                )
-            )
-        )
-    return batch, ready
 
 
 @pytest.fixture

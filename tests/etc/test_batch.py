@@ -1,10 +1,10 @@
-"""ETCBatch: the zero-copy stacked-batch construction layer."""
+"""ETCBatch: the store's zero-copy read-only view of stacked instances."""
 
 import numpy as np
 import pytest
 
 from repro.etc import ETCBatch, ETCMatrix
-from repro.exceptions import ETCShapeError, ETCValueError
+from repro.exceptions import ETCShapeError
 
 
 @pytest.fixture
@@ -16,57 +16,41 @@ def matrices():
     ]
 
 
+@pytest.fixture
+def batch(matrices):
+    return ETCBatch._from_trusted(
+        np.stack([m.values for m in matrices]), ("a", "b"), ("x", "y")
+    )
+
+
 class TestConstruction:
-    def test_from_matrices_stacks_values_and_labels(self, matrices):
-        batch = ETCBatch.from_matrices(matrices)
+    def test_from_trusted_adopts_values_and_labels(self, matrices):
+        block = np.stack([m.values for m in matrices])
+        batch = ETCBatch._from_trusted(block, ("a", "b"), ("x", "y"))
+        assert batch.values is block
         assert batch.shape == (3, 2, 2)
         assert len(batch) == 3
         assert batch.num_tasks == 2
         assert batch.num_machines == 2
         assert batch.tasks == ("a", "b")
         assert batch.machines == ("x", "y")
-        np.testing.assert_array_equal(
-            batch.values, np.stack([m.values for m in matrices])
-        )
 
-    def test_etcmatrix_stack_is_the_front_door(self, matrices):
-        batch = ETCMatrix.stack(matrices)
-        assert isinstance(batch, ETCBatch)
-        assert len(batch) == len(matrices)
-
-    def test_from_matrices_rejects_empty(self):
+    def test_from_trusted_rejects_non_3d(self):
         with pytest.raises(ETCShapeError):
-            ETCBatch.from_matrices([])
+            ETCBatch._from_trusted(np.ones((2, 2)), ("a", "b"), ("x", "y"))
 
-    def test_from_matrices_rejects_shape_mismatch(self, matrices):
-        odd = ETCMatrix([[1.0, 2.0, 3.0]], tasks=("a",), machines=("x", "y", "z"))
-        with pytest.raises(ETCShapeError):
-            ETCBatch.from_matrices([*matrices, odd])
+    def test_no_public_constructor(self):
+        # Batches are store views; single instances go through ETCMatrix.
+        with pytest.raises(TypeError):
+            ETCBatch(np.ones((1, 2, 2)))
 
-    def test_from_matrices_rejects_label_mismatch(self, matrices):
-        relabeled = ETCMatrix(
-            [[1.0, 4.0], [3.0, 2.0]], tasks=("a", "b"), machines=("x", "z")
-        )
-        with pytest.raises(ETCShapeError):
-            ETCBatch.from_matrices([*matrices, relabeled])
-
-    def test_raw_constructor_validates_values(self):
-        with pytest.raises(ETCShapeError):
-            ETCBatch([[1.0, 2.0]])  # 2-D, not 3-D
-        with pytest.raises(ETCValueError):
-            ETCBatch([[[1.0, -2.0]]])
-        with pytest.raises(ETCValueError):
-            ETCBatch([[[1.0, float("nan")]]])
-
-    def test_values_are_read_only(self, matrices):
-        batch = ETCBatch.from_matrices(matrices)
+    def test_values_are_read_only(self, batch):
         with pytest.raises(ValueError):
             batch.values[0, 0, 0] = 9.0
 
 
 class TestInstances:
-    def test_instance_is_a_zero_copy_view(self, matrices):
-        batch = ETCBatch.from_matrices(matrices)
+    def test_instance_is_a_zero_copy_view(self, matrices, batch):
         inst = batch.instance(1)
         assert isinstance(inst, ETCMatrix)
         assert np.shares_memory(inst.values, batch.values)
@@ -74,16 +58,14 @@ class TestInstances:
         np.testing.assert_array_equal(inst.values, matrices[1].values)
         assert inst.tasks == batch.tasks and inst.machines == batch.machines
 
-    def test_instance_range_checked(self, matrices):
-        batch = ETCBatch.from_matrices(matrices)
+    def test_instance_range_checked(self, matrices, batch):
         with pytest.raises(IndexError):
             batch.instance(3)
         with pytest.raises(IndexError):
             batch.instance(-4)
         assert batch.instance(-1).values[0, 0] == matrices[-1].values[0, 0]
 
-    def test_instances_iterates_in_order(self, matrices):
-        batch = ETCBatch.from_matrices(matrices)
+    def test_instances_iterates_in_order(self, matrices, batch):
         for inst, src in zip(batch.instances(), matrices):
             np.testing.assert_array_equal(inst.values, src.values)
 

@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro.analysis.experiments import ExperimentConfig
+from repro.analysis.runner import cell_key
 from repro.etc.matrix import ETCMatrix
 from repro.exceptions import UnknownBackendError
 from repro.heuristics.backends import (
     DEFAULT_BACKEND,
-    KERNELED_HEURISTICS,
-    BatchedBackend,
+    REFERENCE_HEURISTICS,
     IncrementalBackend,
     KernelBackend,
     ReferenceBackend,
@@ -16,19 +17,32 @@ from repro.heuristics.backends import (
     get_backend,
     register_backend,
 )
-from repro.heuristics.kpb import KPercentBest
+from repro.heuristics.base import get_heuristic, heuristic_names
+from repro.heuristics.kpb import KPercentBest, ReferenceKPercentBest
+from repro.heuristics.mct import ReferenceMCT
 from repro.heuristics.met import MET
-from repro.heuristics.minmin import MinMin
-from repro.obs.tracer import CollectingTracer, use_tracer
+from repro.heuristics.minmin import (
+    MinMin,
+    ReferenceDuplex,
+    ReferenceMaxMin,
+    ReferenceMinMin,
+)
+from repro.heuristics.sufferage import ReferenceSufferage
+from repro.serve.models import parse_request, request_key
 
+#: The heuristics with a separate paper-transcription oracle.
+KERNELED = {
+    "min-min": ReferenceMinMin,
+    "max-min": ReferenceMaxMin,
+    "duplex": ReferenceDuplex,
+    "mct": ReferenceMCT,
+    "k-percent-best": ReferenceKPercentBest,
+    "sufferage": ReferenceSufferage,
+}
 
-@pytest.fixture
-def batch():
-    matrices = [
-        ETCMatrix([[1.0, 4.0, 2.0], [3.0, 2.0, 2.0]]),
-        ETCMatrix([[2.0, 2.0, 5.0], [1.0, 6.0, 3.0]]),
-    ]
-    return ETCMatrix.stack(matrices)
+ETC = ETCMatrix(
+    [[1.0, 4.0, 2.0], [3.0, 2.0, 2.0], [2.0, 2.0, 5.0], [1.0, 6.0, 3.0]]
+)
 
 
 class TestRegistry:
@@ -41,7 +55,7 @@ class TestRegistry:
     def test_get_backend_resolves_each_name(self):
         assert isinstance(get_backend("reference"), ReferenceBackend)
         assert isinstance(get_backend("incremental"), IncrementalBackend)
-        assert isinstance(get_backend("batched"), BatchedBackend)
+        assert get_backend("batched") is get_backend("incremental")
 
     def test_unknown_backend_raises_with_known_names(self):
         with pytest.raises(UnknownBackendError, match="compiled"):
@@ -85,17 +99,13 @@ class TestRegistry:
 class TestMake:
     def test_reference_forces_reference_kernels(self):
         heuristic = get_backend("reference").make("min-min")
+        assert type(heuristic) is ReferenceMinMin
         assert isinstance(heuristic, MinMin)
-        assert heuristic.incremental is False
-
-    def test_reference_respects_explicit_incremental(self):
-        # An explicit caller choice must survive the reference default.
-        heuristic = get_backend("reference").make("min-min", incremental=True)
-        assert heuristic.incremental is True
+        assert heuristic.name == "min-min"
 
     def test_incremental_keeps_registry_defaults(self):
-        assert get_backend("incremental").make("min-min").incremental is True
-        assert get_backend("batched").make("min-min").incremental is True
+        assert type(get_backend("incremental").make("min-min")) is MinMin
+        assert type(get_backend("batched").make("min-min")) is MinMin
 
     def test_make_forwards_kwargs(self):
         heuristic = get_backend("incremental").make("k-percent-best", percent=30.0)
@@ -103,51 +113,80 @@ class TestMake:
         assert heuristic.percent == 30.0
 
     def test_reference_make_skips_flag_for_unkerneled_heuristics(self):
-        # MET has a single implementation — no ``incremental`` toggle to
-        # force; make() must not invent one.
-        assert "met" not in KERNELED_HEURISTICS
-        assert isinstance(get_backend("reference").make("met"), MET)
+        # MET has a single implementation, so the reference backend
+        # builds the registered heuristic.
+        assert "met" not in REFERENCE_HEURISTICS
+        assert type(get_backend("reference").make("met")) is MET
 
     def test_kernel_backend_is_abstract(self):
         with pytest.raises(TypeError):
             KernelBackend()
 
 
-class TestMapBatch:
-    def test_all_backends_map_batches_identically(self, batch):
-        results = [
-            get_backend(name).map_batch("min-min", batch)
-            for name in backend_names()
-        ]
-        expected = [
-            results[0].assignment_tuples(i) for i in range(len(batch))
-        ]
-        for result in results[1:]:
-            assert [
-                result.assignment_tuples(i) for i in range(len(batch))
-            ] == expected
+class TestReferenceHeuristics:
+    def test_table_covers_exactly_the_kerneled_heuristics(self):
+        assert REFERENCE_HEURISTICS == KERNELED
 
-    def test_batched_single_instance_equals_single_kernel(self, batch):
-        result = get_backend("batched").map_batch("min-min", batch)
-        for index in range(len(batch)):
-            mapping = MinMin().map_tasks(batch.instance(index))
-            assert result.assignment_tuples(index) == [
-                (a.task, a.machine, a.start, a.completion, a.order)
-                for a in mapping.assignments
-            ]
+    def test_reference_classes_stay_out_of_the_registry(self):
+        names = heuristic_names()
+        for name, cls in KERNELED.items():
+            assert name in names
+            assert type(get_heuristic(name)) is not cls
 
-    def test_non_batched_backends_count_fallback(self, batch):
-        tracer = CollectingTracer()
-        with use_tracer(tracer):
-            get_backend("incremental").map_batch("min-min", batch)
-        counters = tracer.counters.as_dict()
-        assert counters.get("kernels.batch.requests") == 1
-        assert counters.get("kernels.batch.fallback") == 1
+    @pytest.mark.parametrize("name", sorted(KERNELED))
+    def test_reference_backend_builds_the_reference_subclass(self, name):
+        heuristic = get_backend("reference").make(name)
+        assert type(heuristic) is KERNELED[name]
+        assert isinstance(heuristic, type(get_heuristic(name)))
+        assert heuristic.name == name
 
-    def test_fill_pct_recorded_against_nominal_size(self, batch):
-        tracer = CollectingTracer()
-        with use_tracer(tracer):
-            get_backend("batched").map_batch("min-min", batch, nominal_size=4)
-        histograms = tracer.histograms.as_dict()
-        assert "kernels.batch.fill_pct" in histograms
-        assert "kernels.batch.size" in histograms
+    def test_reference_accepts_the_heuristic_kwargs(self):
+        heuristic = get_backend("reference").make("k-percent-best", percent=30.0)
+        assert type(heuristic) is ReferenceKPercentBest
+        assert heuristic.percent == 30.0
+
+    @pytest.mark.parametrize("backend", ["reference", "incremental", "batched"])
+    @pytest.mark.parametrize("name", sorted(KERNELED))
+    def test_incremental_kwarg_rejected(self, backend, name):
+        # The per-heuristic kernel toggle is gone: backends choose kernels.
+        with pytest.raises(TypeError):
+            get_backend(backend).make(name, **{"incremental": False})
+
+    @pytest.mark.parametrize("name", sorted(KERNELED))
+    def test_batched_alias_maps_like_incremental(self, name):
+        def tuples(backend):
+            mapping = get_backend(backend).make(name).map_tasks(ETC)
+            return [(a.task, a.machine, a.completion) for a in mapping.assignments]
+
+        assert tuples("batched") == tuples("incremental") == tuples("reference")
+
+
+class TestBatchedAliasKeys:
+    """Configs naming the retired ``batched`` backend keep their keys."""
+
+    def test_serve_request_key_unchanged(self):
+        request = parse_request(
+            {
+                "kind": "iterate",
+                "heuristic": "min-min",
+                "backend": "batched",
+                "etc": {"values": [[1.0, 2.0], [3.0, 1.5]]},
+            }
+        )
+        assert request.backend == "batched"
+        assert request_key(request) == (
+            "497e3ac733537a2288305ee10484f0858665b52b8ec60d972bc0ea9c4a7f4508"
+        )
+
+    def test_cell_key_unchanged(self):
+        config = ExperimentConfig(
+            heuristics=("min-min",),
+            num_tasks=4,
+            num_machines=2,
+            instances_per_cell=1,
+            seed=1,
+            backend="batched",
+        )
+        assert cell_key(config) == (
+            "fe6e59e8474b87d3003a48bb45569c451478851b738617bcd0f315518810a379"
+        )

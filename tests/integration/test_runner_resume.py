@@ -7,24 +7,15 @@ already-completed cells from cache, visible through the
 ``runner.cells.cached`` counter.
 """
 
-import os
-
 import pytest
 
 from repro.analysis.experiments import ExperimentConfig, run_experiment
 from repro.analysis.runner import _WORKER_STORES, CellCache, cell_key, run_grid
-from repro.analysis.parallel import SHM_PREFIX, split_into_cells
+from repro.analysis.parallel import split_into_cells
 from repro.etc.generation import Consistency, Heterogeneity
 from repro.etc.store import LOCK_NAME, ETCStore
 from repro.obs import build_span_tree
 from repro.obs.tracer import CollectingTracer, use_tracer
-
-
-def shm_leftovers():
-    try:
-        return [n for n in os.listdir("/dev/shm") if n.startswith(SHM_PREFIX)]
-    except FileNotFoundError:  # pragma: no cover - non-tmpfs platforms
-        return []
 
 
 @pytest.fixture(scope="module")
@@ -177,8 +168,8 @@ class TestStoreKillAndResume:
     """Kill-and-resume with the zero-copy store transport in play.
 
     Beyond record identity, an interrupted store run must leave no
-    transport residue behind: no ``/dev/shm`` segments, no stale
-    ``store.lock``, and no parent-side store handle still cached."""
+    transport residue behind: no stale ``store.lock`` and no
+    parent-side store handle still cached."""
 
     def test_killed_store_run_leaks_nothing_and_resumes(
         self, grid_config, tmp_path
@@ -197,7 +188,6 @@ class TestStoreKillAndResume:
                 progress=kill,
             )
         # The kill hit mid-compute: nothing transport-side survives it.
-        assert not shm_leftovers()
         assert not (store_root / LOCK_NAME).exists()
         assert str(store_root) not in _WORKER_STORES
         # Publish-all runs before any compute, so every ensemble is
@@ -219,7 +209,6 @@ class TestStoreKillAndResume:
         # ensembles the killed run already committed.
         assert resumed.store_published == 0
         assert resumed.store_reused == 2
-        assert not shm_leftovers()
         assert not (store_root / LOCK_NAME).exists()
 
     def test_pooled_store_interrupt_then_resume(self, grid_config, tmp_path):
@@ -233,7 +222,6 @@ class TestStoreKillAndResume:
                 max_workers=2,
                 progress=KillAfter(2),
             )
-        assert not shm_leftovers()
         assert not (store_root / LOCK_NAME).exists()
 
         resumed = run_grid(
@@ -245,5 +233,4 @@ class TestStoreKillAndResume:
         )
         assert list(resumed.records) == run_experiment(grid_config)
         assert resumed.store_published == 0
-        assert not shm_leftovers()
         assert not (store_root / LOCK_NAME).exists()

@@ -13,8 +13,8 @@ lives in near ties.  The ETCs here are built to sit on that edge:
 
 Every example runs under both tie policies, with and without a live
 tracer, and compares assignments, obs event streams and every
-``IterationRecord`` of an :class:`IterativeScheduler` run with
-``MinMin(incremental=False)``.
+``IterationRecord`` of an :class:`IterativeScheduler` run with the
+reference transcription (``get_backend("reference").make("min-min")``).
 """
 
 import numpy as np
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.core.iterative import IterativeScheduler
 from repro.core.ties import DeterministicTieBreaker, RandomTieBreaker
 from repro.etc.matrix import ETCMatrix
-from repro.heuristics.minmin import MinMin
+from repro.heuristics.backends import get_backend
 from repro.obs.export import event_to_dict
 from repro.obs.tracer import CollectingTracer, use_tracer
 from tests.conftest import HYPOTHESIS_PROFILE
@@ -86,8 +86,8 @@ def near_tie_instances(draw):
     return ETCMatrix(values), ready.tolist()
 
 
-def _map(incremental, etc, ready, policy, traced):
-    heuristic = MinMin(incremental=incremental)
+def _map(backend, etc, ready, policy, traced):
+    heuristic = get_backend(backend).make("min-min")
     breaker = TIE_POLICIES[policy]()
     tracer = CollectingTracer()
     if traced:
@@ -121,9 +121,9 @@ def _record(record):
     )
 
 
-def _iterate(incremental, etc, ready, policy, traced):
+def _iterate(backend, etc, ready, policy, traced):
     scheduler = IterativeScheduler(
-        MinMin(incremental=incremental), tie_breaker=TIE_POLICIES[policy]()
+        get_backend(backend).make("min-min"), tie_breaker=TIE_POLICIES[policy]()
     )
     tracer = CollectingTracer()
     ready_map = dict(zip(etc.machines, ready))
@@ -146,8 +146,8 @@ def _iterate(incremental, etc, ready, policy, traced):
 @settings(max_examples=600 if DEEP else 60, deadline=None)
 def test_minmin_near_ties_match_reference(policy, traced, data):
     etc, ready = data
-    assert _map(True, etc, ready, policy, traced) == _map(
-        False, etc, ready, policy, traced
+    assert _map("incremental", etc, ready, policy, traced) == _map(
+        "reference", etc, ready, policy, traced
     )
 
 
@@ -157,8 +157,8 @@ def test_minmin_near_ties_match_reference(policy, traced, data):
 @settings(max_examples=150 if DEEP else 15, deadline=None)
 def test_minmin_iteration_records_match_reference(policy, traced, data):
     etc, ready = data
-    assert _iterate(True, etc, ready, policy, traced) == _iterate(
-        False, etc, ready, policy, traced
+    assert _iterate("incremental", etc, ready, policy, traced) == _iterate(
+        "reference", etc, ready, policy, traced
     )
 
 
@@ -175,8 +175,8 @@ def test_straddled_column_head_and_next_task(policy):
     ]
     etc = ETCMatrix(values)
     for traced in (False, True):
-        assert _map(True, etc, [0.0, 0.0], policy, traced) == _map(
-            False, etc, [0.0, 0.0], policy, traced
+        assert _map("incremental", etc, [0.0, 0.0], policy, traced) == _map(
+            "reference", etc, [0.0, 0.0], policy, traced
         )
 
 
@@ -188,6 +188,6 @@ def test_equal_run_followed_by_near_tie(policy):
     values = [[2.0 * (1 + STEP), 4.0], [2.0, 4.0], [2.0, 4.0], [4.0, 2.0]]
     etc = ETCMatrix(values)
     for traced in (False, True):
-        assert _map(True, etc, [0.0, 0.0], policy, traced) == _map(
-            False, etc, [0.0, 0.0], policy, traced
+        assert _map("incremental", etc, [0.0, 0.0], policy, traced) == _map(
+            "reference", etc, [0.0, 0.0], policy, traced
         )

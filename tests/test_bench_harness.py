@@ -2,6 +2,7 @@
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,12 +13,15 @@ from repro.bench import (
     format_report,
     load_report,
     run_bench,
+    workload_names,
     write_report,
 )
 from repro.cli import main
 from repro.exceptions import ConfigurationError
 
 FAST = ("mct-512x32",)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -49,21 +53,6 @@ class TestRunBench:
         for fragment in ("minmin", "mct", "sufferage", "kpb", "iterative"):
             assert any(fragment in n for n in names), fragment
 
-    def test_batched_greedy_workload_registered(self):
-        assert "batched-greedy" in {w.name for w in WORKLOADS}
-
-    def test_batched_greedy_smoke_matches_looped_reference(self):
-        report = run_bench(
-            smoke=True, repeats=1, with_reference=True, only=("batched-greedy",)
-        )
-        entry = report["results"]["batched-greedy"]
-        assert entry["best_s"] > 0
-        assert entry["reference_best_s"] > 0
-
-    def test_rejects_bad_batch_size(self):
-        with pytest.raises(ConfigurationError):
-            run_bench(smoke=True, repeats=1, only=FAST, batch_size=0)
-
     def test_rejects_unknown_workload(self):
         with pytest.raises(ConfigurationError):
             run_bench(smoke=True, repeats=1, only=("no-such-workload",))
@@ -71,6 +60,24 @@ class TestRunBench:
     def test_rejects_bad_repeats(self):
         with pytest.raises(ConfigurationError):
             run_bench(smoke=True, repeats=0, only=FAST)
+
+
+class TestBaselineRegistry:
+    """The checked-in baselines and the workload registry cannot drift."""
+
+    @pytest.mark.parametrize(
+        "baseline", ["BENCH_baseline.json", "BENCH_baseline_smoke.json"]
+    )
+    def test_every_gated_baseline_workload_is_registered(self, baseline):
+        results = load_report(ROOT / baseline)["results"]
+        gated = {name for name, entry in results.items() if "speedup" in entry}
+        assert gated <= set(workload_names())
+
+    def test_every_registered_workload_has_a_smoke_baseline(self):
+        # serve-load's ratio is gated by its own baseline (make smoke-serve).
+        covered = set(load_report(ROOT / "BENCH_baseline_smoke.json")["results"])
+        covered |= set(load_report(ROOT / "SERVE_baseline_smoke.json")["results"])
+        assert set(workload_names()) <= covered
 
 
 class TestReportIO:
@@ -150,7 +157,6 @@ class TestBenchCLI:
     def test_list_prints_every_workload(self, capsys):
         assert main(["bench", "--list"]) == 0
         out = capsys.readouterr().out
-        assert "batched-greedy" in out
         for workload in WORKLOADS:
             assert workload.name in out
 
@@ -158,7 +164,7 @@ class TestBenchCLI:
         out = tmp_path / "bench.json"
         assert main(
             ["bench", "--smoke", "--repeats", "1", "--no-reference",
-             "--workloads", "batched-greedy", "--backend", "batched",
-             "--batch-size", "4", "-o", str(out)]
+             "--workloads", "experiment-grid-small", "--backend", "batched",
+             "-o", str(out)]
         ) == 0
-        assert "batched-greedy" in load_report(out)["results"]
+        assert "experiment-grid-small" in load_report(out)["results"]
