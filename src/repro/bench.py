@@ -366,17 +366,22 @@ def _tracing_overhead_workload(options: BenchOptions):
     (events, counters, histograms, spans all live); the reference thunk
     runs the identical schedule under the default null tracer, so the
     ``speedup`` column is *null / instrumented* — the fraction of null
-    throughput the instrumentation retains.  ``build`` additionally
+    throughput the instrumentation retains.  Both thunks run the
+    scheduler :func:`~repro.analysis.invariance.verify_invariance` uses,
+    which re-runs Min-Min at every iteration: an untraced default
+    scheduler would derive the iterations of a certified mapping, and
+    the ratio would then price that shortcut, not the tracer.
+    ``build`` additionally
     measures a best-of-3 pair up front and **fails the bench** when the
     ratio exceeds :data:`TRACING_OVERHEAD_BUDGET`, making the gate
     self-contained (no baseline file needed) for CI smoke runs.
     """
-    from repro.core.iterative import IterativeScheduler
+    from repro.analysis.invariance import _FullLoopScheduler
     from repro.heuristics.minmin import MinMin
     from repro.obs.tracer import CollectingTracer, use_tracer
 
     etc = _bench_etc(options.smoke)
-    scheduler = IterativeScheduler(MinMin())
+    scheduler = _FullLoopScheduler(MinMin())
 
     def run():
         with use_tracer(CollectingTracer()):

@@ -16,6 +16,14 @@ Each machine's *final finishing time* under the technique is the
 completion time it had in the iteration in which it was frozen (i.e.
 was the makespan machine), or — for machines never frozen because the
 task pool emptied — its initial ready time once no tasks remain.
+
+The paper proves that with deterministic ties Min-Min, MCT and MET give
+the same mapping at every iteration (Sections 3.2–3.4).  Under the
+code's tolerance ties that holds only when no decision had a second
+candidate near its minimum, which those kernels certify on the mapping
+(:attr:`Mapping.certified`); :class:`IterativeScheduler` then derives
+iterations 1..k from the original mapping by restriction instead of
+re-running the heuristic (see :meth:`IterativeScheduler._derivable`).
 """
 
 from __future__ import annotations
@@ -138,24 +146,28 @@ class IterativeResult:
     def final_mapping(self) -> Mapping:
         """The technique's outcome as one executable :class:`Mapping`.
 
-        Each frozen machine runs exactly the tasks it was frozen with
-        (from its initial ready time — iterations reset ready times, so
-        the composite's per-machine finishing times reproduce
+        Each frozen machine runs exactly the tasks it was frozen with,
+        in the order its freezing iteration committed them (from its
+        initial ready time — iterations reset ready times, so the
+        composite's per-machine finishing times are bit-identical to
         ``final_finish_times``); tasks still held by never-frozen
         survivors of a ``max_iterations``-capped run keep their
-        last-iteration assignment.  Exhausted-pool survivors run nothing.
+        last-iteration assignment and order.  Exhausted-pool survivors
+        run nothing.  Commit order: each record's frozen tasks in
+        iteration order, then the last iteration's survivors.
         """
-        assigned: dict[str, str] = {}
+        etc = self.etc
+        ready = [self.initial_ready_times.get(m, 0.0) for m in etc.machines]
+        mapping = Mapping(etc, ready)
+        task_index, machine_index = etc.task_index, etc.machine_index
         for rec in self.iterations:
+            machine = machine_index(rec.frozen_machine)
             for task in rec.frozen_tasks:
-                assigned[task] = rec.frozen_machine
+                mapping.assign_index(task_index(task), machine)
         last = self.iterations[-1]
-        for a in last.mapping.assignments:
-            assigned.setdefault(a.task, a.machine)
-        ready = [self.initial_ready_times.get(m, 0.0) for m in self.etc.machines]
-        mapping = Mapping(self.etc, ready)
-        for task in self.etc.tasks:
-            mapping.assign(task, assigned[task])
+        for task, machine in last.mapping.to_dict().items():
+            if machine != last.frozen_machine:
+                mapping.assign_index(task_index(task), machine_index(machine))
         return mapping
 
     def mapping_changed(self) -> bool:
@@ -168,8 +180,8 @@ class IterativeResult:
         """
         original = self.original.mapping.to_dict()
         for rec in self.iterations[1:]:
-            for assignment in rec.mapping.assignments:
-                if original[assignment.task] != assignment.machine:
+            for task, machine in rec.mapping.to_dict().items():
+                if original[task] != machine:
                     return True
         return False
 
@@ -265,27 +277,39 @@ class IterativeScheduler:
         Returns ``(final_finish, removal_order, unfrozen, records)``.
         ``removal_order`` holds exactly the frozen machines (one per
         record); never-frozen survivors land in ``unfrozen`` instead —
-        see :class:`IterativeResult` for the contract.
+        see :class:`IterativeResult` for the contract.  When
+        :meth:`_derivable` accepts the original mapping, each later
+        iteration's mapping is the previous one restricted
+        (:meth:`Mapping.restrict`), with no heuristic call.
         """
         records: list[IterationRecord] = []
         final_finish: dict[str, float] = {}
         removal_order: list[str] = []
         unfrozen: list[str] = []
         previous_mapping: Mapping | None = None
+        derive = False
 
         while True:
-            ready_vec = [ready_by_machine[m] for m in current_etc.machines]
-            # Span-only phase: one timeline row per freeze/remap pass,
-            # without adding events (the freeze event below is the
-            # byte-identity-tested record of this iteration).
-            with tracer.phase(
-                "iterative.map",
-                iteration=len(records),
-                machines=current_etc.num_machines,
-            ):
-                mapping = self._map_iteration(
-                    current_etc, ready_vec, previous_mapping
+            if derive:
+                mapping = previous_mapping.restrict(
+                    current_etc, records[-1].frozen_machine
                 )
+                trace = None
+            else:
+                ready_vec = [ready_by_machine[m] for m in current_etc.machines]
+                # Span-only phase: one timeline row per freeze/remap
+                # pass, without adding events (the freeze event below is
+                # the byte-identity-tested record of this iteration).
+                with tracer.phase(
+                    "iterative.map",
+                    iteration=len(records),
+                    machines=current_etc.num_machines,
+                ):
+                    mapping = self._map_iteration(
+                        current_etc, ready_vec, previous_mapping
+                    )
+                trace = getattr(self.heuristic, "last_trace", None)
+                derive = not records and self._derivable(mapping)
             if self.freeze_policy is None:
                 frozen_machine = mapping.makespan_machine(self.makespan_tie_breaker)
             else:
@@ -302,7 +326,7 @@ class IterativeScheduler:
                     makespan=mapping.makespan(),
                     frozen_machine=frozen_machine,
                     frozen_tasks=frozen_tasks,
-                    trace=getattr(self.heuristic, "last_trace", None),
+                    trace=trace,
                 )
             )
             final_finish[frozen_machine] = mapping.ready_time(frozen_machine)
@@ -363,6 +387,27 @@ class IterativeScheduler:
         return final_finish, removal_order, unfrozen, records
 
     # ------------------------------------------------------------------
+    def _derivable(self, mapping: Mapping) -> bool:
+        """Whether later iterations may restrict the original ``mapping``.
+
+        True only when the kernel certified it (:attr:`Mapping.certified`:
+        no decision had a second candidate near its minimum, so the
+        paper's invariance theorems hold under the tolerance ties), both
+        tie breakers are exactly :class:`DeterministicTieBreaker`, the
+        paper's makespan-machine freeze rule is in force, no tracer is
+        listening (a traced run must emit every decision), and
+        :meth:`_map_iteration` is not overridden (seeded variants remap
+        on purpose).
+        """
+        return (
+            mapping.certified
+            and type(self.tie_breaker) is DeterministicTieBreaker
+            and type(self.makespan_tie_breaker) is DeterministicTieBreaker
+            and self.freeze_policy is None
+            and not get_tracer().enabled
+            and type(self)._map_iteration is IterativeScheduler._map_iteration
+        )
+
     def _map_iteration(
         self,
         current_etc: ETCMatrix,

@@ -83,22 +83,42 @@ class Mapping:
     """A (possibly partial) resource allocation under construction.
 
     Heuristics create a ``Mapping`` over a (restricted) ETC matrix and
-    call :meth:`assign` once per task; the object maintains machine ready
-    times incrementally so each ``CT`` query is O(1).
+    call :meth:`assign` (or the index-space :meth:`assign_index`) once
+    per task; the object maintains machine ready times incrementally so
+    each ``CT`` query is O(1).
+
+    Storage is columnar: four commit-order columns (task index, machine
+    index, start, finish), a per-task position in that order (``-1``
+    while unmapped) and per-machine task-index lists.  A commit appends
+    to plain lists; :class:`Assignment` objects, label tuples and dicts
+    are built only when read (:attr:`assignments` is cached until the
+    next commit).
 
     The class intentionally supports *only* append-style construction —
     the heuristics in the paper never migrate an already-committed task
     (Sufferage's within-pass preemption is tentative state inside the
-    heuristic, committed per pass).
+    heuristic, committed per pass).  :meth:`restrict` derives a new
+    mapping; it never edits this one.
+
+    ``certified`` is set by the kernels of Min-Min, MCT and MET when no
+    decision had a second candidate within twice the tie tolerance of
+    its minimum; :class:`~repro.core.iterative.IterativeScheduler` then
+    derives later iterations by :meth:`restrict` instead of re-running
+    the heuristic.  It defaults to false.
     """
 
     __slots__ = (
         "_etc",
         "_initial_ready",
         "_ready",
-        "_assignments",
-        "_by_task",
+        "_task",
+        "_machine",
+        "_start",
+        "_finish",
+        "_position",
         "_by_machine",
+        "_assignments",
+        "certified",
     )
 
     def __init__(
@@ -109,12 +129,17 @@ class Mapping:
         self._etc = etc
         self._initial_ready = ready_time_vector(etc, ready_times)
         self._ready = self._initial_ready.copy()
-        self._assignments: list[Assignment] = []
-        self._by_task: dict[str, Assignment] = {}
-        # Per-machine task lists in assignment order, maintained by
-        # assign() so machine_tasks() is O(tasks on that machine), not a
-        # full scan (the iterative freeze step calls it every iteration).
-        self._by_machine: list[list[str]] = [[] for _ in range(etc.num_machines)]
+        self._task: list[int] = []
+        self._machine: list[int] = []
+        self._start: list[float] = []
+        self._finish: list[float] = []
+        self._position: list[int] = [-1] * etc.num_tasks
+        # Per-machine task rows in assignment order, so machine_tasks()
+        # is O(tasks on that machine), not a full scan (the iterative
+        # freeze step calls it every iteration).
+        self._by_machine: list[list[int]] = [[] for _ in range(etc.num_machines)]
+        self._assignments: tuple[Assignment, ...] | None = None
+        self.certified = False
 
     # ------------------------------------------------------------------
     # Introspection
@@ -135,35 +160,63 @@ class Mapping:
     @property
     def assignments(self) -> tuple[Assignment, ...]:
         """Assignments in the order they were made."""
-        return tuple(self._assignments)
+        if self._assignments is None:
+            tasks, machines = self._etc.tasks, self._etc.machines
+            self._assignments = tuple(
+                Assignment(tasks[t], machines[m], s, f, k)
+                for k, (t, m, s, f) in enumerate(
+                    zip(self._task, self._machine, self._start, self._finish)
+                )
+            )
+        return self._assignments
 
     @property
     def num_assigned(self) -> int:
-        return len(self._assignments)
+        return len(self._task)
 
     def is_complete(self) -> bool:
         """True when every task of the ETC matrix has been assigned."""
-        return len(self._assignments) == self._etc.num_tasks
+        return len(self._task) == self._etc.num_tasks
+
+    def _position_of(self, task: str) -> int:
+        """Commit position of ``task``; ``-1`` when unmapped or unknown."""
+        if not self._etc.has_task(task):
+            return -1
+        return self._position[self._etc.task_index(task)]
 
     def is_assigned(self, task: str) -> bool:
-        return task in self._by_task
+        return self._position_of(task) >= 0
 
     def unmapped_tasks(self) -> tuple[str, ...]:
         """Tasks not yet assigned, in ETC row order."""
-        return tuple(t for t in self._etc.tasks if t not in self._by_task)
+        return tuple(
+            t for t, p in zip(self._etc.tasks, self._position) if p < 0
+        )
 
     def assignment_of(self, task: str) -> Assignment:
-        try:
-            return self._by_task[task]
-        except KeyError:
-            raise UnmappedTaskError(f"task {task!r} is not mapped") from None
+        p = self._position_of(task)
+        if p < 0:
+            raise UnmappedTaskError(f"task {task!r} is not mapped")
+        return self._assignment_at(p)
+
+    def _assignment_at(self, p: int) -> Assignment:
+        return Assignment(
+            self._etc.tasks[self._task[p]],
+            self._etc.machines[self._machine[p]],
+            self._start[p],
+            self._finish[p],
+            p,
+        )
 
     def machine_of(self, task: str) -> str:
         return self.assignment_of(task).machine
 
     def machine_tasks(self, machine: str) -> tuple[str, ...]:
         """Tasks on ``machine`` in execution (assignment) order."""
-        return tuple(self._by_machine[self._etc.machine_index(machine)])
+        tasks = self._etc.tasks
+        return tuple(
+            tasks[t] for t in self._by_machine[self._etc.machine_index(machine)]
+        )
 
     # ------------------------------------------------------------------
     # Timing queries — Eq. (1)
@@ -206,47 +259,98 @@ class Mapping:
     # ------------------------------------------------------------------
     def assign(self, task: str, machine: str) -> Assignment:
         """Commit ``task`` to ``machine`` at the machine's ready time."""
-        if task in self._by_task:
+        if self.is_assigned(task):
             raise MappingError(f"task {task!r} is already assigned")
-        ti = self._etc.task_index(task)
-        mi = self._etc.machine_index(machine)
-        return self._commit(ti, mi, task, machine)
+        self._commit(self._etc.task_index(task), self._etc.machine_index(machine))
+        return self._assignment_at(len(self._task) - 1)
 
-    def assign_index(self, task_index: int, machine_index: int) -> Assignment:
+    def assign_index(self, task_index: int, machine_index: int) -> float:
         """Index-space :meth:`assign` fast path for heuristic kernels.
 
-        Skips the label→index dictionary lookups; indices refer to the
-        ETC matrix's row/column order and must be in range (negative or
-        out-of-range indices raise ``IndexError``).  Timing arithmetic is
-        identical to :meth:`assign`.
+        Skips the label→index dictionary lookups and builds no
+        :class:`Assignment`; returns the committed completion time.
+        Indices refer to the ETC matrix's row/column order and must be
+        in range (negative or out-of-range indices raise
+        ``IndexError``).  Timing arithmetic is identical to
+        :meth:`assign`.
         """
         if task_index < 0 or machine_index < 0:
             raise IndexError(
                 f"negative task/machine index ({task_index}, {machine_index})"
             )
-        etc = self._etc
-        task = etc.tasks[task_index]
-        if task in self._by_task:
-            raise MappingError(f"task {task!r} is already assigned")
-        return self._commit(
-            task_index, machine_index, task, etc.machines[machine_index]
-        )
+        if self._position[task_index] >= 0:
+            raise MappingError(
+                f"task {self._etc.tasks[task_index]!r} is already assigned"
+            )
+        return self._commit(task_index, machine_index)
 
-    def _commit(self, ti: int, mi: int, task: str, machine: str) -> Assignment:
-        start = float(self._ready[mi])
+    def _commit(self, ti: int, mi: int) -> float:
+        ready = self._ready
+        start = float(ready[mi])
         completion = start + float(self._etc.values[ti, mi])
-        assignment = Assignment(
-            task=task,
-            machine=machine,
-            start=start,
-            completion=completion,
-            order=len(self._assignments),
+        self._position[ti] = len(self._task)
+        self._task.append(ti)
+        self._machine.append(mi)
+        self._start.append(start)
+        self._finish.append(completion)
+        self._by_machine[mi].append(ti)
+        ready[mi] = completion
+        self._assignments = None
+        return completion
+
+    def restrict(self, etc: ETCMatrix, machine: str) -> "Mapping":
+        """This mapping without ``machine`` and the tasks on it, over ``etc``.
+
+        ``etc`` must be this mapping's matrix with ``machine`` and its
+        tasks dropped, as :meth:`ETCMatrix.without_machine` returns it
+        (its shape and machine labels are checked).  The result keeps
+        every other assignment in commit order with its start and finish
+        copied, so times stay bit-identical to re-committing the
+        surviving tasks in that order; ``certified`` carries over.  This
+        mapping is left untouched.
+        """
+        drop = self._etc.machine_index(machine)
+        gone = self._by_machine[drop]
+        machines = self._etc.machines
+        if etc.machines != machines[:drop] + machines[drop + 1 :] or (
+            etc.num_tasks != self._etc.num_tasks - len(gone)
+        ):
+            raise MappingError(
+                f"restrict: {etc!r} is not this mapping's matrix without "
+                f"machine {machine!r} and its tasks"
+            )
+        rows = sorted(gone)
+        rows.append(self._etc.num_tasks)
+        row_of = _renumbering(rows)
+        # Machine lists are in commit order, so the dropped tasks'
+        # positions ascend.
+        cuts = list(map(self._position.__getitem__, gone))
+        cuts.append(len(self._task))
+        # Unmapped rows hold -1, which reads the trailing -1.
+        position_of = _renumbering(cuts) + [-1]
+        column_of = _renumbering([drop, len(machines)])
+
+        out = object.__new__(type(self))
+        out._etc = etc
+        out._initial_ready = np.delete(self._initial_ready, drop)
+        out._ready = np.delete(self._ready, drop)
+        out._task = list(map(row_of.__getitem__, _without(self._task, cuts)))
+        out._machine = list(
+            map(column_of.__getitem__, _without(self._machine, cuts))
         )
-        self._assignments.append(assignment)
-        self._by_task[task] = assignment
-        self._by_machine[mi].append(task)
-        self._ready[mi] = completion
-        return assignment
+        out._start = _without(self._start, cuts)
+        out._finish = _without(self._finish, cuts)
+        out._position = list(
+            map(position_of.__getitem__, _without(self._position, rows))
+        )
+        out._by_machine = [
+            list(map(row_of.__getitem__, tasks))
+            for j, tasks in enumerate(self._by_machine)
+            if j != drop
+        ]
+        out._assignments = None
+        out.certified = self.certified
+        return out
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -256,7 +360,7 @@ class Mapping:
 
         A machine with no tasks finishes at its initial ready time.
         """
-        return {m: float(self._ready[j]) for j, m in enumerate(self._etc.machines)}
+        return dict(zip(self._etc.machines, self._ready.tolist()))
 
     def finish_time_vector(self) -> np.ndarray:
         """Finishing times as a vector over ``self.machines``."""
@@ -279,13 +383,13 @@ class Mapping:
     def assignment_vector(self) -> np.ndarray:
         """Machine index per task row; ``-1`` for unmapped tasks."""
         vec = np.full(self._etc.num_tasks, -1, dtype=np.int64)
-        for a in self._assignments:
-            vec[self._etc.task_index(a.task)] = self._etc.machine_index(a.machine)
+        vec[self._task] = self._machine
         return vec
 
     def to_dict(self) -> dict[str, str]:
-        """``{task: machine}`` for all assigned tasks."""
-        return {a.task: a.machine for a in self._assignments}
+        """``{task: machine}`` for all assigned tasks, in commit order."""
+        tasks, machines = self._etc.tasks, self._etc.machines
+        return {tasks[t]: machines[m] for t, m in zip(self._task, self._machine)}
 
     def same_assignments(self, other: "Mapping") -> bool:
         """True when both mappings place every shared task identically.
@@ -300,6 +404,30 @@ class Mapping:
             f"Mapping(assigned={self.num_assigned}/{self._etc.num_tasks}, "
             f"makespan={self.makespan():.6g})"
         )
+
+
+def _without(items: list, cuts: list[int]) -> list:
+    """``items`` without the entries at ``cuts``.
+
+    ``cuts`` ascends and ends with the sentinel ``len(items)``; the
+    result is built from slices, never element by element.
+    """
+    kept = items[: cuts[0]]
+    for low, high in zip(cuts, cuts[1:]):
+        kept += items[low + 1 : high]
+    return kept
+
+
+def _renumbering(cuts: list[int]) -> list[int]:
+    """Old index -> new index once the entries at ``cuts`` are removed.
+
+    ``cuts`` ascends and ends with the sentinel length; entries at the
+    cuts themselves are left stale (callers never read them).
+    """
+    index = list(range(cuts[-1]))
+    for shift, (low, high) in enumerate(zip(cuts, cuts[1:]), start=1):
+        index[low + 1 : high] = range(low + 1 - shift, high - shift)
+    return index
 
 
 def finish_times_for_vector(

@@ -33,6 +33,7 @@ __all__ = [
     "tied_argmax",
     "tied_min_indices",
     "first_tied_min_index",
+    "separated_min_index",
     "TieBreaker",
     "DeterministicTieBreaker",
     "RandomTieBreaker",
@@ -122,6 +123,33 @@ def first_tied_min_index(row: np.ndarray) -> int:
         if v - target <= tol:
             return j
     raise AssertionError("unreachable: the minimum always ties with itself")
+
+
+def separated_min_index(row: np.ndarray) -> int:
+    """First index of the minimum ``g`` of a separated row, else ``-1``.
+
+    A strictly positive row is *separated* when no value lies in
+    ``(g, g + 2 * max(abs_tol, rel_tol * g)]``; exact ties at ``g`` are
+    allowed.  Then the tolerance-tied set of :func:`tied_min_indices` is
+    exactly the values equal to ``g``, on the row and on every sub-row
+    that keeps one of them, so :func:`first_tied_min_index` returns the
+    index returned here.  This per-decision check is what certifies
+    MCT and MET mappings for iteration by restriction.
+    """
+    lst = row.tolist()
+    g = min(lst)
+    tol = DEFAULT_REL_TOL * g
+    if tol < DEFAULT_ABS_TOL:
+        tol = DEFAULT_ABS_TOL
+    limit = g + 2.0 * tol
+    first = -1
+    for j, v in enumerate(lst):
+        if v <= limit:
+            if v != g:
+                return -1
+            if first < 0:
+                first = j
+    return first
 
 
 class TieBreaker(abc.ABC):

@@ -287,8 +287,8 @@ class ETCMatrix:
         """
         if not rows or not cols:
             raise ETCShapeError("submatrix must keep at least one task and machine")
-        task_labels = tuple(self._tasks[i] for i in rows)
-        machine_labels = tuple(self._machines[j] for j in cols)
+        task_labels = tuple(map(self._tasks.__getitem__, rows))
+        machine_labels = tuple(map(self._machines.__getitem__, cols))
         if len(set(rows)) != len(rows):
             raise ETCShapeError(f"task labels contain duplicates: {task_labels!r}")
         if len(set(cols)) != len(cols):
@@ -343,9 +343,11 @@ class ETCMatrix:
         """Drop ``machine`` and ``dropped_tasks`` — one iterative step."""
         dropped = set(dropped_tasks)
         # Validate every dropped label *before* doing any restriction
-        # work, so a typo fails loudly without constructing anything.
-        for t in dropped:
-            self.task_index(t)
+        # work, so a typo fails loudly without constructing anything
+        # (and without building the label lookup of this matrix).
+        unknown = dropped.difference(self._tasks)
+        if unknown:
+            raise LabelError(f"unknown task label {next(iter(unknown))!r}")
         mj = self.machine_index(machine)
         rows = [i for i, t in enumerate(self._tasks) if t not in dropped]
         cols = [j for j in range(self.num_machines) if j != mj]

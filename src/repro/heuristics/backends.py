@@ -25,6 +25,7 @@ from repro.exceptions import UnknownBackendError
 from repro.heuristics.base import Heuristic, get_heuristic
 from repro.heuristics.kpb import ReferenceKPercentBest
 from repro.heuristics.mct import ReferenceMCT
+from repro.heuristics.met import ReferenceMET
 from repro.heuristics.minmin import ReferenceDuplex, ReferenceMaxMin, ReferenceMinMin
 from repro.heuristics.sufferage import ReferenceSufferage
 
@@ -50,6 +51,7 @@ REFERENCE_HEURISTICS: dict[str, type[Heuristic]] = {
     "max-min": ReferenceMaxMin,
     "duplex": ReferenceDuplex,
     "mct": ReferenceMCT,
+    "met": ReferenceMET,
     "k-percent-best": ReferenceKPercentBest,
     "sufferage": ReferenceSufferage,
 }

@@ -117,7 +117,7 @@ class KPercentBest(Heuristic):
             else:
                 pick = tie_breaker.choose(tied_min_indices(completion))
             machine_idx = subset_lists[ti][pick]
-            assignment = mapping.assign_index(ti, machine_idx)
+            finish = mapping.assign_index(ti, machine_idx)
             subset = tuple(machines[j] for j in subset_lists[ti])
             if tracer.enabled:
                 tracer.event(
@@ -125,8 +125,8 @@ class KPercentBest(Heuristic):
                     task=task,
                     subset=subset,
                     subset_size=size,
-                    machine=assignment.machine,
-                    completion=assignment.completion,
+                    machine=machines[machine_idx],
+                    completion=finish,
                 )
                 tracer.count("decisions")
                 tracer.observe("kpb.subset_size", size)
@@ -134,8 +134,8 @@ class KPercentBest(Heuristic):
                 KPBStep(
                     task=task,
                     subset=subset,
-                    machine=assignment.machine,
-                    completion=assignment.completion,
+                    machine=machines[machine_idx],
+                    completion=finish,
                 )
             )
         self.last_trace = tuple(trace)

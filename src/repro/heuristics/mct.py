@@ -24,6 +24,7 @@ from repro.core.ties import (
     DeterministicTieBreaker,
     TieBreaker,
     first_tied_min_index,
+    separated_min_index,
     tied_argmin,
     tied_min_indices,
 )
@@ -54,24 +55,30 @@ class MCT(Heuristic):
         fast_ties = (
             type(tie_breaker) is DeterministicTieBreaker and not tracer.enabled
         )
+        # Certified while every row is separated (see Mapping.certified).
+        certified = fast_ties
         for ti, task in enumerate(etc.tasks):
             completion = values[ti] + ready
             if fast_ties:
-                machine_idx = first_tied_min_index(completion)
+                machine_idx = separated_min_index(completion)
+                if machine_idx < 0:
+                    certified = False
+                    machine_idx = first_tied_min_index(completion)
             else:
                 candidates = tied_min_indices(completion)
                 machine_idx = tie_breaker.choose(candidates)
-            assignment = mapping.assign_index(ti, machine_idx)
+            finish = mapping.assign_index(ti, machine_idx)
             if tracer.enabled:
                 tracer.event(
                     "mct.decision",
                     task=task,
-                    machine=assignment.machine,
-                    completion=assignment.completion,
+                    machine=machines[machine_idx],
+                    completion=finish,
                     tied=tuple(machines[int(j)] for j in candidates),
                 )
                 tracer.count("decisions")
                 tracer.observe("decision.tie_candidates", len(candidates))
+        mapping.certified = certified
 
 
 class ReferenceMCT(MCT):

@@ -14,16 +14,34 @@ fast machine; the paper proves its mapping never changes across
 iterations of the iterative technique under deterministic ties
 (Section 3.4) and shows by example that random tie-breaking can
 increase makespan.
+
+Kernels.  :class:`ReferenceMET` is the label-space transcription above
+and serves as the test oracle.  :class:`MET` never reads ready times to
+decide, so under the deterministic policy with no tracer it takes one
+row argmin over the whole ETC matrix, re-deciding only rows with a
+near tie (a second value within two tolerances of the row minimum)
+through the tolerance rule; the mapping is certified for iteration by
+restriction when no row had one.  Other policies and traced runs take
+the transcription's per-task loop.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.schedule import Mapping
-from repro.core.ties import TieBreaker, tied_argmin
+from repro.core.ties import (
+    DEFAULT_ABS_TOL,
+    DEFAULT_REL_TOL,
+    DeterministicTieBreaker,
+    TieBreaker,
+    first_tied_min_index,
+    tied_argmin,
+)
 from repro.heuristics.base import Heuristic, register_heuristic
 from repro.obs.tracer import get_tracer
 
-__all__ = ["MET"]
+__all__ = ["MET", "ReferenceMET"]
 
 
 @register_heuristic
@@ -38,21 +56,54 @@ class MET(Heuristic):
         tie_breaker: TieBreaker,
         seed_mapping: dict[str, str] | None,
     ) -> None:
-        etc = mapping.etc
-        tracer = get_tracer()
-        for task in etc.tasks:
-            row = etc.task_row(task)
-            candidates = tied_argmin(row)
-            machine_idx = tie_breaker.choose(candidates)
-            assignment = mapping.assign(task, etc.machines[machine_idx])
-            if tracer.enabled:
-                tracer.event(
-                    "met.decision",
-                    task=task,
-                    machine=assignment.machine,
-                    execution=float(row[machine_idx]),
-                    completion=assignment.completion,
-                    tied=tuple(etc.machines[int(j)] for j in candidates),
-                )
-                tracer.count("decisions")
-                tracer.observe("decision.tie_candidates", len(candidates))
+        """One vectorised argmin under the deterministic policy with no
+        tracer; the transcription otherwise (random draws and decision
+        events are per task anyway)."""
+        if type(tie_breaker) is not DeterministicTieBreaker or get_tracer().enabled:
+            _map_in_task_order(mapping, tie_breaker)
+            return
+        values = mapping.etc.values
+        best = values.min(axis=1)
+        limit = best + 2.0 * np.maximum(DEFAULT_ABS_TOL, DEFAULT_REL_TOL * best)
+        near = (values <= limit[:, None]) & (values != best[:, None])
+        choice = values.argmin(axis=1)
+        near_rows = np.flatnonzero(near.any(axis=1))
+        for ti in near_rows.tolist():
+            choice[ti] = first_tied_min_index(values[ti])
+        for ti, machine_idx in enumerate(choice.tolist()):
+            mapping.assign_index(ti, machine_idx)
+        mapping.certified = not near_rows.size
+
+
+class ReferenceMET(MET):
+    """Label-space paper transcription of MET: the test oracle."""
+
+    def _run(
+        self,
+        mapping: Mapping,
+        tie_breaker: TieBreaker,
+        seed_mapping: dict[str, str] | None,
+    ) -> None:
+        _map_in_task_order(mapping, tie_breaker)
+
+
+def _map_in_task_order(mapping: Mapping, tie_breaker: TieBreaker) -> None:
+    """The paper's procedure, one label-space decision per task."""
+    etc = mapping.etc
+    tracer = get_tracer()
+    for task in etc.tasks:
+        row = etc.task_row(task)
+        candidates = tied_argmin(row)
+        machine_idx = tie_breaker.choose(candidates)
+        assignment = mapping.assign(task, etc.machines[machine_idx])
+        if tracer.enabled:
+            tracer.event(
+                "met.decision",
+                task=task,
+                machine=assignment.machine,
+                execution=float(row[machine_idx]),
+                completion=assignment.completion,
+                tied=tuple(etc.machines[int(j)] for j in candidates),
+            )
+            tracer.count("decisions")
+            tracer.observe("decision.tie_candidates", len(candidates))

@@ -146,6 +146,9 @@ class MinMin(Heuristic):
         fast_ties = (
             type(tie_breaker) is DeterministicTieBreaker and not tracer.enabled
         )
+        # Certified while every decision is the only pair inside its
+        # tie window (see Mapping.certified); only under fast_ties.
+        certified = fast_ties
         # Per machine c: cols[c] lists the task rows in ascending ETC
         # order (stable, so equal ETCs keep task order) and svals[c]
         # their ETCs; pos[c] is the first unmapped position, heads[c]
@@ -191,6 +194,7 @@ class MinMin(Heuristic):
                     candidates = [m]
                     machine_idx = tie_breaker.choose(candidates)
             else:
+                certified = False
                 inside = [c for c in machines if hv[c] <= window]
                 task_idx = -1
                 if hv.count(g) == len(inside):
@@ -214,9 +218,7 @@ class MinMin(Heuristic):
                     candidates[0] if fast_ties else tie_breaker.choose(candidates)
                 )
                 completion = g if row is None else float(row[machine_idx])
-            ready[machine_idx] = r = mapping.assign_index(
-                task_idx, machine_idx
-            ).completion
+            ready[machine_idx] = r = mapping.assign_index(task_idx, machine_idx)
             if tracer.enabled:
                 tracer.event(
                     "min-min.decision",
@@ -260,6 +262,7 @@ class MinMin(Heuristic):
                 else:
                     heads[c] = -1
                     hv[c] = inf
+        mapping.certified = certified
 
 
 def _run_ends(sorted_values: np.ndarray) -> list[list[int]]:
@@ -355,7 +358,7 @@ class MaxMin(Heuristic):
             else:
                 candidates = tied_min_indices(row)
                 machine_idx = tie_breaker.choose(candidates)
-            assignment = mapping.assign_index(task_idx, machine_idx)
+            finish = mapping.assign_index(task_idx, machine_idx)
             if tracer.enabled:
                 tracer.event(
                     f"{self.name}.decision",
@@ -367,7 +370,7 @@ class MaxMin(Heuristic):
                 tracer.count("decisions")
                 tracer.observe("decision.tie_candidates", len(candidates))
             table.deactivate(task_idx)
-            table.refresh_column(machine_idx, assignment.completion)
+            table.refresh_column(machine_idx, finish)
 
 
 @register_heuristic

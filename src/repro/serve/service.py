@@ -122,6 +122,7 @@ def _execute_iterate(request: ScheduleRequest) -> dict:
         etc, max_iterations=request.max_iterations
     )
     comparison = compare_iterative(result)
+    final_mapping = result.final_mapping().to_dict()
     return {
         "kind": "iterate",
         "heuristic": request.heuristic,
@@ -143,7 +144,8 @@ def _execute_iterate(request: ScheduleRequest) -> dict:
             }
             for m in comparison.machines
         ],
-        "final_mapping": result.final_mapping().to_dict(),
+        # ETC row order (the mapping itself commits frozen machines first).
+        "final_mapping": {task: final_mapping[task] for task in etc.tasks},
     }
 
 

@@ -5,11 +5,21 @@ import dataclasses
 import pytest
 
 from repro.core.iterative import IterativeScheduler
-from repro.core.schedule import Assignment, Mapping
+from repro.core.schedule import Mapping
 from repro.core.validation import validate_iterative_result, validate_mapping
 from repro.etc.generation import generate_range_based
 from repro.exceptions import MappingError
 from repro.heuristics import MCT, Sufferage
+
+
+def _append_raw(mapping, *, task, machine, start, finish):
+    """Corrupt ``mapping`` by appending an unchecked row to its commit
+    columns (bypassing every check of ``assign``)."""
+    mapping._task.append(task)
+    mapping._machine.append(machine)
+    mapping._start.append(start)
+    mapping._finish.append(finish)
+    mapping._assignments = None
 
 
 class TestValidateMapping:
@@ -25,26 +35,22 @@ class TestValidateMapping:
     def test_detects_tampered_completion(self, tiny_etc):
         m = Mapping(tiny_etc)
         m.assign("a", "x")
-        bad = Assignment(task="b", machine="y", start=0.0, completion=99.0, order=1)
-        m._assignments.append(bad)
-        m._by_task["b"] = bad
-        with pytest.raises(MappingError):
+        _append_raw(m, task=1, machine=1, start=0.0, finish=99.0)
+        with pytest.raises(MappingError, match="completion"):
             validate_mapping(m)
 
     def test_detects_wrong_start(self, tiny_etc):
         m = Mapping(tiny_etc)
         m.assign("a", "x")
-        bad = Assignment(task="b", machine="x", start=0.5, completion=3.5, order=1)
-        m._assignments.append(bad)
-        m._by_task["b"] = bad
-        with pytest.raises(MappingError):
+        _append_raw(m, task=1, machine=0, start=0.5, finish=3.5)
+        with pytest.raises(MappingError, match="starts at"):
             validate_mapping(m)
 
     def test_detects_duplicate_task(self, tiny_etc):
         m = Mapping(tiny_etc)
         a = m.assign("a", "x")
-        m._assignments.append(a)
-        with pytest.raises(MappingError):
+        _append_raw(m, task=0, machine=0, start=a.start, finish=a.completion)
+        with pytest.raises(MappingError, match="more than once"):
             validate_mapping(m)
 
     def test_detects_stale_ready_cache(self, tiny_etc):

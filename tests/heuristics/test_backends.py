@@ -20,13 +20,14 @@ from repro.heuristics.backends import (
 from repro.heuristics.base import get_heuristic, heuristic_names
 from repro.heuristics.kpb import KPercentBest, ReferenceKPercentBest
 from repro.heuristics.mct import ReferenceMCT
-from repro.heuristics.met import MET
+from repro.heuristics.met import ReferenceMET
 from repro.heuristics.minmin import (
     MinMin,
     ReferenceDuplex,
     ReferenceMaxMin,
     ReferenceMinMin,
 )
+from repro.heuristics.olb import OLB
 from repro.heuristics.sufferage import ReferenceSufferage
 from repro.serve.models import parse_request, request_key
 
@@ -36,6 +37,7 @@ KERNELED = {
     "max-min": ReferenceMaxMin,
     "duplex": ReferenceDuplex,
     "mct": ReferenceMCT,
+    "met": ReferenceMET,
     "k-percent-best": ReferenceKPercentBest,
     "sufferage": ReferenceSufferage,
 }
@@ -113,10 +115,10 @@ class TestMake:
         assert heuristic.percent == 30.0
 
     def test_reference_make_skips_flag_for_unkerneled_heuristics(self):
-        # MET has a single implementation, so the reference backend
+        # OLB has a single implementation, so the reference backend
         # builds the registered heuristic.
-        assert "met" not in REFERENCE_HEURISTICS
-        assert type(get_backend("reference").make("met")) is MET
+        assert "olb" not in REFERENCE_HEURISTICS
+        assert type(get_backend("reference").make("olb")) is OLB
 
     def test_kernel_backend_is_abstract(self):
         with pytest.raises(TypeError):

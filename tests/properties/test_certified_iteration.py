@@ -1,0 +1,223 @@
+"""Certified iterative runs against the full freeze/remap loop.
+
+When the Min-Min, MCT or MET kernel certifies its original mapping
+(``Mapping.certified``: no decision had a second candidate within two
+tie tolerances of its minimum), :class:`IterativeScheduler` derives
+iterations 1..k by restricting that mapping instead of re-running the
+heuristic.  The derived run must be indistinguishable from the full
+loop of the paper-transcription oracles, which never certify: every
+``IterationRecord`` (matrix, makespan, frozen machine and tasks, and
+each assignment's timing and order), the final finishing times, the
+removal order and the never-frozen survivors.
+
+The inputs reuse the Min-Min sorted-column battery's near-tie ETCs,
+plus nonzero ready times and ``max_iterations`` caps.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.invariance import INVARIANT_HEURISTICS, verify_invariance
+from repro.core.iterative import IterativeScheduler
+from repro.core.seeding import SeededIterativeScheduler
+from repro.core.ties import DeterministicTieBreaker, RandomTieBreaker
+from repro.etc.generation import Consistency, Heterogeneity, generate_range_based
+from repro.etc.matrix import ETCMatrix
+from repro.heuristics.backends import get_backend
+from repro.heuristics.base import heuristic_names
+from repro.obs.tracer import CollectingTracer, use_tracer
+from tests.conftest import HYPOTHESIS_PROFILE
+from tests.properties.test_minmin_sorted_column import near_tie_instances
+
+DEEP = HYPOTHESIS_PROFILE == "deep"
+
+D = 1e-9
+
+#: The tolerance-tie witness (see tests/integration/test_tolerance_tie_witness.py).
+WITNESS = ETCMatrix([[1 + 1.5 * D, 1 + 0.9 * D, 1.0], [100.0, 100.0, 50.0]])
+
+
+class CountingHeuristic:
+    """Forwards ``map_tasks`` to ``inner`` and counts the calls."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def map_tasks(self, *args, **kwargs):
+        self.calls += 1
+        return self.inner.map_tasks(*args, **kwargs)
+
+
+def _run_view(result):
+    return (
+        [
+            (
+                rec.index,
+                rec.etc.tasks,
+                rec.etc.machines,
+                rec.etc.values.tolist(),
+                [
+                    (a.task, a.machine, a.start, a.completion, a.order)
+                    for a in rec.mapping.assignments
+                ],
+                rec.mapping.machine_finish_times(),
+                rec.makespan,
+                rec.frozen_machine,
+                rec.frozen_tasks,
+                rec.trace,
+            )
+            for rec in result.iterations
+        ],
+        result.final_finish_times,
+        result.removal_order,
+        result.unfrozen,
+        result.mapping_changed(),
+        result.final_mapping().to_dict(),
+    )
+
+
+def _pair(name, etc, ready, cap):
+    derived = IterativeScheduler(get_backend("incremental").make(name))
+    full = IterativeScheduler(get_backend("reference").make(name))
+    return (
+        derived.run(etc, ready, max_iterations=cap),
+        full.run(etc, ready, max_iterations=cap),
+    )
+
+
+@pytest.mark.parametrize("name", INVARIANT_HEURISTICS)
+@given(
+    data=near_tie_instances(),
+    cap=st.sampled_from([None, 1, 2, 3]),
+    nonzero_ready=st.booleans(),
+)
+@settings(max_examples=300 if DEEP else 30, deadline=None)
+def test_derived_run_matches_full_loop(name, data, cap, nonzero_ready):
+    etc, ready = data
+    if nonzero_ready:
+        ready = [r + 1.0 + 0.25 * j for j, r in enumerate(ready)]
+    derived, full = _pair(name, etc, ready, cap)
+    assert _run_view(derived) == _run_view(full)
+
+
+@pytest.mark.parametrize("name", INVARIANT_HEURISTICS)
+@pytest.mark.parametrize("cap", [None, 1, 2, 3])
+def test_generated_instances_certify_and_match(name, cap):
+    """Continuous ETCs certify: one heuristic call, same records."""
+    for seed, het, cons in [
+        (0, Heterogeneity.HIHI, Consistency.INCONSISTENT),
+        (1, Heterogeneity.LOLO, Consistency.CONSISTENT),
+        (2, Heterogeneity.HIHI, Consistency.CONSISTENT),
+    ]:
+        etc = generate_range_based(24, 5, heterogeneity=het, consistency=cons, rng=seed)
+        ready = [0.5 * j for j in range(etc.num_machines)]
+        heuristic = CountingHeuristic(get_backend("incremental").make(name))
+        derived = IterativeScheduler(heuristic).run(etc, ready, max_iterations=cap)
+        assert derived.original.mapping.certified
+        assert heuristic.calls == 1
+        full = IterativeScheduler(get_backend("reference").make(name)).run(
+            etc, ready, max_iterations=cap
+        )
+        assert _run_view(derived) == _run_view(full)
+
+
+@pytest.mark.parametrize("name", INVARIANT_HEURISTICS)
+def test_witness_is_not_certified_and_runs_the_full_loop(name):
+    heuristic = CountingHeuristic(get_backend("incremental").make(name))
+    result = IterativeScheduler(heuristic).run(WITNESS)
+    assert not result.original.mapping.certified
+    assert heuristic.calls == result.num_iterations == 2
+    assert result.mapping_changed()
+    full = IterativeScheduler(get_backend("reference").make(name)).run(WITNESS)
+    assert _run_view(result) == _run_view(full)
+
+
+@pytest.mark.parametrize("name", INVARIANT_HEURISTICS)
+def test_verify_invariance_never_derives(name):
+    etc = generate_range_based(24, 5, rng=3)
+    assert get_backend("incremental").make(name).map_tasks(etc).certified
+    heuristic = CountingHeuristic(get_backend("incremental").make(name))
+    report = verify_invariance(heuristic, instances=[etc])
+    assert report.invariant
+    assert heuristic.calls == etc.num_machines
+
+
+def _freeze_makespan_machine(mapping, tie_breaker):
+    return mapping.makespan_machine(tie_breaker)
+
+
+@pytest.mark.parametrize("name", INVARIANT_HEURISTICS)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda h: IterativeScheduler(h, tie_breaker=RandomTieBreaker(7)),
+        lambda h: IterativeScheduler(h, makespan_tie_breaker=RandomTieBreaker(7)),
+        lambda h: IterativeScheduler(h, freeze_policy=_freeze_makespan_machine),
+        lambda h: SeededIterativeScheduler(h),
+    ],
+    ids=["random-ties", "random-makespan-ties", "freeze-policy", "seeded"],
+)
+def test_other_configurations_run_the_full_loop(name, make):
+    etc = generate_range_based(24, 5, rng=4)
+    heuristic = CountingHeuristic(get_backend("incremental").make(name))
+    result = make(heuristic).run(etc)
+    assert heuristic.calls == result.num_iterations == etc.num_machines
+
+
+class ForcedCertificate(CountingHeuristic):
+    """Marks every mapping certified, whatever the kernel decided."""
+
+    def map_tasks(self, *args, **kwargs):
+        mapping = super().map_tasks(*args, **kwargs)
+        mapping.certified = True
+        return mapping
+
+
+@pytest.mark.parametrize("name", INVARIANT_HEURISTICS)
+def test_traced_run_runs_the_full_loop(name):
+    etc = generate_range_based(24, 5, rng=5)
+    heuristic = CountingHeuristic(get_backend("incremental").make(name))
+    with use_tracer(CollectingTracer()):
+        result = IterativeScheduler(heuristic).run(etc)
+    assert not result.original.mapping.certified
+    assert heuristic.calls == etc.num_machines
+    # The scheduler refuses to derive under a tracer even when a mapping
+    # claims a certificate: a traced run must emit every decision.
+    forced = ForcedCertificate(get_backend("incremental").make(name))
+    with use_tracer(CollectingTracer()):
+        IterativeScheduler(forced).run(etc)
+    assert forced.calls == etc.num_machines
+
+
+@pytest.mark.parametrize("backend", ["reference", "incremental"])
+@pytest.mark.parametrize("name", heuristic_names())
+def test_only_the_invariant_kernels_certify(name, backend):
+    etc = generate_range_based(12, 4, rng=6)
+    mapping = get_backend(backend).make(name).map_tasks(
+        etc, tie_breaker=DeterministicTieBreaker()
+    )
+    expected = backend == "incremental" and name in INVARIANT_HEURISTICS
+    assert mapping.certified is expected
+
+
+@pytest.mark.parametrize("name", INVARIANT_HEURISTICS)
+def test_exact_ties_still_certify(name):
+    """Exact ties at a row minimum are allowed: every iteration keeps
+    the lowest surviving index among equal values."""
+    values = np.array([[2.0, 2.0, 3.0], [2.0, 2.0, 3.0], [5.0, 1.0, 1.0], [4.0, 4.0, 4.0]])
+    etc = ETCMatrix(values)
+    heuristic = CountingHeuristic(get_backend("incremental").make(name))
+    result = IterativeScheduler(heuristic).run(etc)
+    full = IterativeScheduler(get_backend("reference").make(name)).run(etc)
+    assert _run_view(result) == _run_view(full)
+    if name != "min-min":
+        # Min-Min certifies only decisions with a single pair in its
+        # window, so an exact tie always falls back to the full loop.
+        assert result.original.mapping.certified
+        assert heuristic.calls == 1

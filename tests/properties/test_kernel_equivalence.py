@@ -35,7 +35,9 @@ from repro.obs.export import event_to_dict
 from repro.obs.tracer import CollectingTracer, use_tracer
 
 #: Heuristics whose default kernel differs from the paper transcription.
-KERNELED = ("duplex", "k-percent-best", "max-min", "mct", "min-min", "sufferage")
+KERNELED = (
+    "duplex", "k-percent-best", "max-min", "mct", "met", "min-min", "sufferage"
+)
 
 #: Kernel under test first, oracle second.
 BACKENDS = ("incremental", "reference")
