@@ -8,6 +8,12 @@ close`` (one request per connection): the load harness and smoke
 clients open cheap short-lived connections, and closing eagerly keeps
 the shutdown path trivially clean.
 
+A POST to a schedule route first asks the service's raw-body hit index
+(:meth:`SchedulingService.fast_hit`) for the bytes it sent last time
+for this exact body; only when that misses is the body decoded and
+routed, and a ``cached: true`` 200 from that normal path is offered
+back to the index (:meth:`SchedulingService.remember`).
+
 Routes
 ------
 ======  ==================  ==========================================
@@ -22,6 +28,7 @@ POST    ``/v1/study``       same, with ``kind`` defaulted to ``study``
 Error catalogue (all bodies ``{"error": {"type", "message"}}``):
 
 * 400 ``validation`` / ``invalid_json`` — malformed payload;
+* 400 ``invalid_request`` — malformed HTTP (request line, Content-Length);
 * 404 ``not_found`` / 405 ``method_not_allowed`` — routing;
 * 413 ``payload_too_large`` — body over :data:`MAX_BODY_BYTES`;
 * 500 ``execution`` — the computation itself failed;
@@ -112,6 +119,8 @@ async def _read_request(reader: asyncio.StreamReader):
     try:
         length = int(length_text)
     except ValueError:
+        length = -1  # rejected just below, like a negative length
+    if length < 0:
         return None, None, (400, _error("invalid_request", "bad Content-Length"))
     if length > MAX_BODY_BYTES:
         return None, None, (
@@ -149,7 +158,7 @@ async def _route(service: SchedulingService, method: str, path: str,
             return 405, _error("method_not_allowed", f"{method} {path}")
         try:
             payload = json.loads(body.decode("utf-8")) if body else {}
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             return 400, _error("invalid_json", f"request body is not JSON: {exc}")
         kind = _KIND_ROUTES[path]
         if kind is not None and isinstance(payload, dict):
@@ -163,6 +172,22 @@ async def _route(service: SchedulingService, method: str, path: str,
             payload = {**payload, "kind": kind}
         return await service.handle(payload)
     return 404, _error("not_found", f"no route for {path}")
+
+
+async def _respond(service: SchedulingService, method: str, path: str,
+                   body: bytes) -> bytes:
+    """The encoded response to one request: an indexed repeat's stored
+    bytes, else the normal path's (offered back to the index)."""
+    indexable = method == "POST" and path in _KIND_ROUTES
+    if indexable:
+        stored = service.fast_hit(path, body)
+        if stored is not None:
+            return stored
+    status, response = await _route(service, method, path, body)
+    encoded = _encode_response(status, response)
+    if indexable:
+        service.remember(path, body, status, response, encoded)
+    return encoded
 
 
 async def handle_connection(
@@ -179,8 +204,7 @@ async def handle_connection(
                 writer.write(_encode_response(status, error_body))
                 await writer.drain()
             return
-        status, response = await _route(service, method, path, body)
-        writer.write(_encode_response(status, response))
+        writer.write(await _respond(service, method, path, body))
         await writer.drain()
     except ConnectionError:
         pass  # client hung up mid-response; nothing to do

@@ -233,7 +233,7 @@ def _parse_etc(spec) -> ETCMatrix:
         raise
     except ReproError as exc:
         raise RequestValidationError(f"invalid ETC payload: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise RequestValidationError(f"invalid ETC payload: {exc}") from exc
 
 

@@ -41,7 +41,10 @@ clean shutdown.
 from __future__ import annotations
 
 import asyncio
+import hashlib
+import logging
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.exceptions import ConfigurationError, ReproError
@@ -57,6 +60,7 @@ from repro.serve.models import (
 )
 
 __all__ = [
+    "HIT_INDEX_MAX_BYTES",
     "STATS_SCHEMA",
     "SchedulingService",
     "execute_request",
@@ -67,6 +71,11 @@ STATS_SCHEMA = "repro-serve-stats/1"
 
 #: Latency samples kept for the percentile window (ring buffer bound).
 _LATENCY_WINDOW = 10_000
+
+#: Byte cap of the raw-body hit index (stored responses, LRU-evicted).
+HIT_INDEX_MAX_BYTES = 64 * 1024 * 1024
+
+_log = logging.getLogger(__name__)
 
 
 def _make_heuristic(request: ScheduleRequest):
@@ -260,9 +269,13 @@ class SchedulingService:
             "validation_errors": 0,
             "execution_errors": 0,
             "shed": 0,
+            "fast_hits": 0,
         }
         self.by_kind: dict[str, int] = {}
         self._latencies_ms: list[float] = []
+        #: digest → (cache key, kind, response bytes), oldest use first.
+        self._hit_index: OrderedDict[bytes, tuple[str, str, bytes]] = OrderedDict()
+        self._hit_index_bytes = 0
 
     # -- internals -----------------------------------------------------
     def _executor(self) -> ThreadPoolExecutor:
@@ -306,7 +319,67 @@ class SchedulingService:
             self._executor(), execute_request, request
         )
 
+    def _index_digest(self, path: str, body: bytes) -> bytes | None:
+        """Hit-index address of one POST, or ``None`` when the index is
+        bypassed (no response cache, or a tracer is enabled)."""
+        from repro.obs.tracer import get_tracer
+
+        if self.cache is None or get_tracer().enabled:
+            return None
+        return hashlib.blake2b(path.encode("ascii") + b" " + body).digest()
+
+    def _unindex(self, digest: bytes) -> None:
+        entry = self._hit_index.pop(digest, None)
+        if entry is not None:
+            self._hit_index_bytes -= len(entry[2])
+
     # -- public surface ------------------------------------------------
+    def fast_hit(self, path: str, body: bytes) -> bytes | None:
+        """The stored response for an indexed repeat of ``body`` on
+        ``path``, or ``None`` to take the normal path.
+
+        A fast hit is accounted like any cache hit (``requests``,
+        ``cache_hits``, ``by_kind``, the latency window) plus
+        ``fast_hits``.  Unknown bytes, a service at its admission cap
+        (the normal path then sheds it) and a cache entry deleted since
+        the bytes were indexed all return ``None``.
+        """
+        started = time.perf_counter()
+        digest = self._index_digest(path, body)
+        entry = self._hit_index.get(digest)
+        if entry is None or self._inflight >= self.max_pending:
+            return None
+        key, kind, encoded = entry
+        if not self.cache.path_for(key).exists():
+            self._unindex(digest)
+            return None
+        self._hit_index.move_to_end(digest)
+        self.counts["requests"] += 1
+        self.counts["cache_hits"] += 1
+        self.counts["fast_hits"] += 1
+        self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
+        self._record_latency(time.perf_counter() - started)
+        return encoded
+
+    def remember(self, path: str, body: bytes, status: int, response: dict,
+                 encoded: bytes) -> None:
+        """Index ``encoded``, the bytes sent for ``body`` on ``path``,
+        if they answered a ``cached: true`` 200; anything else is
+        ignored."""
+        if status != 200 or response.get("cached") is not True:
+            return
+        digest = self._index_digest(path, body)
+        if digest is None:
+            return
+        self._unindex(digest)
+        self._hit_index[digest] = (
+            response["key"], response["result"]["kind"], encoded
+        )
+        self._hit_index_bytes += len(encoded)
+        while self._hit_index_bytes > HIT_INDEX_MAX_BYTES:
+            _, (_, _, evicted) = self._hit_index.popitem(last=False)
+            self._hit_index_bytes -= len(evicted)
+
     async def handle(self, payload) -> tuple[int, dict]:
         """Serve one request payload; returns ``(status, response)``.
 
@@ -365,10 +438,17 @@ class SchedulingService:
                 return 200, self._response(request, key, result, cached=True)
         try:
             result = await self._compute(request)
-        except ReproError as exc:
+        except Exception as exc:
+            # Any compute failure, not only a ReproError, is the
+            # documented 500: the connection must still get a body.
             self.counts["execution_errors"] += 1
             tracer.count("serve.execution_errors")
-            return 500, _error_body("execution", exc)
+            if isinstance(exc, ReproError):
+                return 500, _error_body("execution", exc)
+            _log.exception("request %s failed unexpectedly", key)
+            return 500, _error_body(
+                "execution", f"{type(exc).__name__}: {exc}"
+            )
         self.counts["computed"] += 1
         tracer.count("serve.computed")
         if self.cache is not None:
@@ -432,6 +512,6 @@ class SchedulingService:
             self._pool = None
 
 
-def _error_body(error_type: str, exc: Exception) -> dict:
+def _error_body(error_type: str, exc: Exception | str) -> dict:
     """The documented error envelope (see docs/serving.md)."""
     return {"error": {"type": error_type, "message": str(exc)}}

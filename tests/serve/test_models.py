@@ -115,6 +115,7 @@ def test_malformed_payloads_rejected(payload, fragment):
         {"values": [[1.0], [1.0, 2.0]]},
         {"values": []},
         {"csv": 42},
+        {"values": [[1.0, 10**400]]},  # beyond float range
     ],
 )
 def test_malformed_etc_rejected(etc):

@@ -8,6 +8,7 @@ span shape the smoke gate asserts, and the ledger summary.
 from __future__ import annotations
 
 import asyncio
+import json
 import time
 
 import pytest
@@ -139,6 +140,25 @@ def test_execution_error_is_500(tmp_path, monkeypatch):
     assert len(service.cache) == 0
 
 
+def test_unexpected_compute_exception_is_500(tmp_path, monkeypatch):
+    def explode(request):
+        raise FloatingPointError("overflow encountered in multiply")
+
+    monkeypatch.setattr("repro.serve.service.execute_request", explode)
+    service = make_service(tmp_path)
+    try:
+        status, body = run(service.handle(MAP_PAYLOAD))
+    finally:
+        service.close()
+    assert status == 500
+    assert body["error"] == {
+        "type": "execution",
+        "message": "FloatingPointError: overflow encountered in multiply",
+    }
+    assert service.counts["execution_errors"] == 1
+    assert len(service.cache) == 0
+
+
 def test_overload_sheds_with_503(tmp_path, monkeypatch):
     def slow(request):
         time.sleep(0.05)
@@ -257,3 +277,88 @@ def test_invalid_limits_rejected(tmp_path):
         SchedulingService(str(tmp_path), max_workers=0)
     with pytest.raises(ConfigurationError):
         SchedulingService(str(tmp_path), max_pending=0)
+
+
+# -- raw-body hit index ------------------------------------------------
+
+
+def _serve_indexed(service, payload, path="/v1/schedule") -> bytes:
+    """One request the way the HTTP front end serves it: the hit index
+    first, else ``handle`` plus an offer of its bytes to the index."""
+    body = json.dumps(payload).encode()
+    stored = service.fast_hit(path, body)
+    if stored is not None:
+        return stored
+    status, response = run(service.handle(payload))
+    encoded = json.dumps(response, sort_keys=True).encode()
+    service.remember(path, body, status, response, encoded)
+    return encoded
+
+
+def test_first_repeat_fills_the_index(tmp_path):
+    service = make_service(tmp_path)
+    try:
+        sent = [_serve_indexed(service, MAP_PAYLOAD) for _ in range(3)]
+    finally:
+        service.close()
+    assert [json.loads(b)["cached"] for b in sent] == [False, True, True]
+    assert sent[2] == sent[1]
+    assert service.counts["fast_hits"] == 1
+    assert service.counts["cache_hits"] == 2
+    assert service.counts["requests"] == 3
+    assert service.by_kind == {"map": 3}
+
+
+def test_hit_index_evicts_least_recently_used(tmp_path, monkeypatch):
+    # Equal-sized responses: the seed is in the key, not in the result.
+    a, b, c = ({**MAP_PAYLOAD, "seed": seed} for seed in (1, 2, 3))
+    service = make_service(tmp_path)
+    try:
+        for payload in (a, a, b, b):
+            _serve_indexed(service, payload)
+        size = service._hit_index_bytes // 2
+        monkeypatch.setattr(
+            "repro.serve.service.HIT_INDEX_MAX_BYTES", 2 * size + size // 2
+        )
+        _serve_indexed(service, a)  # a fast hit: b is now least recent
+        for payload in (c, c):
+            _serve_indexed(service, payload)
+
+        def indexed(payload):
+            return service.fast_hit(
+                "/v1/schedule", json.dumps(payload).encode()
+            ) is not None
+
+        assert [indexed(p) for p in (a, b, c)] == [True, False, True]
+        assert service._hit_index_bytes == 2 * size
+    finally:
+        service.close()
+
+
+def test_fast_hit_respects_the_admission_cap(tmp_path):
+    service = make_service(tmp_path, max_pending=1)
+    try:
+        for _ in range(2):
+            _serve_indexed(service, MAP_PAYLOAD)
+        body = json.dumps(MAP_PAYLOAD).encode()
+        service._inflight = 1  # one request in flight elsewhere
+        assert service.fast_hit("/v1/schedule", body) is None
+        status, _ = run(service.handle(MAP_PAYLOAD))
+        service._inflight = 0
+        assert status == 503
+        assert service.fast_hit("/v1/schedule", body) is not None
+    finally:
+        service.close()
+    assert service.counts["shed"] == 1
+    assert service.counts["fast_hits"] == 1
+
+
+def test_no_cache_means_no_index(tmp_path):
+    service = SchedulingService(None)
+    try:
+        sent = [_serve_indexed(service, MAP_PAYLOAD) for _ in range(3)]
+    finally:
+        service.close()
+    assert all(json.loads(b)["cached"] is False for b in sent)
+    assert not service._hit_index
+    assert service.counts["fast_hits"] == 0

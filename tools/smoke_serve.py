@@ -5,18 +5,21 @@ Two sessions against real ``repro serve`` subprocesses:
 
 1. **Cache/trace/ledger session** — start a traced service on an
    ephemeral port, issue one map request and then the *identical*
-   request again, and assert the second is served from the
+   request twice more, and assert the repeats are served from the
    content-addressed response cache: ``cached: true`` in the response,
-   the ``serve.cache_hits`` counter incremented in ``/v1/stats``, and —
+   the ``serve.cache_hits`` counter incremented in ``/v1/stats``, no
+   ``fast_hits`` (tracing bypasses the raw-body hit index), and —
    after a clean SIGTERM shutdown — exactly one ``serve.compute`` span
-   in the exported trace against two ``serve.request`` spans for the
+   in the exported trace against three ``serve.request`` spans for the
    schedule posts (no recomputation happened), plus one ``serve``
    record in the run ledger.  A malformed request must come back as a
    400 ``validation`` error without disturbing any of that.
 
-2. **Load session** — start a fresh untraced service and drive the
-   ``repro serve-load`` CLI against it, writing the
-   ``repro-serve-load/1`` report (default ``SERVE_load_smoke.json``,
+2. **Load session** — start a fresh untraced service, post one map
+   request three times and assert the third answer (served from the
+   raw-body hit index, ``fast_hits >= 1``) is byte-identical to the
+   second; then drive the ``repro serve-load`` CLI against it, writing
+   the ``repro-serve-load/1`` report (default ``SERVE_load_smoke.json``,
    published as a CI artifact) and printing the requests/s headline.
 
 Zero dependencies beyond the standard library; exits non-zero on the
@@ -74,7 +77,7 @@ def start_serve(extra_args: list[str]) -> tuple[subprocess.Popen, int]:
     return proc, int(line.rsplit(":", 1)[1])
 
 
-def post(port: int, path: str, payload: dict) -> tuple[int, dict]:
+def post_raw(port: int, path: str, payload: dict) -> tuple[int, bytes]:
     request = Request(
         f"http://127.0.0.1:{port}{path}",
         data=json.dumps(payload).encode("utf-8"),
@@ -82,9 +85,14 @@ def post(port: int, path: str, payload: dict) -> tuple[int, dict]:
     )
     try:
         with urlopen(request, timeout=30) as response:
-            return response.status, json.loads(response.read())
+            return response.status, response.read()
     except HTTPError as exc:
-        return exc.code, json.loads(exc.read())
+        return exc.code, exc.read()
+
+
+def post(port: int, path: str, payload: dict) -> tuple[int, dict]:
+    status, body = post_raw(port, path, payload)
+    return status, json.loads(body)
 
 
 def get(port: int, path: str) -> dict:
@@ -127,6 +135,9 @@ def session_cache_trace_ledger(tmp: Path) -> None:
               "both responses carry the same content-address key")
         check(first["result"] == second["result"],
               "cached result is byte-identical to the computed one")
+        status, third = post(port, "/v1/map", MAP_PAYLOAD)
+        check(status == 200 and third == second,
+              "second repeat served from the cache as well")
 
         status, error = post(port, "/v1/schedule", {"kind": "nonsense"})
         check(
@@ -135,8 +146,10 @@ def session_cache_trace_ledger(tmp: Path) -> None:
         )
 
         counts = get(port, "/v1/stats")["counts"]
-        check(counts["cache_hits"] == 1, "serve.cache_hits counter incremented")
+        check(counts["cache_hits"] == 2, "serve.cache_hits counter incremented")
         check(counts["computed"] == 1, "exactly one request computed")
+        check(counts["fast_hits"] == 0,
+              "traced requests bypass the raw-body hit index")
     finally:
         out, _err = stop(proc)
     check("shutting down" in out, "clean SIGTERM shutdown")
@@ -145,7 +158,7 @@ def session_cache_trace_ledger(tmp: Path) -> None:
     serve_rows = [r for r in records if r["command"] == "serve"]
     check(len(serve_rows) == 1, "one serve record appended to the run ledger")
     metrics = serve_rows[0]["metrics"]
-    check(metrics["serve.cache_hits"] == 1, "ledger row records the cache hit")
+    check(metrics["serve.cache_hits"] == 2, "ledger row records the cache hits")
 
     spans = [
         json.loads(l)
@@ -158,12 +171,20 @@ def session_cache_trace_ledger(tmp: Path) -> None:
         len(compute) == 1,
         "trace holds one serve.compute span (no recomputation on the hit)",
     )
-    check(len(requests) == 3, "trace holds one serve.request span per request")
+    check(len(requests) == 4, "trace holds one serve.request span per request")
 
 
 def session_load(tmp: Path) -> None:
     proc, port = start_serve(["--cache-dir", str(tmp / "load-responses")])
     try:
+        answers = [post_raw(port, "/v1/map", MAP_PAYLOAD) for _ in range(3)]
+        check(all(status == 200 for status, _ in answers)
+              and json.loads(answers[1][1])["cached"] is True,
+              "untraced repeat served from the response cache")
+        check(answers[2][1] == answers[1][1],
+              "third identical post returns the second's bytes")
+        check(get(port, "/v1/stats")["counts"]["fast_hits"] >= 1,
+              "the raw-body hit index served the third post (fast_hits)")
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO / "src") + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
