@@ -87,12 +87,15 @@ smoke-timeline:
 	rm -rf .smoke-timeline
 
 # Rolling-horizon smoke: the arrival/rolling/dynamic-batch test
-# batteries plus one small fault-injected CLI serving run that must
+# batteries, the engine's queue-order units and its decision-identity
+# goldens (so a change to event order fails here, not only in the full
+# suite), plus one small fault-injected CLI serving run that must
 # account for every task (completed + dropped == total) and publish a
 # tasks_scheduled_per_s metric in the run ledger (see docs/rolling.md).
 smoke-rolling:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q \
-		tests/sim/test_rolling.py tests/sim/test_dynamic_batch.py
+		tests/sim/test_rolling.py tests/sim/test_dynamic_batch.py \
+		tests/sim/test_events_engine.py tests/sim/test_engine_golden.py
 	rm -rf .smoke-rolling
 	mkdir -p .smoke-rolling
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro run-rolling \

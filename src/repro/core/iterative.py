@@ -158,16 +158,19 @@ class IterativeResult:
         """
         etc = self.etc
         ready = [self.initial_ready_times.get(m, 0.0) for m in etc.machines]
-        mapping = Mapping(etc, ready)
         task_index, machine_index = etc.task_index, etc.machine_index
+        tasks: list[int] = []
+        machines: list[int] = []
         for rec in self.iterations:
-            machine = machine_index(rec.frozen_machine)
-            for task in rec.frozen_tasks:
-                mapping.assign_index(task_index(task), machine)
+            tasks += map(task_index, rec.frozen_tasks)
+            machines += [machine_index(rec.frozen_machine)] * len(rec.frozen_tasks)
         last = self.iterations[-1]
         for task, machine in last.mapping.to_dict().items():
             if machine != last.frozen_machine:
-                mapping.assign_index(task_index(task), machine_index(machine))
+                tasks.append(task_index(task))
+                machines.append(machine_index(machine))
+        mapping = Mapping(etc, ready)
+        mapping.assign_many(tasks, machines)
         return mapping
 
     def mapping_changed(self) -> bool:

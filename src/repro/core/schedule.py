@@ -14,6 +14,7 @@ the *makespan machine* is the machine attaining it.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Mapping as MappingABC
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -84,8 +85,9 @@ class Mapping:
 
     Heuristics create a ``Mapping`` over a (restricted) ETC matrix and
     call :meth:`assign` (or the index-space :meth:`assign_index`) once
-    per task; the object maintains machine ready times incrementally so
-    each ``CT`` query is O(1).
+    per task, or commit a whole decided order with :meth:`assign_many`;
+    the object maintains machine ready times incrementally so each
+    ``CT`` query is O(1).
 
     Storage is columnar: four commit-order columns (task index, machine
     index, start, finish), a per-task position in that order (``-1``
@@ -283,6 +285,69 @@ class Mapping:
                 f"task {self._etc.tasks[task_index]!r} is already assigned"
             )
         return self._commit(task_index, machine_index)
+
+    def assign_many(
+        self, task_idx: Sequence[int], machine_idx: Sequence[int]
+    ) -> None:
+        """Commit ``task_idx[k]`` to ``machine_idx[k]`` for every ``k``,
+        left to right.
+
+        Bit-identical to calling :meth:`assign_index` on each pair in
+        turn (the same float additions in the same order), but every
+        index is validated before anything is committed: a length
+        mismatch, a duplicate or already-assigned task raises
+        :class:`MappingError`, a negative or out-of-range index raises
+        ``IndexError``, and the mapping is then left unchanged.
+        """
+        tasks = list(map(operator.index, task_idx))
+        machines = list(map(operator.index, machine_idx))
+        if len(tasks) != len(machines):
+            raise MappingError(
+                f"assign_many: {len(tasks)} task indices but "
+                f"{len(machines)} machine indices"
+            )
+        if not tasks:
+            return
+        num_tasks, num_machines = self._etc.values.shape
+        if min(tasks) < 0 or min(machines) < 0:
+            raise IndexError("assign_many: negative task/machine index")
+        if max(tasks) >= num_tasks or max(machines) >= num_machines:
+            raise IndexError(
+                f"assign_many: index out of range for a {num_tasks}x"
+                f"{num_machines} matrix"
+            )
+        if len(set(tasks)) != len(tasks):
+            raise MappingError("assign_many: a task index appears twice")
+        position = self._position
+        for ti in tasks:
+            if position[ti] >= 0:
+                raise MappingError(
+                    f"task {self._etc.tasks[ti]!r} is already assigned"
+                )
+        costs = self._etc.values[tasks, machines].tolist()
+        ready = self._ready.tolist()
+        by_machine = self._by_machine
+        starts = []
+        finishes = []
+        base = len(self._task)
+        for k, (ti, mi, cost) in enumerate(zip(tasks, machines, costs), base):
+            start = ready[mi]
+            ready[mi] = completion = start + cost
+            starts.append(start)
+            finishes.append(completion)
+            position[ti] = k
+            by_machine[mi].append(ti)
+        self._task += tasks
+        self._machine += machines
+        self._start += starts
+        self._finish += finishes
+        self._ready[:] = ready
+        self._assignments = None
+
+    def commit_order(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(task indices, machine indices)`` of the assignments in
+        commit order — the index-space view of :attr:`assignments`."""
+        return tuple(self._task), tuple(self._machine)
 
     def _commit(self, ti: int, mi: int) -> float:
         ready = self._ready

@@ -41,8 +41,10 @@ def replay_mapping(
     finishing-time vector as the mapping it was derived from).
     """
     mapping = Mapping(etc, ready_times)
-    for task in etc.tasks:
-        mapping.assign(task, assignments[task])
+    mapping.assign_many(
+        range(etc.num_tasks),
+        [etc.machine_index(assignments[task]) for task in etc.tasks],
+    )
     return mapping
 
 

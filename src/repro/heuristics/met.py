@@ -70,8 +70,7 @@ class MET(Heuristic):
         near_rows = np.flatnonzero(near.any(axis=1))
         for ti in near_rows.tolist():
             choice[ti] = first_tied_min_index(values[ti])
-        for ti, machine_idx in enumerate(choice.tolist()):
-            mapping.assign_index(ti, machine_idx)
+        mapping.assign_many(range(len(choice)), choice.tolist())
         mapping.certified = not near_rows.size
 
 

@@ -398,8 +398,7 @@ class Duplex(Heuristic):
             part().map_tasks(etc, ready, tie_breaker) for part in self._parts
         ]
         winner = min_map if min_map.makespan() <= max_map.makespan() else max_map
-        for assignment in winner.assignments:
-            mapping.assign(assignment.task, assignment.machine)
+        mapping.assign_many(*winner.commit_order())
 
 
 class ReferenceMinMin(_TwoPhaseReference, MinMin):

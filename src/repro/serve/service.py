@@ -43,6 +43,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import logging
+import os
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -76,6 +77,17 @@ _LATENCY_WINDOW = 10_000
 HIT_INDEX_MAX_BYTES = 64 * 1024 * 1024
 
 _log = logging.getLogger(__name__)
+
+
+def _entry_signature(path: str) -> tuple[int, int, int] | None:
+    """``(st_ino, st_size, st_mtime_ns)`` of a cache entry file, or
+    ``None`` when it is missing.  Atomic replacement changes the inode
+    and an in-place edit the size or modification time."""
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return None
+    return stat.st_ino, stat.st_size, stat.st_mtime_ns
 
 
 def _make_heuristic(request: ScheduleRequest):
@@ -273,8 +285,11 @@ class SchedulingService:
         }
         self.by_kind: dict[str, int] = {}
         self._latencies_ms: list[float] = []
-        #: digest → (cache key, kind, response bytes), oldest use first.
-        self._hit_index: OrderedDict[bytes, tuple[str, str, bytes]] = OrderedDict()
+        #: digest → (cache entry path, kind, response bytes, entry file
+        #: signature), oldest use first.
+        self._hit_index: OrderedDict[
+            bytes, tuple[str, str, bytes, tuple[int, int, int]]
+        ] = OrderedDict()
         self._hit_index_bytes = 0
 
     # -- internals -----------------------------------------------------
@@ -341,16 +356,17 @@ class SchedulingService:
         A fast hit is accounted like any cache hit (``requests``,
         ``cache_hits``, ``by_kind``, the latency window) plus
         ``fast_hits``.  Unknown bytes, a service at its admission cap
-        (the normal path then sheds it) and a cache entry deleted since
-        the bytes were indexed all return ``None``.
+        (the normal path then sheds it) and a cache entry deleted,
+        replaced or edited since the bytes were indexed (one ``stat``
+        against the recorded signature) all return ``None``.
         """
         started = time.perf_counter()
         digest = self._index_digest(path, body)
         entry = self._hit_index.get(digest)
         if entry is None or self._inflight >= self.max_pending:
             return None
-        key, kind, encoded = entry
-        if not self.cache.path_for(key).exists():
+        entry_path, kind, encoded, signature = entry
+        if _entry_signature(entry_path) != signature:
             self._unindex(digest)
             return None
         self._hit_index.move_to_end(digest)
@@ -372,12 +388,16 @@ class SchedulingService:
         if digest is None:
             return
         self._unindex(digest)
+        entry_path = os.fspath(self.cache.path_for(response["key"]))
+        signature = _entry_signature(entry_path)
+        if signature is None:
+            return
         self._hit_index[digest] = (
-            response["key"], response["result"]["kind"], encoded
+            entry_path, response["result"]["kind"], encoded, signature
         )
         self._hit_index_bytes += len(encoded)
         while self._hit_index_bytes > HIT_INDEX_MAX_BYTES:
-            _, (_, _, evicted) = self._hit_index.popitem(last=False)
+            _, (_, _, evicted, _) = self._hit_index.popitem(last=False)
             self._hit_index_bytes -= len(evicted)
 
     async def handle(self, payload) -> tuple[int, dict]:

@@ -100,17 +100,14 @@ class HCSystem:
             start = sim.now
             sim.schedule(duration, "task-finish", payload=(task, machine, start))
 
-        def on_machine_ready(event) -> None:
-            start_next(event.payload)
-
-        def on_task_finish(event) -> None:
-            task, machine, start = event.payload
+        def on_task_finish(payload) -> None:
+            task, machine, start = payload
             trace.add(
                 TaskExecution(task=task, machine=machine, start=start, finish=sim.now)
             )
             start_next(machine)
 
-        sim.on("machine-ready", on_machine_ready)
+        sim.on("machine-ready", start_next)
         sim.on("task-finish", on_task_finish)
         for j, machine in enumerate(self.etc.machines):
             sim.schedule_at(float(self._initial_ready[j]), "machine-ready", machine)
@@ -350,11 +347,8 @@ class FaultTolerantHCSystem:
                 )
             sim.schedule(delay, "task-retry", payload=task)
 
-        def on_machine_ready(event) -> None:
-            try_start(event.payload)
-
-        def on_task_finish(event) -> None:
-            task, machine, start, start_epoch = event.payload
+        def on_task_finish(payload) -> None:
+            task, machine, start, start_epoch = payload
             if start_epoch != epoch[machine]:
                 return  # stale: the machine failed after this was scheduled
             trace.add(
@@ -363,8 +357,8 @@ class FaultTolerantHCSystem:
             current[machine] = None
             try_start(machine)
 
-        def on_machine_fail(event) -> None:
-            machine = event.payload.machine
+        def on_machine_fail(fault) -> None:
+            machine = fault.machine
             if not up[machine]:
                 return
             up[machine] = False
@@ -394,8 +388,8 @@ class FaultTolerantHCSystem:
                 stats["aborted"] += 1
                 retry_or_drop(victim[0], sim.now)
 
-        def on_machine_recover(event) -> None:
-            machine = event.payload.machine
+        def on_machine_recover(fault) -> None:
+            machine = fault.machine
             if up[machine]:
                 return
             up[machine] = True
@@ -405,22 +399,21 @@ class FaultTolerantHCSystem:
                 tracer.event("sim.fault.recover", machine=machine, time=sim.now)
             try_start(machine)
 
-        def on_machine_slow(event) -> None:
-            machine = event.payload.machine
-            factor[machine] = event.payload.factor
+        def on_machine_slow(fault) -> None:
+            machine = fault.machine
+            factor[machine] = fault.factor
             stats["slowdowns"] += 1
             if tracer.enabled:
                 tracer.count("sim.slowdowns")
                 tracer.event(
                     "sim.fault.slow", machine=machine, time=sim.now,
-                    factor=event.payload.factor,
+                    factor=fault.factor,
                 )
 
-        def on_machine_restore(event) -> None:
-            factor[event.payload.machine] = 1.0
+        def on_machine_restore(fault) -> None:
+            factor[fault.machine] = 1.0
 
-        def on_task_retry(event) -> None:
-            task = event.payload
+        def on_task_retry(task) -> None:
             if self.policy == "requeue":
                 enqueue(task, mapped_machine[task], front=True)
                 return
@@ -444,7 +437,7 @@ class FaultTolerantHCSystem:
                 return
             enqueue(task, target)
 
-        sim.on("machine-ready", on_machine_ready)
+        sim.on("machine-ready", try_start)
         sim.on("task-finish", on_task_finish)
         sim.on("task-retry", on_task_retry)
         sim.on("machine-fail", on_machine_fail)
@@ -750,9 +743,8 @@ class DynamicHCSimulation:
             )
             try_start(machine)
 
-        def on_arrival(event) -> None:
+        def on_arrival(task) -> None:
             nonlocal batch_scheduled
-            task = event.payload
             if self.policy is not None:
                 row = etc.task_row(task)
                 machine_idx = self.policy.choose(row, expected_free, sim.now)
@@ -771,7 +763,7 @@ class DynamicHCSimulation:
                 sim.schedule_at(due, "batch-event", priority=10)
                 batch_scheduled = True
 
-        def on_batch_event(event) -> None:
+        def on_batch_event(_) -> None:
             nonlocal batch_scheduled, last_batch
             batch_scheduled = False
             last_batch = sim.now
@@ -787,12 +779,15 @@ class DynamicHCSimulation:
                 sub, ready.tolist(), self.tie_breaker
             )
             pending.clear()
-            for a in mapping.assignments:
-                dispatch(a.task, etc.machine_index(a.machine))
+            # The batch matrix keeps every machine in order, so its
+            # machine indices are the full matrix's.
+            tasks, machine_idx = mapping.commit_order()
+            for t, j in zip(tasks, machine_idx):
+                dispatch(sub.tasks[t], j)
 
-        def on_task_finish(event) -> None:
+        def on_task_finish(payload) -> None:
             nonlocal remaining
-            task, machine, start = event.payload
+            task, machine, start = payload
             arrival = self.workload.arrival_of(task)
             trace.add(
                 TaskExecution(

@@ -487,12 +487,13 @@ class RollingSimulation:
         process.reset()
 
         # --- live state -------------------------------------------------
-        rows: dict[int, np.ndarray] = {}  # task idx -> ETC row (alive until done)
+        # Task idx -> ETC row as a list of floats (alive until done).
+        rows: dict[int, list[float]] = {}
         arrival_time: dict[int, float] = {}
         pending: list[int] = []  # awaiting the next mapping event
         queues: list[deque[int]] = [deque() for _ in range(num_machines)]
         running: list[tuple[int, float, float] | None] = [None] * num_machines
-        expected_free = np.zeros(num_machines, dtype=np.float64)
+        expected_free = [0.0] * num_machines
         up = [True] * num_machines
         factor = [1.0] * num_machines
         epoch = [0] * num_machines
@@ -564,18 +565,17 @@ class RollingSimulation:
                 return
             idx = queues[j].popleft()
             start = sim.now
-            duration = float(rows[idx][j]) * factor[j]
+            duration = rows[idx][j] * factor[j]
             running[j] = (idx, start, start + duration)
             sim.schedule(duration, "task-finish", payload=(idx, j, start, epoch[j]))
 
         def dispatch(idx: int, j: int) -> None:
+            now = sim.now
             mapped_machine[idx] = j
             queues[j].append(idx)
-            expected_free[j] = (
-                max(expected_free[j], sim.now) + float(rows[idx][j]) * factor[j]
-            )
+            expected_free[j] = max(expected_free[j], now) + rows[idx][j] * factor[j]
             stats["dispatches"] += 1
-            wait = sim.now - arrival_time[idx]
+            wait = now - arrival_time[idx]
             agg["sum_wait"] += wait
             if wait > agg["max_wait"]:
                 agg["max_wait"] = wait
@@ -625,31 +625,29 @@ class RollingSimulation:
                 batch=len(batch),
                 live=len(live),
             ):
-                scale = np.array([factor[j] for j in live], dtype=np.float64)
-                values = np.empty((len(batch), len(live)), dtype=np.float64)
-                for row_i, idx in enumerate(batch):
-                    values[row_i] = rows[idx][live]
-                values *= scale
+                values = np.array([rows[idx] for idx in batch], dtype=np.float64)
+                if len(live) < num_machines:
+                    values = values[:, live]
+                values *= np.array([factor[j] for j in live], dtype=np.float64)
                 labels = [f"t{idx}" for idx in batch]
                 sub = ETCMatrix(
                     values, tasks=labels, machines=[machines[j] for j in live]
                 )
-                ready = [
-                    max(float(expected_free[j]), sim.now) for j in live
-                ]
+                now = sim.now
+                ready = [max(expected_free[j], now) for j in live]
                 result = scheduler.run(
                     sub, ready_times=ready, max_iterations=self.refine_iterations
                 )
-                mapping = result.final_mapping()
-                for assignment in mapping.assignments:
-                    idx = int(assignment.task[1:])
-                    j = int(assignment.machine[1:])
-                    dispatch(idx, j)
+                # Commit-order columns index the batch's rows and the
+                # live machines, so no label is parsed back.
+                tasks, machine_idx = result.final_mapping().commit_order()
+                for t, m in zip(tasks, machine_idx):
+                    dispatch(batch[t], live[m])
 
         # --- handlers ---------------------------------------------------
-        def on_arrival(event) -> None:
-            idx, chunk, i = event.payload
-            rows[idx] = np.array(chunk[i], dtype=np.float64)
+        def on_arrival(payload) -> None:
+            idx, chunk, i = payload
+            rows[idx] = chunk[i].tolist()
             arrival_time[idx] = sim.now
             pending.append(idx)
             stats["arrived"] += 1
@@ -664,7 +662,7 @@ class RollingSimulation:
                     pass
             sample()
 
-        def on_horizon(event) -> None:
+        def on_horizon(_) -> None:
             nonlocal horizon_scheduled, last_batch
             horizon_scheduled = False
             last_batch = sim.now
@@ -672,8 +670,8 @@ class RollingSimulation:
                 map_pending()
             sample()
 
-        def on_task_finish(event) -> None:
-            idx, j, start, start_epoch = event.payload
+        def on_task_finish(payload) -> None:
+            idx, j, start, start_epoch = payload
             if start_epoch != epoch[j]:
                 return  # stale: machine failed after this was scheduled
             running[j] = None
@@ -689,8 +687,7 @@ class RollingSimulation:
             try_start(j)
             sample()
 
-        def on_task_retry(event) -> None:
-            idx = event.payload
+        def on_task_retry(idx) -> None:
             if idx not in rows:
                 return  # dropped meanwhile
             if self.recovery == "requeue":
@@ -701,8 +698,8 @@ class RollingSimulation:
             pending.append(idx)
             ensure_horizon()
 
-        def on_machine_fail(event) -> None:
-            j = machines.index(event.payload.machine)
+        def on_machine_fail(fault) -> None:
+            j = machines.index(fault.machine)
             if not up[j]:
                 return
             up[j] = False
@@ -724,21 +721,21 @@ class RollingSimulation:
                 retry_or_drop(victim[0])
             sample()
 
-        def on_machine_recover(event) -> None:
-            j = machines.index(event.payload.machine)
+        def on_machine_recover(fault) -> None:
+            j = machines.index(fault.machine)
             if up[j]:
                 return
             up[j] = True
             stats["recoveries"] += 1
             try_start(j)
 
-        def on_machine_slow(event) -> None:
-            j = machines.index(event.payload.machine)
-            factor[j] = event.payload.factor
+        def on_machine_slow(fault) -> None:
+            j = machines.index(fault.machine)
+            factor[j] = fault.factor
             stats["slowdowns"] += 1
 
-        def on_machine_restore(event) -> None:
-            factor[machines.index(event.payload.machine)] = 1.0
+        def on_machine_restore(fault) -> None:
+            factor[machines.index(fault.machine)] = 1.0
 
         sim.on("task-arrival", on_arrival)
         sim.on("rolling-horizon", on_horizon)

@@ -155,3 +155,76 @@ def test_mapping_and_result_survive_pickling(name):
         _view(r.mapping) for r in result.iterations
     ]
     assert _view(clone.final_mapping()) == _view(result.final_mapping())
+
+
+def _columns(mapping):
+    """The internal state a bulk commit must reproduce bit for bit."""
+    return (
+        mapping.ready_times_view().tolist(),
+        mapping._task,
+        mapping._machine,
+        mapping._start,
+        mapping._finish,
+        mapping._position,
+        mapping._by_machine,
+    )
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_assign_many_is_bit_identical_to_sequential_commits(data):
+    num_tasks = data.draw(st.integers(1, 24))
+    num_machines = data.draw(st.integers(1, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(0.1, 1e4, (num_tasks, num_machines))
+    if data.draw(st.booleans()):
+        values = np.round(values)  # tie-rich
+    etc = ETCMatrix(values)
+    ready = rng.uniform(0.0, 1e3, num_machines) * data.draw(st.integers(0, 1))
+    order = rng.permutation(num_tasks).tolist()
+    machines = rng.integers(num_machines, size=num_tasks).tolist()
+    # A prefix committed one by one, so the bulk commit starts mid-way.
+    split = data.draw(st.integers(0, num_tasks))
+    sequential = Mapping(etc, ready.tolist())
+    bulk = Mapping(etc, ready.tolist())
+    for ti, mi in zip(order[:split], machines[:split]):
+        bulk.assign_index(ti, mi)
+    bulk.assign_many(order[split:], machines[split:])
+    for ti, mi in zip(order, machines):
+        sequential.assign_index(ti, mi)
+    assert _columns(bulk) == _columns(sequential)
+    assert _view(bulk) == _view(sequential)
+
+
+@pytest.mark.parametrize(
+    ("tasks", "machines", "error"),
+    [
+        ([0, 2, 0], [0, 1, 1], MappingError),  # duplicate task
+        ([0, 1], [0], MappingError),  # length mismatch
+        ([0, -1], [0, 0], IndexError),  # negative task
+        ([0, 1], [0, -1], IndexError),  # negative machine
+        ([0, 4], [0, 0], IndexError),  # task out of range
+        ([0, 1], [0, 2], IndexError),  # machine out of range
+        ([0, 3], [1, 0], MappingError),  # task 3 is already assigned
+        ([0.0, 1], [0, 0], TypeError),  # not an integer
+    ],
+)
+def test_assign_many_rejects_bad_indices_without_committing(tasks, machines, error):
+    etc = generate_range_based(4, 2, rng=3)
+    mapping = Mapping(etc, [1.0, 2.0])
+    mapping.assign_index(3, 1)
+    before = (_columns(mapping), _view(mapping))
+    with pytest.raises(error):
+        mapping.assign_many(tasks, machines)
+    assert (_columns(mapping), _view(mapping)) == before
+
+
+def test_commit_order_is_the_index_view_of_assignments():
+    etc = generate_range_based(5, 3, rng=4)
+    mapping = Mapping(etc)
+    mapping.assign_many([3, 0, 4], [2, 2, 0])
+    tasks, machines = mapping.commit_order()
+    assert (tasks, machines) == ((3, 0, 4), (2, 2, 0))
+    assert [(a.task, a.machine) for a in mapping.assignments] == [
+        (etc.tasks[t], etc.machines[m]) for t, m in zip(tasks, machines)
+    ]

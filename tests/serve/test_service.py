@@ -335,6 +335,27 @@ def test_hit_index_evicts_least_recently_used(tmp_path, monkeypatch):
         service.close()
 
 
+def test_entry_edited_in_place_is_not_a_fast_hit(tmp_path):
+    service = make_service(tmp_path)
+    try:
+        sent = [_serve_indexed(service, MAP_PAYLOAD) for _ in range(3)]
+        assert service.counts["fast_hits"] == 1
+        entry = service.cache.path_for(json.loads(sent[0])["key"])
+        inode = entry.stat().st_ino
+        stored = json.loads(entry.read_text())
+        stored["result"]["note"] = "edited in place"
+        entry.write_text(json.dumps(stored))
+        assert entry.stat().st_ino == inode
+        edited = _serve_indexed(service, MAP_PAYLOAD)
+        again = _serve_indexed(service, MAP_PAYLOAD)
+    finally:
+        service.close()
+    assert json.loads(edited)["result"]["note"] == "edited in place"
+    assert service.counts["fast_hits"] == 2  # the edit re-indexed, not served
+    assert again == edited
+    assert service.counts["cache_hits"] == 4
+
+
 def test_fast_hit_respects_the_admission_cap(tmp_path):
     service = make_service(tmp_path, max_pending=1)
     try:

@@ -1,54 +1,74 @@
-"""Unit tests for the event queue and the DES engine."""
+"""Unit tests for the DES engine and its event queue."""
 
 import pytest
 
 from repro.exceptions import SimulationError
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, EventQueue
+
+
+def recording_sim(*kinds):
+    """A simulator that appends each dispatched event's kind to ``.seen``."""
+    sim = Simulator()
+    sim.seen = []
+    for kind in kinds:
+        sim.on(kind, lambda payload, kind=kind: sim.seen.append(kind))
+    return sim
 
 
 class TestEvent:
+    """Event times are validated when an event is scheduled."""
+
     def test_rejects_negative_time(self):
         with pytest.raises(SimulationError):
-            Event(time=-1.0, kind="x")
+            Simulator().schedule_at(-1.0, "x")
 
     def test_rejects_nan_time(self):
+        sim = Simulator()
         with pytest.raises(SimulationError):
-            Event(time=float("nan"), kind="x")
+            sim.schedule_at(float("nan"), "x")
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), "x")
+        assert sim.pending_events == 0
 
 
 class TestEventQueue:
+    """Dispatch order of the simulator's event queue."""
+
     def test_time_order(self):
-        q = EventQueue()
-        q.push(Event(5.0, "b"))
-        q.push(Event(1.0, "a"))
-        assert q.pop().kind == "a"
-        assert q.pop().kind == "b"
+        sim = recording_sim("a", "b")
+        sim.schedule_at(5.0, "b")
+        sim.schedule_at(1.0, "a")
+        sim.run()
+        assert sim.seen == ["a", "b"]
 
     def test_fifo_among_simultaneous(self):
-        q = EventQueue()
-        for i in range(5):
-            q.push(Event(2.0, f"e{i}"))
-        kinds = [q.pop().kind for _ in range(5)]
-        assert kinds == [f"e{i}" for i in range(5)]
+        kinds = [f"e{i}" for i in range(5)]
+        sim = recording_sim(*kinds)
+        for kind in kinds:
+            sim.schedule_at(2.0, kind)
+        sim.run()
+        assert sim.seen == kinds
 
     def test_priority_before_seq(self):
-        q = EventQueue()
-        q.push(Event(1.0, "late", priority=5))
-        q.push(Event(1.0, "early", priority=0))
-        assert q.pop().kind == "early"
+        sim = recording_sim("late", "early")
+        sim.schedule_at(1.0, "late", priority=5)
+        sim.schedule_at(1.0, "early", priority=0)
+        sim.run()
+        assert sim.seen == ["early", "late"]
 
-    def test_pop_empty_raises(self):
-        with pytest.raises(SimulationError):
-            EventQueue().pop()
+    def test_run_on_empty_queue_dispatches_nothing(self):
+        sim = Simulator()
+        assert sim.run() == 0.0
+        assert sim.processed_events == 0
 
     def test_peek_and_len(self):
-        q = EventQueue()
-        assert q.peek_time() is None
-        assert not q
-        q.push(Event(3.0, "x"))
-        assert q.peek_time() == 3.0
-        assert len(q) == 1
+        sim = recording_sim("x")
+        assert sim.pending_events == 0
+        sim.schedule_at(3.0, "x")
+        assert sim.pending_events == 1
+        # The head of the queue lies past ``until``: nothing dispatches.
+        assert sim.run(until=2.0) == 2.0
+        assert sim.seen == [] and sim.pending_events == 1
 
 
 class TestSimulator:
@@ -137,7 +157,7 @@ class TestSimulator:
     def test_payload_passthrough(self):
         sim = Simulator()
         got = []
-        sim.on("x", lambda e: got.append(e.payload))
+        sim.on("x", got.append)
         sim.schedule(0.0, "x", payload={"k": 1})
         sim.run()
         assert got == [{"k": 1}]
