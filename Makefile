@@ -36,13 +36,15 @@ smoke-obs:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q -m obs
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro trace --example min-min
 
-# Fault-injection smoke: the fault plan/executor/study test batteries
-# plus one end-to-end CLI run that injects failures and recovers (see
+# Fault-injection smoke: the fault plan/executor/study test batteries,
+# the static-vs-rolling executor differential tests, plus one
+# end-to-end CLI run that injects failures and recovers (see
 # docs/robustness.md).
 smoke-faults:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q \
 		tests/sim/test_faults.py tests/analysis/test_fault_study.py \
-		tests/core/test_iterative_edges.py
+		tests/core/test_iterative_edges.py \
+		tests/sim/test_executor_differential.py
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro simulate --faults \
 		--tasks 20 --machines 4 --failures 3 --recovery remap
 
@@ -89,13 +91,14 @@ smoke-timeline:
 # Rolling-horizon smoke: the arrival/rolling/dynamic-batch test
 # batteries, the engine's queue-order units and its decision-identity
 # goldens (so a change to event order fails here, not only in the full
-# suite), plus one small fault-injected CLI serving run that must
+# suite), the executor differential tests, plus one small fault-injected CLI serving run that must
 # account for every task (completed + dropped == total) and publish a
 # tasks_scheduled_per_s metric in the run ledger (see docs/rolling.md).
 smoke-rolling:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q \
 		tests/sim/test_rolling.py tests/sim/test_dynamic_batch.py \
-		tests/sim/test_events_engine.py tests/sim/test_engine_golden.py
+		tests/sim/test_events_engine.py tests/sim/test_engine_golden.py \
+		tests/sim/test_executor_differential.py
 	rm -rf .smoke-rolling
 	mkdir -p .smoke-rolling
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro run-rolling \

@@ -6,35 +6,29 @@ tasks arrive continuously (Poisson, bursty, or trace-replay gaps from
 of tasks that arrived since the previous mapping event is mapped by a
 pluggable heuristic and then **refined by the paper's iterative
 technique** (:class:`~repro.core.iterative.IterativeScheduler`) before
-being dispatched to per-machine FIFO queues.  A seeded
-:class:`~repro.sim.faults.FaultPlan` may inject failures, recoveries
-and slowdowns live during the run; interrupted tasks are recovered
-across horizon boundaries (``remap`` sends them to the next batch,
-``requeue`` back to the head of their machine's queue) under a bounded
-retry budget, and exhausted tasks are *reported dropped, never lost* —
-the run raises if the accounting does not close.
+being dispatched to the machines of a
+:class:`~repro.sim.executor.MachineExecutor`, the same executor the
+static and dynamic simulators run on.  A seeded
+:class:`~repro.sim.faults.FaultPlan` may inject faults live; ``remap``
+recovery sends displaced tasks to the next horizon batch.
 
 Task definitions stream in bounded windows from a
 :class:`TaskSource` — either generated on the fly
-(:class:`EnsembleTaskSource`, wrapping PR 7's ``stream_ensemble``) or
+(:class:`EnsembleTaskSource`, wrapping ``stream_ensemble``) or
 memory-mapped out of an :class:`~repro.etc.store.ETCStore`
 (:class:`StoreTaskSource`) — so a million-task run holds one window of
 definitions plus the live backlog, never the whole workload.
 
-Observability: ``rolling.horizon`` spans (one per mapping event, with
-batch size and live-machine count) nest under a ``rolling.run`` phase
-for ``repro obs timeline``, and an optional :class:`RollingSampler`
-writes a ``repro-timeseries/1`` throughput log (``tasks_scheduled`` /
-``tasks_per_s`` headline, backlog, RSS).  See docs/rolling.md.
+Observability: one ``rolling.horizon`` span per mapping event under a
+``rolling.run`` phase, and an optional :class:`RollingSampler`
+throughput log (``repro-timeseries/1``).  See docs/rolling.md.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -53,8 +47,8 @@ from repro.obs.timeseries import TIMESERIES_SCHEMA, TimeSeriesLog, rss_bytes
 from repro.obs.tracer import get_tracer
 from repro.sim.arrivals import ArrivalProcess, PoissonArrivals
 from repro.sim.engine import Simulator
+from repro.sim.executor import MachineExecutor, Recovery
 from repro.sim.faults import FaultPlan
-from repro.sim.hcsystem import RECOVERY_POLICIES
 
 __all__ = [
     "TaskSource",
@@ -89,6 +83,17 @@ class TaskSource:
 
     def chunks(self) -> Iterator[np.ndarray]:
         raise NotImplementedError
+
+    def _rows(self, blocks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+        """Flatten ``blocks`` into task rows, trimmed to ``num_tasks``."""
+        emitted = 0
+        for block in blocks:
+            rows = block.reshape(-1, self.num_machines)
+            take = min(rows.shape[0], self.num_tasks - emitted)
+            if take <= 0:
+                return
+            yield np.ascontiguousarray(rows[:take])
+            emitted += take
 
 
 class EnsembleTaskSource(TaskSource):
@@ -132,24 +137,18 @@ class EnsembleTaskSource(TaskSource):
         self.window = int(window)
 
     def chunks(self) -> Iterator[np.ndarray]:
-        count = -(-self.num_tasks // self.tasks_per_instance)
-        emitted = 0
-        for block in stream_ensemble(
-            count,
-            self.tasks_per_instance,
-            self.num_machines,
-            heterogeneity=self.heterogeneity,
-            consistency=self.consistency,
-            method=self.method,
-            rng=self._rng,
-            window=self.window,
-        ):
-            rows = block.reshape(-1, self.num_machines)
-            take = min(rows.shape[0], self.num_tasks - emitted)
-            if take <= 0:
-                return
-            yield np.ascontiguousarray(rows[:take])
-            emitted += take
+        return self._rows(
+            stream_ensemble(
+                -(-self.num_tasks // self.tasks_per_instance),
+                self.tasks_per_instance,
+                self.num_machines,
+                heterogeneity=self.heterogeneity,
+                consistency=self.consistency,
+                method=self.method,
+                rng=self._rng,
+                window=self.window,
+            )
+        )
 
 
 class StoreTaskSource(TaskSource):
@@ -185,16 +184,10 @@ class StoreTaskSource(TaskSource):
 
     def chunks(self) -> Iterator[np.ndarray]:
         values = self._batch.values
-        count = values.shape[0]
-        emitted = 0
-        for start in range(0, count, self.window):
-            block = np.array(values[start : start + self.window], dtype=np.float64)
-            rows = block.reshape(-1, self.num_machines)
-            take = min(rows.shape[0], self.num_tasks - emitted)
-            if take <= 0:
-                return
-            yield np.ascontiguousarray(rows[:take])
-            emitted += take
+        return self._rows(
+            np.array(values[start : start + self.window], dtype=np.float64)
+            for start in range(0, values.shape[0], self.window)
+        )
 
 
 def calibrate_rate(
@@ -374,11 +367,9 @@ class RollingSimulation:
         paper's technique to completion, ``k`` stops after ``k``
         iterations (original mapping included).
     plan / recovery / retry_budget / backoff_base / backoff_cap:
-        Live fault injection, with the same recovery semantics as
-        :class:`~repro.sim.hcsystem.FaultTolerantHCSystem` adapted to
-        the rolling loop: ``remap`` sends interrupted and stranded
-        tasks to the *next horizon batch*; ``requeue`` pins the victim
-        to the head of its machine's queue.
+        Live fault injection on the shared executor (as in
+        :class:`~repro.sim.hcsystem.FaultTolerantHCSystem`), except that
+        ``remap`` sends displaced tasks to the *next horizon batch*.
     """
 
     def __init__(
@@ -404,25 +395,7 @@ class RollingSimulation:
             raise ConfigurationError(
                 f"refine_iterations must be >= 1 or None, got {refine_iterations}"
             )
-        if recovery not in RECOVERY_POLICIES:
-            raise ConfigurationError(
-                f"unknown recovery policy {recovery!r}; "
-                f"choose from {RECOVERY_POLICIES}"
-            )
-        if retry_budget < 0:
-            raise ConfigurationError(
-                f"retry_budget must be >= 0, got {retry_budget}"
-            )
-        if backoff_base <= 0:
-            raise ConfigurationError(
-                f"backoff_base must be positive, got {backoff_base}"
-            )
-        if backoff_cap is None:
-            backoff_cap = 32.0 * backoff_base
-        if backoff_cap < backoff_base:
-            raise ConfigurationError(
-                f"backoff_cap {backoff_cap} must be >= backoff_base {backoff_base}"
-            )
+        self._recovery = Recovery(recovery, retry_budget, backoff_base, backoff_cap)
         self.source = source
         self.heuristic = heuristic
         self.horizon = float(horizon)
@@ -438,23 +411,23 @@ class RollingSimulation:
             )
         self.plan = plan
         self.recovery = recovery
-        self.retry_budget = int(retry_budget)
-        self.backoff_base = float(backoff_base)
-        self.backoff_cap = float(backoff_cap)
+        self.retry_budget = self._recovery.retry_budget
+        self.backoff_base = self._recovery.backoff_base
+        self.backoff_cap = self._recovery.backoff_cap
         self.tie_breaker = tie_breaker or DeterministicTieBreaker()
 
     # ------------------------------------------------------------------
     def backoff_delay(self, attempt: int) -> float:
-        return min(self.backoff_base * 2.0 ** (attempt - 1), self.backoff_cap)
+        """Backoff before retry ``attempt`` (1-based): bounded doubling."""
+        return self._recovery.backoff_delay(attempt)
 
     def _make_process(self, first_chunk: np.ndarray) -> tuple[ArrivalProcess, float]:
         rate = calibrate_rate(first_chunk, self.utilization)
         if self.arrival is None:
             return PoissonArrivals(rate), rate
-        if isinstance(self.arrival, ArrivalProcess):
-            process = self.arrival
-            return process, getattr(process, "rate", rate)
-        process = self.arrival(rate)
+        process = (
+            self.arrival if isinstance(self.arrival, ArrivalProcess) else self.arrival(rate)
+        )
         return process, getattr(process, "rate", rate)
 
     # ------------------------------------------------------------------
@@ -470,11 +443,7 @@ class RollingSimulation:
         num_machines = source.num_machines
         machines = self.machines
         tracer = get_tracer()
-        gen = (
-            self._rng
-            if isinstance(self._rng, np.random.Generator)
-            else np.random.default_rng(self._rng)
-        )
+        gen = np.random.default_rng(self._rng)  # a Generator passes through
         scheduler = IterativeScheduler(self.heuristic, tie_breaker=self.tie_breaker)
 
         sim = Simulator()
@@ -486,53 +455,52 @@ class RollingSimulation:
         process, arrival_rate = self._make_process(first_chunk)
         process.reset()
 
-        # --- live state -------------------------------------------------
         # Task idx -> ETC row as a list of floats (alive until done).
         rows: dict[int, list[float]] = {}
         arrival_time: dict[int, float] = {}
         pending: list[int] = []  # awaiting the next mapping event
-        queues: list[deque[int]] = [deque() for _ in range(num_machines)]
-        running: list[tuple[int, float, float] | None] = [None] * num_machines
-        expected_free = [0.0] * num_machines
-        up = [True] * num_machines
-        factor = [1.0] * num_machines
-        epoch = [0] * num_machines
-        attempts: dict[int, int] = {}
-        mapped_machine: dict[int, int] = {}
-        dropped: list[str] = []
-        plan_events = self.plan.events if self.plan is not None else ()
-        recovery_times = sorted(
-            event.time for event in plan_events if event.kind == "recover"
-        )
-
-        # --- aggregates -------------------------------------------------
-        stats = {
-            "arrived": 0, "dispatches": 0, "completed": 0,
-            "horizons": 0, "batch_max": 0,
-            "failures": 0, "recoveries": 0, "slowdowns": 0,
-            "aborted": 0, "retries": 0,
-        }
         agg = {
+            "arrived": 0, "dispatches": 0, "horizons": 0, "batch_max": 0,
             "sum_wait": 0.0, "max_wait": 0.0, "sum_flow": 0.0,
             "makespan": 0.0, "peak_backlog": 0,
         }
         horizon_scheduled = False
         last_batch = -np.inf
-        chunk_last_idx = -1
         next_task_idx = 0
 
-        # --- helpers ----------------------------------------------------
+        def on_complete(idx: int, j: int, start: float) -> None:
+            finish = sim.now
+            agg["sum_flow"] += finish - arrival_time.pop(idx)
+            if finish > agg["makespan"]:
+                agg["makespan"] = finish
+            del rows[idx]
+            sample()
+
+        def remap(idx: int) -> bool:
+            # Interrupted and stranded tasks wait for the next horizon.
+            pending.append(idx)
+            ensure_horizon()
+            return True
+
+        executor = MachineExecutor(
+            sim, rows, machines, task_name="t{}".format, on_complete=on_complete,
+            remap=remap, plan=self.plan, recovery=self._recovery,
+        )
+        stats = executor.stats
+        up, factor = executor.up, executor.factor
+        expected_free, dispatch = executor.expected_free, executor.dispatch
+
         def backlog_size() -> int:
             # Tasks in the system (pending + queued + in flight).
-            return stats["arrived"] - stats["completed"] - len(dropped)
+            return agg["arrived"] - stats["completed"] - stats["dropped"]
 
         def sample() -> None:
             if sampler is None:
                 return
-            sampler.tasks_arrived = stats["arrived"]
-            sampler.tasks_scheduled = stats["dispatches"]
+            sampler.tasks_arrived = agg["arrived"]
+            sampler.tasks_scheduled = agg["dispatches"]
             sampler.tasks_completed = stats["completed"]
-            sampler.tasks_dropped = len(dropped)
+            sampler.tasks_dropped = stats["dropped"]
             sampler.failures = stats["failures"]
             sampler.pending = len(pending)
             sampler.backlog = backlog_size()
@@ -540,17 +508,11 @@ class RollingSimulation:
             sampler.note()
 
         def schedule_chunk(chunk: np.ndarray) -> None:
-            nonlocal next_task_idx, chunk_last_idx
-            count = chunk.shape[0]
-            gaps = process.gaps(count, gen)
-            times = float(sim.now) + np.cumsum(gaps)
-            base = next_task_idx
-            for i in range(count):
-                sim.schedule_at(
-                    float(times[i]), "task-arrival", payload=(base + i, chunk, i)
-                )
-            next_task_idx = base + count
-            chunk_last_idx = next_task_idx - 1
+            nonlocal next_task_idx
+            times = float(sim.now) + np.cumsum(process.gaps(len(chunk), gen))
+            for i, time in enumerate(times.tolist()):
+                sim.schedule_at(time, "task-arrival", (next_task_idx + i, chunk, i))
+            next_task_idx += len(chunk)
 
         def ensure_horizon() -> None:
             nonlocal horizon_scheduled
@@ -560,68 +522,26 @@ class RollingSimulation:
             sim.schedule_at(due, "rolling-horizon", priority=10)
             horizon_scheduled = True
 
-        def try_start(j: int) -> None:
-            if not up[j] or running[j] is not None or not queues[j]:
-                return
-            idx = queues[j].popleft()
-            start = sim.now
-            duration = rows[idx][j] * factor[j]
-            running[j] = (idx, start, start + duration)
-            sim.schedule(duration, "task-finish", payload=(idx, j, start, epoch[j]))
-
-        def dispatch(idx: int, j: int) -> None:
-            now = sim.now
-            mapped_machine[idx] = j
-            queues[j].append(idx)
-            expected_free[j] = max(expected_free[j], now) + rows[idx][j] * factor[j]
-            stats["dispatches"] += 1
-            wait = now - arrival_time[idx]
-            agg["sum_wait"] += wait
-            if wait > agg["max_wait"]:
-                agg["max_wait"] = wait
-            try_start(j)
-
-        def retry_or_drop(idx: int) -> None:
-            attempts[idx] = attempts.get(idx, 0) + 1
-            if attempts[idx] > self.retry_budget:
-                dropped.append(f"t{idx}")
-                rows.pop(idx, None)
-                arrival_time.pop(idx, None)
-                mapped_machine.pop(idx, None)
-                if tracer.enabled:
-                    tracer.count("rolling.dropped")
-                return
-            stats["retries"] += 1
-            if tracer.enabled:
-                tracer.count("rolling.retries")
-            sim.schedule(
-                self.backoff_delay(attempts[idx]), "task-retry", payload=idx
-            )
-
         def map_pending() -> None:
             nonlocal horizon_scheduled
             live = [j for j in range(num_machines) if up[j]]
             if not live:
-                # Defer the whole batch to the next known recovery (the
-                # retry-after-recover ordering trick: priority 20 puts
-                # this event after the recover at the same instant).
-                index = bisect_right(recovery_times, sim.now)
-                due = (
-                    recovery_times[index]
-                    if index < len(recovery_times)
-                    else sim.now + self.horizon
-                )
+                # Defer the whole batch to the next known recovery
+                # (priority 20 puts it after the recover at that instant).
+                due = executor.next_recovery(sim.now)
+                if due is None:
+                    due = sim.now + self.horizon
                 sim.schedule_at(due, "rolling-horizon", priority=20)
                 horizon_scheduled = True
                 return
             batch = list(pending)
             pending.clear()
-            stats["horizons"] += 1
-            if len(batch) > stats["batch_max"]:
-                stats["batch_max"] = len(batch)
+            agg["horizons"] += 1
+            if len(batch) > agg["batch_max"]:
+                agg["batch_max"] = len(batch)
             with tracer.phase(
                 "rolling.horizon",
-                index=stats["horizons"],
+                index=agg["horizons"],
                 batch=len(batch),
                 live=len(live),
             ):
@@ -641,25 +561,29 @@ class RollingSimulation:
                 # Commit-order columns index the batch's rows and the
                 # live machines, so no label is parsed back.
                 tasks, machine_idx = result.final_mapping().commit_order()
+                agg["dispatches"] += len(tasks)
                 for t, m in zip(tasks, machine_idx):
-                    dispatch(batch[t], live[m])
+                    idx = batch[t]
+                    wait = now - arrival_time[idx]
+                    agg["sum_wait"] += wait
+                    if wait > agg["max_wait"]:
+                        agg["max_wait"] = wait
+                    dispatch(idx, live[m])
 
-        # --- handlers ---------------------------------------------------
         def on_arrival(payload) -> None:
             idx, chunk, i = payload
             rows[idx] = chunk[i].tolist()
             arrival_time[idx] = sim.now
             pending.append(idx)
-            stats["arrived"] += 1
+            agg["arrived"] += 1
             backlog = backlog_size()
             if backlog > agg["peak_backlog"]:
                 agg["peak_backlog"] = backlog
             ensure_horizon()
-            if idx == chunk_last_idx:
-                try:
-                    schedule_chunk(next(chunk_iter))
-                except StopIteration:
-                    pass
+            if i == len(chunk) - 1:  # the window's last arrival: stream the next
+                chunk = next(chunk_iter, None)
+                if chunk is not None:
+                    schedule_chunk(chunk)
             sample()
 
         def on_horizon(_) -> None:
@@ -670,81 +594,8 @@ class RollingSimulation:
                 map_pending()
             sample()
 
-        def on_task_finish(payload) -> None:
-            idx, j, start, start_epoch = payload
-            if start_epoch != epoch[j]:
-                return  # stale: machine failed after this was scheduled
-            running[j] = None
-            stats["completed"] += 1
-            finish = sim.now
-            agg["sum_flow"] += finish - arrival_time[idx]
-            if finish > agg["makespan"]:
-                agg["makespan"] = finish
-            rows.pop(idx, None)
-            arrival_time.pop(idx, None)
-            attempts.pop(idx, None)
-            mapped_machine.pop(idx, None)
-            try_start(j)
-            sample()
-
-        def on_task_retry(idx) -> None:
-            if idx not in rows:
-                return  # dropped meanwhile
-            if self.recovery == "requeue":
-                j = mapped_machine[idx]
-                queues[j].appendleft(idx)
-                try_start(j)
-                return
-            pending.append(idx)
-            ensure_horizon()
-
-        def on_machine_fail(fault) -> None:
-            j = machines.index(fault.machine)
-            if not up[j]:
-                return
-            up[j] = False
-            epoch[j] += 1
-            stats["failures"] += 1
-            if tracer.enabled:
-                tracer.count("rolling.failures")
-            victim = running[j]
-            running[j] = None
-            if self.recovery == "remap" and queues[j]:
-                # Stranded queued tasks never failed: back to the next
-                # batch without charging their retry budgets.
-                stranded = list(queues[j])
-                queues[j].clear()
-                pending.extend(stranded)
-                ensure_horizon()
-            if victim is not None:
-                stats["aborted"] += 1
-                retry_or_drop(victim[0])
-            sample()
-
-        def on_machine_recover(fault) -> None:
-            j = machines.index(fault.machine)
-            if up[j]:
-                return
-            up[j] = True
-            stats["recoveries"] += 1
-            try_start(j)
-
-        def on_machine_slow(fault) -> None:
-            j = machines.index(fault.machine)
-            factor[j] = fault.factor
-            stats["slowdowns"] += 1
-
-        def on_machine_restore(fault) -> None:
-            factor[machines.index(fault.machine)] = 1.0
-
         sim.on("task-arrival", on_arrival)
         sim.on("rolling-horizon", on_horizon)
-        sim.on("task-finish", on_task_finish)
-        sim.on("task-retry", on_task_retry)
-        sim.on("machine-fail", on_machine_fail)
-        sim.on("machine-recover", on_machine_recover)
-        sim.on("machine-slow", on_machine_slow)
-        sim.on("machine-restore", on_machine_restore)
 
         with tracer.phase(
             "rolling.run",
@@ -754,51 +605,35 @@ class RollingSimulation:
             heuristic=self.heuristic.name,
         ):
             schedule_chunk(first_chunk)
-            # Faults run at a lower priority than same-instant finishes,
-            # matching FaultTolerantHCSystem semantics.
-            for fault in plan_events:
-                sim.schedule_at(
-                    fault.time, f"machine-{fault.kind}", payload=fault, priority=10
-                )
+            executor.schedule_plan()
+            faults = len(self.plan.events) if self.plan else 0
             sim.run(
-                max_events=12 * (total + 1) * (self.retry_budget + 2)
-                + 6 * len(plan_events)
-                + 50_000,
+                max_events=12 * (total + 1) * (self.retry_budget + 2) + 6 * faults + 50_000,
                 progress=progress,
                 progress_every=progress_every,
             )
 
-        if stats["completed"] + len(dropped) != total or stats["arrived"] != total:
-            raise SimulationError(
-                f"rolling accounting failed: arrived {stats['arrived']}, "
-                f"completed {stats['completed']}, dropped {len(dropped)} "
-                f"of {total} tasks"
-            )
+        executor.check_accounting(total)
         if sampler is not None:
             sample()
+        dispatches = agg["dispatches"]
         return RollingResult(
             total_tasks=total,
             completed=stats["completed"],
-            dropped=tuple(dropped),
+            dropped=tuple(f"t{idx}" for idx in executor.dropped),
             arrival_rate=float(arrival_rate),
             horizon=self.horizon,
             refine_iterations=self.refine_iterations,
-            horizons=stats["horizons"],
-            dispatches=stats["dispatches"],
-            batch_max=stats["batch_max"],
+            horizons=agg["horizons"],
+            dispatches=dispatches,
+            batch_max=agg["batch_max"],
             makespan=agg["makespan"],
             sim_end=sim.now,
-            mean_queue_wait=(
-                agg["sum_wait"] / stats["dispatches"] if stats["dispatches"] else 0.0
-            ),
+            mean_queue_wait=agg["sum_wait"] / dispatches if dispatches else 0.0,
             max_queue_wait=agg["max_wait"],
             mean_flow=(
                 agg["sum_flow"] / stats["completed"] if stats["completed"] else 0.0
             ),
             peak_backlog=agg["peak_backlog"],
-            failures=stats["failures"],
-            recoveries=stats["recoveries"],
-            slowdowns=stats["slowdowns"],
-            aborted=stats["aborted"],
-            retries=stats["retries"],
+            **executor.fault_counts(),
         )

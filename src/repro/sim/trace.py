@@ -68,11 +68,6 @@ class ExecutionTrace:
             raise SimulationError(f"task {record.task!r} executed twice")
         if record.machine not in self._machines:
             raise SimulationError(f"unknown machine {record.machine!r} in trace")
-        if record.finish < record.start:
-            raise SimulationError(
-                f"task {record.task!r} finishes before it starts "
-                f"({record.finish} < {record.start})"
-            )
         self._records.append(record)
         self._by_task[record.task] = record
 

@@ -1,8 +1,11 @@
 """Decision-identity goldens for the discrete-event engine.
 
-The values below were captured from the engine that queued frozen
-``Event`` objects, before the queue became a tuple heap and the rolling
-loop began to dispatch from index columns.  Any change to event order,
+The rolling, requeue-fault, batch and ``sim.dispatch`` values were
+captured from the engine that queued frozen ``Event`` objects, before
+the queue became a tuple heap and the rolling loop began to dispatch
+from index columns.  The immediate-mode, initial-ready and remap-fault
+values were captured from the simulators as they stood before they
+shared one machine executor.  Any change to event order,
 tie handling among simultaneous events, the horizon commit, or the
 float arithmetic of a finish time moves at least one of them.  They
 are exact on purpose: float literals round-trip through ``repr``, so
@@ -21,11 +24,14 @@ from repro.etc.matrix import ETCMatrix
 from repro.heuristics import get_heuristic
 from repro.obs import CollectingTracer, use_tracer
 from repro.sim.arrivals import make_arrival_process
-from repro.sim.faults import FaultConfig, generate_fault_plan
+from repro.sim.faults import FaultConfig, FaultEvent, FaultPlan, generate_fault_plan
 from repro.sim.hcsystem import (
     ArrivalWorkload,
     DynamicHCSimulation,
     FaultTolerantHCSystem,
+    HCSystem,
+    MCTOnline,
+    SWAOnline,
 )
 from repro.sim.rolling import EnsembleTaskSource, RollingSimulation, calibrate_rate
 
@@ -196,10 +202,11 @@ FAULT_TOLERANT_GOLDEN = (
 )
 
 
-def test_fault_tolerant_finishes_are_pinned():
-    etc = _integer_etc(41)
-    mapping = get_heuristic("min-min").map_tasks(etc)
-    horizon = mapping.makespan()
+def _finishes(records):
+    return [(r.task, r.machine, r.finish) for r in records]
+
+
+def _integer_fault_plan(etc, horizon):
     plan = generate_fault_plan(
         etc.machines,
         FaultConfig(
@@ -213,19 +220,158 @@ def test_fault_tolerant_finishes_are_pinned():
     )
     # Whole-number fault times land on the instants integer tasks
     # finish, where event priority and FIFO order decide the outcome.
-    plan = dataclasses.replace(
+    return dataclasses.replace(
         plan,
         events=tuple(
             dataclasses.replace(e, time=float(np.ceil(e.time))) for e in plan.events
         ),
     )
+
+
+def test_fault_tolerant_finishes_are_pinned():
+    etc = _integer_etc(41)
+    mapping = get_heuristic("min-min").map_tasks(etc)
+    horizon = mapping.makespan()
+    plan = _integer_fault_plan(etc, horizon)
     result = FaultTolerantHCSystem(
         etc, plan, retry_budget=8, backoff_base=0.01 * horizon
     ).execute(mapping)
-    finishes = [(r.task, r.machine, r.finish) for r in result.trace.records]
+    finishes = _finishes(result.trace.records)
     assert (finishes, result.failures, result.retries, result.dropped) == (
         FAULT_TOLERANT_GOLDEN
     )
+
+
+FAULT_TOLERANT_REMAP_GOLDEN = (
+    [
+        ("t13", "m0", 1.0),
+        ("t3", "m1", 1.0),
+        ("t1", "m2", 1.0),
+        ("t8", "m2", 2.0),
+        ("t2", "m0", 3.0),
+        ("t11", "m2", 3.0),
+        ("t5", "m1", 3.24),
+        ("t15", "m2", 4.12),
+        ("t6", "m0", 6.0),
+        ("t0", "m0", 10.0),
+        ("t4", "m1", 13.0),
+        ("t9", "m1", 15.0),
+        ("t12", "m0", 16.119999999999997),
+        ("t10", "m1", 20.0),
+        ("t7", "m1", 22.0),
+        ("t14", "m1", 25.0),
+    ],
+    9,
+    6,
+    21,
+    (),
+)
+
+
+def test_fault_tolerant_remap_finishes_are_pinned():
+    etc = _integer_etc(41)
+    mapping = get_heuristic("min-min").map_tasks(etc)
+    horizon = mapping.makespan()
+    result = FaultTolerantHCSystem(
+        etc,
+        _integer_fault_plan(etc, horizon),
+        policy="remap",
+        retry_budget=8,
+        backoff_base=0.01 * horizon,
+    ).execute(mapping)
+    assert (
+        _finishes(result.trace.records),
+        result.failures,
+        result.retries,
+        result.requeues,
+        result.dropped,
+    ) == FAULT_TOLERANT_REMAP_GOLDEN
+
+
+TOTAL_OUTAGE_GOLDEN = (
+    [
+        ("t13", "m0", 1.0),
+        ("t3", "m1", 1.0),
+        ("t1", "m2", 1.0),
+        ("t8", "m2", 2.0),
+        ("t2", "m0", 3.0),
+        ("t11", "m2", 3.0),
+        ("t10", "m2", 9.0),
+        ("t12", "m2", 13.0),
+        ("t9", "m2", 16.0),
+        ("t14", "m2", 20.0),
+        ("t5", "m2", 22.0),
+        ("t0", "m2", 27.0),
+        ("t7", "m2", 32.0),
+        ("t4", "m2", 37.0),
+        ("t6", "m2", 42.0),
+        ("t15", "m2", 43.0),
+    ],
+    3,
+    3,
+    3,
+    10,
+    3,
+    (),
+)
+
+
+def test_fault_tolerant_remap_total_outage_is_pinned():
+    """Every machine is down from t=3 to t=6: stranded tasks wait on
+    their queue and retries jump to the next recovery in the plan."""
+    etc = _integer_etc(41)
+    mapping = get_heuristic("min-min").map_tasks(etc)
+    events = (
+        FaultEvent(1.0, "fail", "m1"),
+        FaultEvent(3.0, "fail", "m0"),
+        FaultEvent(3.0, "fail", "m2"),
+        FaultEvent(4.0, "slow", "m0", factor=2.0),
+        FaultEvent(6.0, "recover", "m2"),
+        FaultEvent(9.0, "recover", "m0"),
+        FaultEvent(9.0, "restore", "m0"),
+        FaultEvent(12.0, "recover", "m1"),
+    )
+    plan = FaultPlan(machines=etc.machines, horizon=12.0, events=events)
+    result = FaultTolerantHCSystem(
+        etc, plan, policy="remap", retry_budget=2, backoff_base=0.5
+    ).execute(mapping)
+    assert (
+        _finishes(result.trace.records),
+        result.failures,
+        result.recoveries,
+        result.retries,
+        result.requeues,
+        result.aborted,
+        result.dropped,
+    ) == TOTAL_OUTAGE_GOLDEN
+
+
+STATIC_READY_GOLDEN = [
+    ("t13", "m0", 1.0),
+    ("t14", "m0", 2.0),
+    ("t3", "m2", 3.0),
+    ("t2", "m0", 4.0),
+    ("t7", "m2", 5.0),
+    ("t6", "m1", 5.0),
+    ("t5", "m0", 6.0),
+    ("t0", "m1", 7.0),
+    ("t4", "m2", 8.0),
+    ("t8", "m0", 8.0),
+    ("t10", "m1", 9.0),
+    ("t12", "m0", 10.0),
+    ("t15", "m1", 11.0),
+    ("t1", "m2", 12.0),
+    ("t11", "m0", 13.0),
+    ("t9", "m1", 14.0),
+]
+
+
+def test_static_execution_with_initial_ready_is_pinned():
+    etc = _integer_etc(71)
+    ready = [0.0, 4.0, 2.0]
+    mapping = get_heuristic("min-min").map_tasks(etc, ready)
+    trace = HCSystem(etc, ready).execute(mapping)
+    assert _finishes(trace.records) == STATIC_READY_GOLDEN
 
 
 DYNAMIC_GOLDEN = [
@@ -255,8 +401,57 @@ def test_dynamic_batch_finishes_are_pinned():
     trace = DynamicHCSimulation(
         workload, batch_heuristic=get_heuristic("min-min"), batch_interval=2.0
     ).run()
-    finishes = [(r.task, r.machine, r.finish) for r in trace.records]
-    assert finishes == DYNAMIC_GOLDEN
+    assert _finishes(trace.records) == DYNAMIC_GOLDEN
+
+
+IMMEDIATE_GOLDEN = {
+    "mct": [
+        ("t8", "m2", 2.0),
+        ("t6", "m0", 3.0),
+        ("t12", "m1", 3.0),
+        ("t7", "m1", 6.0),
+        ("t2", "m2", 7.0),
+        ("t0", "m0", 8.0),
+        ("t10", "m1", 9.0),
+        ("t13", "m0", 9.0),
+        ("t1", "m2", 11.0),
+        ("t3", "m0", 12.0),
+        ("t9", "m2", 13.0),
+        ("t11", "m0", 13.0),
+        ("t4", "m1", 14.0),
+        ("t5", "m2", 14.0),
+        ("t15", "m1", 15.0),
+        ("t14", "m2", 16.0),
+    ],
+    "swa": [
+        ("t8", "m2", 2.0),
+        ("t6", "m0", 3.0),
+        ("t12", "m1", 3.0),
+        ("t7", "m1", 6.0),
+        ("t2", "m2", 7.0),
+        ("t13", "m0", 7.0),
+        ("t0", "m1", 8.0),
+        ("t10", "m2", 9.0),
+        ("t3", "m0", 11.0),
+        ("t1", "m1", 11.0),
+        ("t9", "m2", 11.0),
+        ("t11", "m0", 12.0),
+        ("t15", "m1", 12.0),
+        ("t4", "m2", 13.0),
+        ("t5", "m2", 14.0),
+        ("t14", "m2", 16.0),
+    ],
+}
+
+
+@pytest.mark.parametrize("policy", sorted(IMMEDIATE_GOLDEN))
+def test_dynamic_immediate_finishes_are_pinned(policy):
+    etc = _integer_etc(61)
+    arrivals = np.random.default_rng(62).integers(0, 12, etc.num_tasks).tolist()
+    workload = ArrivalWorkload(etc=etc, arrivals=tuple(map(float, arrivals)))
+    online = {"mct": MCTOnline, "swa": SWAOnline}[policy]()
+    trace = DynamicHCSimulation(workload, policy=online).run()
+    assert _finishes(trace.records) == IMMEDIATE_GOLDEN[policy]
 
 
 def dispatch_digest(events) -> str:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.etc.generation import generate_range_based
+from repro.etc.matrix import ETCMatrix
 from repro.exceptions import ConfigurationError
 from repro.heuristics import get_heuristic
 from repro.obs import CollectingTracer, use_tracer
@@ -258,3 +259,55 @@ class TestLongOutage:
         assert result.recoveries == etc.num_machines
         # Work genuinely resumed after the outage ended.
         assert result.trace.makespan() > recover_at
+
+
+class TestInitialReady:
+    """A machine never starts work before its initial ready time, even
+    when a fault moves work onto it or brings it back early."""
+
+    @staticmethod
+    def plan(etc, *events):
+        return FaultPlan(
+            machines=tuple(etc.machines),
+            horizon=max(e.time for e in events),
+            events=tuple(events),
+        )
+
+    def test_requeue_recovery_waits_for_ready_time(self):
+        etc = ETCMatrix(np.array([[1.0, 100.0], [1.0, 100.0], [1000.0, 1.0]]))
+        ready = [0.0, 50.0]
+        mapping = get_heuristic("mct").map_tasks(etc, ready)
+        assert mapping.to_dict()["t2"] == "m1"
+        plan = self.plan(
+            etc, FaultEvent(1.0, "fail", "m1"), FaultEvent(2.0, "recover", "m1")
+        )
+        result = FaultTolerantHCSystem(
+            etc, plan, policy="requeue", initial_ready=ready
+        ).execute(mapping)
+        fault_free = HCSystem(etc, ready).execute(mapping)
+        assert result.trace.execution_of("t2").start == 50.0
+        assert result.trace.execution_of("t2") == fault_free.execution_of("t2")
+
+    def test_remap_target_waits_for_ready_time(self):
+        etc = ETCMatrix(np.array([[1.0, 1.0, 9.0]] * 3))
+        ready = [0.0, 50.0, 0.0]
+        mapping = get_heuristic("mct").map_tasks(etc, ready)
+        assert set(mapping.to_dict().values()) == {"m0"}
+        plan = self.plan(
+            etc, FaultEvent(1.0, "fail", "m0"), FaultEvent(200.0, "recover", "m0")
+        )
+        result = FaultTolerantHCSystem(
+            etc, plan, policy="remap", initial_ready=ready
+        ).execute(mapping)
+        assert result.completed == 3
+        for record in result.trace.records:
+            assert record.start >= ready[etc.machine_index(record.machine)]
+        # t1 is running on m0 when it fails and t2 is queued behind it.
+        # m1 is free only at 50, so both go to m2: t2 at once (done by
+        # 10), t1 after its backoff (done by 19).
+        moved = {
+            r.task: (r.machine, r.finish)
+            for r in result.trace.records
+            if r.task != "t0"
+        }
+        assert moved == {"t1": ("m2", 19.0), "t2": ("m2", 10.0)}

@@ -324,6 +324,41 @@ class TestRollingSimulation:
         assert result.failures == 5
         assert len(result.dropped) == result.aborted  # budget 0: every abort drops
 
+    @pytest.mark.parametrize("recovery", ["requeue", "remap"])
+    def test_fault_counters_flow_through_tracer(self, recovery):
+        machines = [f"m{j}" for j in range(5)]
+        est = 300.0 / 0.001
+        plan = generate_fault_plan(
+            machines,
+            FaultConfig(
+                failure_rate=12.0 / est,
+                mean_downtime=0.02 * est,
+                slowdown_rate=4.0 / est,
+                mean_slowdown=0.02 * est,
+            ),
+            est,
+            rng=9,
+        )
+        with use_tracer(CollectingTracer()) as tracer:
+            result = make_sim(
+                arrival=PoissonArrivals(rate=0.001), horizon=20_000.0,
+                plan=plan, recovery=recovery, retry_budget=1,
+            ).run()
+        assert result.failures and result.retries and result.dropped
+        counters = tracer.counters.as_dict()
+        assert counters["sim.failures"] == result.failures
+        assert counters["sim.recoveries"] == result.recoveries
+        assert counters["sim.slowdowns"] == result.slowdowns
+        assert counters["sim.retries"] == result.retries
+        assert counters["sim.dropped"] == len(result.dropped)
+        requeued = result.retries if recovery == "requeue" else 0
+        assert counters.get("sim.requeues", 0) == requeued
+        assert not [name for name in counters if name.startswith("rolling.")]
+        assert len(tracer.events_of("sim.fault.fail")) == result.failures
+        assert len(tracer.events_of("sim.fault.recover")) == result.recoveries
+        assert len(tracer.events_of("sim.fault.retry")) == result.retries
+        assert len(tracer.events_of("sim.fault.drop")) == len(result.dropped)
+
     def test_long_total_outage_defers_to_recovery(self):
         """All machines down for a very long stretch must not exhaust the
         event budget (the rolling analogue of the fault-poll bugfix)."""
