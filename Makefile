@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test test-deep lint smoke-obs smoke-faults smoke-runner smoke-timeline smoke-rolling smoke-serve serve-baseline bench bench-smoke bench-smoke-baseline bench-baseline bench-pytest
+.PHONY: test test-deep lint smoke-obs smoke-faults smoke-runner smoke-timeline smoke-rolling smoke-serve bench bench-smoke bench-smoke-baseline bench-baseline bench-pytest
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -109,30 +109,20 @@ smoke-rolling:
 	grep -q "tasks_scheduled_per_s" .smoke-rolling/ledger.jsonl
 	rm -rf .smoke-rolling
 
-# Scheduling-service smoke: the serve test batteries, the end-to-end
+# Scheduling-service smoke: the serve test batteries and the end-to-end
 # subprocess driver (start `repro serve`, issue a mapped + a cached
 # request, assert the cache-hit counter / ledger row / single
 # serve.compute span, clean SIGTERM shutdown, then a serve-load run
-# that writes SERVE_load_smoke.json — uploaded as a CI artifact), and
-# the serve-load bench workload gated on its cached-vs-recompute
-# speedup ratio against the checked-in SERVE_baseline_smoke.json
-# (regenerate with `make serve-baseline`; tolerance is looser than
-# bench-smoke because loopback HTTP timing is noisier than in-process
-# kernels).  See docs/serving.md.
+# that writes SERVE_load_smoke.json — uploaded as a CI artifact).
+# Hit-vs-miss latency is timed by perfbench's serve-mixed workload.
+# See docs/serving.md.
 smoke-serve:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q tests/serve
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tools/smoke_serve.py
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench --smoke --repeats 2 \
-		--workloads serve-load \
-		--speedup-baseline SERVE_baseline_smoke.json \
-		--speedup-tolerance 0.5
 
-serve-baseline:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench --smoke --repeats 3 \
-		--workloads serve-load -o SERVE_baseline_smoke.json
-
-# Full benchmark harness: times the tracked 512x32 workloads (optimised
-# and retained reference kernels), writes BENCH_current.json, and fails
+# Full benchmark harness: times the tracked 512x32 kernel workloads
+# (optimised and retained reference kernels) and the tracing-overhead
+# gate, writes BENCH_current.json, and fails
 # if any tracked workload regressed beyond tolerance vs the checked-in
 # baseline.  Regenerate the baseline with `make bench-baseline`.
 bench:

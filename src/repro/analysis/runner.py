@@ -122,7 +122,6 @@ __all__ = [
     "cell_label",
     "store_entry_key",
     "split_into_shards",
-    "pack_same_shape_batches",
     "CellCache",
     "CellTimeoutError",
     "QuarantinedCell",
@@ -264,34 +263,6 @@ def split_into_shards(cells: list, num_shards: int) -> list[list]:
         raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
     effective = min(num_shards, len(cells))
     return [cells[i::effective] for i in range(effective)]
-
-
-def _cell_shape(cell) -> tuple[int, int]:
-    return (cell.num_tasks, cell.num_machines)
-
-
-def pack_same_shape_batches(cells: list, batch_size: int, *, key=None) -> list[list]:
-    """Group ``cells`` by ETC shape and chunk each group into batches.
-
-    Cells whose ``(num_tasks, num_machines)`` match are packed, in grid
-    order, into lists of at most ``batch_size``; remainder batches stay
-    partial rather than mixing shapes.  Groups come back in order of first appearance,
-    so a homogeneous grid round-trips to plain chunking.  ``key``
-    overrides the shape extractor for callers whose items wrap the
-    config (the runner passes a ``_CellWork``-aware one).
-    """
-    if batch_size < 1:
-        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-    if key is None:
-        key = _cell_shape
-    groups: dict = {}
-    for cell in cells:
-        groups.setdefault(key(cell), []).append(cell)
-    batches: list[list] = []
-    for group in groups.values():
-        for start in range(0, len(group), batch_size):
-            batches.append(group[start : start + batch_size])
-    return batches
 
 
 # ----------------------------------------------------------------------
@@ -517,27 +488,6 @@ def _compute_cell(
     return cell_fn(config), None
 
 
-def _compute_cells(
-    cell_fn: Callable[[ExperimentConfig], list[RunRecord]],
-    configs: list[ExperimentConfig],
-    observed: bool,
-    context: SpanContext | None = None,
-) -> list[tuple[list[RunRecord], ObsSnapshot | None, float]]:
-    """Run a same-shape batch of cells in one worker round trip.
-
-    Batched submission amortises pool dispatch and pickling overhead
-    across the batch; each cell still gets its own isolated collector
-    and wall-clock reading, so cache entries and the ``runner.cell_wall_s``
-    histogram stay per-cell exactly as with singleton submissions.
-    """
-    out: list[tuple[list[RunRecord], ObsSnapshot | None, float]] = []
-    for config in configs:
-        started = time.perf_counter()
-        records, snapshot = _compute_cell(cell_fn, config, observed, context)
-        out.append((records, snapshot, time.perf_counter() - started))
-    return out
-
-
 @dataclass
 class _CellWork:
     index: int
@@ -551,21 +501,6 @@ class _CellWork:
         self.label = cell_label(self.config)
 
 
-@dataclass
-class _BatchWork:
-    """One pool submission unit: a same-shape batch of pending cells."""
-
-    works: list[_CellWork]
-    attempts: int = 0
-    submitted_at: float = 0.0
-
-    @property
-    def label(self) -> str:
-        if len(self.works) == 1:
-            return self.works[0].label
-        return f"{self.works[0].label} ×{len(self.works)}"
-
-
 def run_grid(
     config: ExperimentConfig,
     *,
@@ -574,7 +509,6 @@ def run_grid(
     cache_dir: str | Path | None = None,
     resume: bool = False,
     shards: int | None = None,
-    batch_size: int | None = None,
     timeout_s: float | None = None,
     retries: int = DEFAULT_RETRIES,
     on_error: str = "quarantine",
@@ -595,12 +529,7 @@ def run_grid(
     is persisted as it finishes and ``resume=True`` serves previously
     completed cells from cache.  ``shards`` controls the round-robin
     interleaving of the submission queue (default: one shard per
-    cell).  ``batch_size`` packs same-shape uncached cells into
-    multi-cell submission units (:func:`pack_same_shape_batches`) to
-    amortise pool dispatch overhead — records, cache entries and
-    traced output are identical to unbatched runs; only the
-    submission granularity (and hence retry/timeout granularity)
-    changes.  ``timeout_s`` bounds each submission attempt's wall clock in
+    cell).  ``timeout_s`` bounds each cell attempt's wall clock in
     pooled mode (serial runs cannot be interrupted and ignore it).
     ``retries`` bounds re-attempts after a failure or timeout; what
     happens when the budget is exhausted depends on ``on_error``:
@@ -649,8 +578,8 @@ def run_grid(
         raise ConfigurationError(
             f"on_error must be 'quarantine' or 'raise', got {on_error!r}"
         )
-    if batch_size is not None and batch_size < 1:
-        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
+    if shards is not None and shards < 1:
+        raise ConfigurationError(f"shards must be >= 1, got {shards}")
     if store_dir is not None and cell_fn is not run_experiment:
         raise ConfigurationError(
             "store_dir fixes the cell executor to the store transport; "
@@ -867,32 +796,8 @@ def run_grid(
                     _run_cell_from_store, store_root=str(store.root)
                 )
 
-            # Pack pending cells into submission units.
-            # ``batch_size=None`` keeps the historical
-            # one-cell-per-submission behaviour exactly.
-            if batch_size is None:
-                units = [_BatchWork(works=[work]) for work in pending]
-            else:
-                units = [
-                    _BatchWork(works=group)
-                    for group in pack_same_shape_batches(
-                        pending,
-                        batch_size,
-                        key=lambda work: _cell_shape(work.config),
-                    )
-                ]
-                if count_obs:
-                    for unit in units:
-                        tracer.count("runner.batch.submitted")
-                        tracer.observe("runner.batch.size", len(unit.works))
-                        tracer.observe(
-                            "runner.batch.fill_pct",
-                            100.0 * len(unit.works) / batch_size,
-                        )
-
             serial = len(pending) <= 1 or max_workers == 1
             if serial:
-                pending = [work for unit in units for work in unit.works]
                 # Isolate per-cell collection only when the cache needs
                 # a snapshot to persist; otherwise run under the
                 # caller's tracer directly, exactly like the legacy
@@ -926,7 +831,7 @@ def run_grid(
                         break
             else:
                 retried += _run_pooled(
-                    units,
+                    pending,
                     cell_fn=cell_fn,
                     max_workers=max_workers,
                     shards=shards,
@@ -989,7 +894,7 @@ def run_grid(
 
 
 def _run_pooled(
-    units: list[_BatchWork],
+    works: list[_CellWork],
     *,
     cell_fn,
     max_workers: int | None,
@@ -1007,9 +912,6 @@ def _run_pooled(
     """Drive the process pool: shard-interleaved submission, completion-
     order persistence, parent-side timeouts, bounded retries.
 
-    The submission unit is a :class:`_BatchWork` — a singleton per cell
-    by default, a same-shape batch of cells when the caller packed one.
-    Retries and timeouts apply per unit (a failed batch re-runs whole).
     Returns the retry count.  Snapshots are *not* merged here — the
     caller merges every snapshot in cell order afterwards so traced
     output stays deterministic.  ``context`` is the parent's
@@ -1017,47 +919,35 @@ def _run_pooled(
     tracers; ``sampler`` (a :class:`~repro.obs.timeseries.GridSampler`)
     gets queue-depth updates as pool occupancy changes.
     """
-    num_shards = shards if shards is not None else len(units)
-    order = [unit for shard in split_into_shards(units, num_shards) for unit in shard]
+    num_shards = shards if shards is not None else len(works)
+    order = [work for shard in split_into_shards(works, num_shards) for work in shard]
     retried = 0
     abandoned_timeouts = False
     pool = ProcessPoolExecutor(max_workers=max_workers)
     try:
         in_flight: dict = {}
 
-        def submit(unit: _BatchWork) -> None:
-            unit.submitted_at = time.perf_counter()
-            if len(unit.works) == 1:
-                future = pool.submit(
-                    _compute_cell, cell_fn, unit.works[0].config, observed, context
-                )
-            else:
-                future = pool.submit(
-                    _compute_cells,
-                    cell_fn,
-                    [work.config for work in unit.works],
-                    observed,
-                    context,
-                )
-            in_flight[future] = unit
+        def submit(work: _CellWork) -> None:
+            work.submitted_at = time.perf_counter()
+            future = pool.submit(
+                _compute_cell, cell_fn, work.config, observed, context
+            )
+            in_flight[future] = work
             if sampler is not None:
                 sampler.set_queue_depth(len(in_flight))
 
-        def retry_or_give_up(unit: _BatchWork, exc: BaseException) -> int:
-            unit.attempts += 1
-            for work in unit.works:
-                work.attempts = unit.attempts
-            if unit.attempts <= retries:
+        def retry_or_give_up(work: _CellWork, exc: BaseException) -> int:
+            work.attempts += 1
+            if work.attempts <= retries:
                 if count_obs:
                     tracer.count("runner.cells.retried")
-                submit(unit)
+                submit(work)
                 return 1
-            for work in unit.works:
-                give_up(work, exc)
+            give_up(work, exc)
             return 0
 
-        for unit in order:
-            submit(unit)
+        for work in order:
+            submit(work)
 
         while in_flight:
             tick = None
@@ -1067,29 +957,22 @@ def _run_pooled(
             now = time.perf_counter()
 
             for future in done:
-                unit = in_flight.pop(future)
+                work = in_flight.pop(future)
                 try:
-                    outcome = future.result()
+                    cell_records, snapshot = future.result()
                 except Exception as exc:
-                    retried += retry_or_give_up(unit, exc)
+                    retried += retry_or_give_up(work, exc)
                     continue
-                if len(unit.works) == 1:
-                    cell_records, snapshot = outcome
-                    persist_and_record(
-                        unit.works[0], cell_records, snapshot, now - unit.submitted_at
-                    )
-                else:
-                    for work, (cell_records, snapshot, wall_s) in zip(
-                        unit.works, outcome
-                    ):
-                        persist_and_record(work, cell_records, snapshot, wall_s)
+                persist_and_record(
+                    work, cell_records, snapshot, now - work.submitted_at
+                )
             if done and sampler is not None:
                 sampler.set_queue_depth(len(in_flight))
 
             if timeout_s is None:
                 continue
-            for future, unit in list(in_flight.items()):
-                if now - unit.submitted_at <= timeout_s:
+            for future, work in list(in_flight.items()):
+                if now - work.submitted_at <= timeout_s:
                     continue
                 # A running cell cannot be cancelled; abandon the future
                 # (its eventual result is discarded) and either retry on
@@ -1098,10 +981,10 @@ def _run_pooled(
                 future.cancel()
                 abandoned_timeouts = True
                 error = CellTimeoutError(
-                    f"cell {unit.label} exceeded the {timeout_s:g}s timeout "
-                    f"(attempt {unit.attempts + 1})"
+                    f"cell {work.label} exceeded the {timeout_s:g}s timeout "
+                    f"(attempt {work.attempts + 1})"
                 )
-                retried += retry_or_give_up(unit, error)
+                retried += retry_or_give_up(work, error)
     finally:
         # Abandoned workers may still be crunching a timed-out cell;
         # don't block the parent on them.

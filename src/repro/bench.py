@@ -22,15 +22,18 @@ least noise-sensitive on shared machines, with ``median_s`` recorded
 alongside for context.  Smoke mode shrinks every workload (64×8 instead
 of 512×32) so the harness itself can run inside the test suite; smoke
 and full reports are never comparable (`compare_reports` refuses).
+
+The registry holds only the gates nothing else provides: each fast
+kernel's speed ratio against its paper transcription, and the
+tracing-overhead budget.  The end-to-end paths (grid runner, rolling
+loop, scheduling service, ETC store) are timed by ``perfbench/``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import platform
 import statistics
-import subprocess
 import sys
 import time
 from collections.abc import Callable, Sequence
@@ -43,7 +46,6 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "DEFAULT_SPEEDUP_TOLERANCE",
     "TRACING_OVERHEAD_BUDGET",
-    "BenchOptions",
     "Workload",
     "WORKLOADS",
     "workload_names",
@@ -76,18 +78,6 @@ _SMOKE_SHAPE = (64, 8)
 _ETC_SEED = 20070612  # fixed: every run times the same instance
 
 
-@dataclass(frozen=True)
-class BenchOptions:
-    """Knobs a :class:`Workload` build receives.
-
-    ``backend=None`` means the incremental kernels, so reports stay
-    comparable run to run unless a backend is chosen deliberately.
-    """
-
-    smoke: bool = False
-    backend: str | None = None
-
-
 def _bench_etc(smoke: bool):
     from repro.etc.generation import (
         Consistency,
@@ -109,27 +99,22 @@ def _bench_etc(smoke: bool):
 class Workload:
     """One tracked timing target.
 
-    ``build(options)`` returns ``(run, run_reference)`` thunks — the
-    optimised path and the retained pre-optimisation path (``None``
-    when the workload has no reference variant).
+    ``build(smoke)`` returns ``(run, run_reference)`` thunks — the
+    optimised path and the retained pre-optimisation path.
     """
 
     name: str
     description: str
-    build: Callable[
-        [BenchOptions], tuple[Callable[[], object], Callable[[], object] | None]
-    ]
+    build: Callable[[bool], tuple[Callable[[], object], Callable[[], object]]]
 
 
 def _mapper_workload(heuristic: str) -> Callable:
-    def build(options: BenchOptions):
+    def build(smoke: bool):
         from repro.core.ties import DeterministicTieBreaker
         from repro.heuristics.backends import get_backend
 
-        etc = _bench_etc(options.smoke)
-        # These workloads time a *fixed* kernel pair (incremental vs
-        # reference) so their speedup column stays meaningful; the
-        # backend knob drives the experiment workload instead.
+        etc = _bench_etc(smoke)
+
         def run():
             return get_backend("incremental").make(heuristic).map_tasks(
                 etc, tie_breaker=DeterministicTieBreaker()
@@ -145,206 +130,17 @@ def _mapper_workload(heuristic: str) -> Callable:
     return build
 
 
-def _iterative_workload(options: BenchOptions):
+def _iterative_workload(smoke: bool):
     from repro.core.iterative import IterativeScheduler
     from repro.heuristics.minmin import MinMin, ReferenceMinMin
 
-    etc = _bench_etc(options.smoke)
+    etc = _bench_etc(smoke)
 
     def run():
         return IterativeScheduler(MinMin()).run(etc)
 
     def run_reference():
         return IterativeScheduler(ReferenceMinMin()).run(etc)
-
-    return run, run_reference
-
-
-def _experiment_workload(options: BenchOptions):
-    from repro.analysis.experiments import ExperimentConfig, run_experiment
-
-    smoke = options.smoke
-    config = ExperimentConfig(
-        heuristics=("min-min", "mct", "sufferage"),
-        num_tasks=16 if smoke else 48,
-        num_machines=4 if smoke else 8,
-        instances_per_cell=1 if smoke else 3,
-        seed=_ETC_SEED,
-        backend=options.backend or "incremental",
-    )
-
-    def run():
-        return run_experiment(config)
-
-    return run, None
-
-
-def _cached_grid_workload(options: BenchOptions):
-    """Cached re-run through the resumable runner vs full recompute.
-
-    ``build`` pre-populates a throwaway cell cache once; the optimised
-    thunk then resumes from it (every cell a cache hit), while the
-    reference thunk recomputes the same grid uncached.  The speedup
-    column is the direct measure of the runner's near-zero recompute
-    cost on a warm cache.
-    """
-    import atexit
-    import shutil
-    import tempfile
-
-    from repro.analysis.experiments import ExperimentConfig
-    from repro.analysis.runner import run_grid
-    from repro.etc.generation import Heterogeneity
-
-    smoke = options.smoke
-    config = ExperimentConfig(
-        heuristics=("min-min", "mct"),
-        num_tasks=12 if smoke else 32,
-        num_machines=4 if smoke else 8,
-        heterogeneities=(Heterogeneity.HIHI, Heterogeneity.LOLO),
-        instances_per_cell=1 if smoke else 2,
-        seed=_ETC_SEED,
-    )
-    cache_dir = tempfile.mkdtemp(prefix="repro-bench-cells-")
-    run_grid(config, max_workers=1, cache_dir=cache_dir)
-    atexit.register(shutil.rmtree, cache_dir, ignore_errors=True)
-
-    def run():
-        return run_grid(
-            config, max_workers=1, cache_dir=cache_dir, resume=True
-        )
-
-    def run_reference():
-        return run_grid(config, max_workers=1, cache_dir=None)
-
-    return run, run_reference
-
-
-#: Streamed-generation memory budget: the streamed path must stay under
-#: ``baseline + payload/2`` while the payload itself exceeds that budget
-#: — so finishing under budget is impossible for a path that
-#: materialises the whole ensemble.
-_STREAM_CHILD = r"""
-import json, resource, shutil, sys
-
-mode, root, count, tasks, machines, window, seed = sys.argv[1:8]
-from repro.etc.generation import generate_ensemble, generate_ensemble_into
-from repro.etc.store import ETCStore
-
-store = ETCStore(root)
-try:
-    if mode == "streamed":
-        generate_ensemble_into(
-            store, "bench", int(count), int(tasks), int(machines),
-            rng=int(seed), window=int(window),
-        )
-    else:
-        store.put_matrices(
-            "bench",
-            generate_ensemble(int(count), int(tasks), int(machines), rng=int(seed)),
-        )
-finally:
-    store.close()
-    shutil.rmtree(root, ignore_errors=True)
-print(json.dumps(
-    {"maxrss_bytes": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024}
-))
-"""
-
-_STREAM_BASELINE_CHILD = (
-    "import json, resource; import numpy; import repro.etc.store; "
-    "print(json.dumps({'maxrss_bytes': "
-    "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024}))"
-)
-
-
-def _child_env() -> dict:
-    import repro
-
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src if not existing else os.pathsep.join([src, existing])
-    return env
-
-
-def _child_maxrss(argv: list[str], env: dict) -> int:
-    out = subprocess.run(
-        [sys.executable, *argv], env=env, capture_output=True, text=True
-    )
-    if out.returncode != 0:
-        raise ConfigurationError(
-            f"bench child process failed (rc={out.returncode}): "
-            f"{out.stderr.strip()[-500:]}"
-        )
-    return int(json.loads(out.stdout.strip().splitlines()[-1])["maxrss_bytes"])
-
-
-def _streamed_generation_workload(options: BenchOptions):
-    """Out-of-core ensemble generation under a hard peak-RSS budget.
-
-    Each repeat spawns a *fresh* interpreter (fork would inherit the
-    parent's RSS high-water mark) that pours one ensemble — sized to
-    exceed the memory budget — into a throwaway ETC store.  The
-    optimised thunk streams it in bounded windows
-    (:func:`~repro.etc.generation.generate_ensemble_into`) and **fails
-    the bench** if the child's ``ru_maxrss`` reaches the budget; the
-    reference thunk materialises the full ensemble first
-    (``generate_ensemble`` + ``put_matrices``), demonstrating the peak
-    the streamed path avoids.  Budget: interpreter baseline (measured
-    per run) + half the payload.
-    """
-    import atexit
-    import shutil
-    import tempfile
-
-    tasks, machines = (256, 32) if options.smoke else _FULL_SHAPE
-    instance_bytes = tasks * machines * 8
-    env = _child_env()
-    baseline = _child_maxrss(["-c", _STREAM_BASELINE_CHILD], env)
-    # Payload > budget by at least 32 MiB by construction, and the
-    # streamed child's peak (baseline + a few windows' worth of copies,
-    # ~32 MiB over baseline in practice) clears the budget with the
-    # same margin however fat the interpreter baseline is.
-    floor = (128 if options.smoke else 256) << 20
-    payload = max(floor, 2 * baseline + (64 << 20))
-    count = -(-payload // instance_bytes)
-    payload = count * instance_bytes
-    budget = baseline + payload // 2
-    window = max(1, (8 << 20) // instance_bytes)
-    base = tempfile.mkdtemp(prefix="repro-bench-stream-")
-    atexit.register(shutil.rmtree, base, ignore_errors=True)
-    counter = iter(range(10**9))
-
-    def child(mode: str) -> int:
-        root = os.path.join(base, f"{mode}-{next(counter)}")
-        return _child_maxrss(
-            [
-                "-c",
-                _STREAM_CHILD,
-                mode,
-                root,
-                str(count),
-                str(tasks),
-                str(machines),
-                str(window),
-                str(_ETC_SEED),
-            ],
-            env,
-        )
-
-    def run():
-        maxrss = child("streamed")
-        if maxrss >= budget:
-            raise ConfigurationError(
-                f"streamed generation peaked at {maxrss >> 20} MiB, over the "
-                f"{budget >> 20} MiB budget ({payload >> 20} MiB payload, "
-                f"{baseline >> 20} MiB interpreter baseline)"
-            )
-        return maxrss
-
-    def run_reference():
-        return child("eager")
 
     return run, run_reference
 
@@ -358,7 +154,7 @@ def _streamed_generation_workload(options: BenchOptions):
 TRACING_OVERHEAD_BUDGET = 3.0
 
 
-def _tracing_overhead_workload(options: BenchOptions):
+def _tracing_overhead_workload(smoke: bool):
     """Instrumented-vs-null-tracer cost of the full iterative run.
 
     The optimised thunk runs the 512x32 (64x8 smoke) iterative
@@ -380,7 +176,7 @@ def _tracing_overhead_workload(options: BenchOptions):
     from repro.heuristics.minmin import MinMin
     from repro.obs.tracer import CollectingTracer, use_tracer
 
-    etc = _bench_etc(options.smoke)
+    etc = _bench_etc(smoke)
     scheduler = _FullLoopScheduler(MinMin())
 
     def run():
@@ -404,173 +200,6 @@ def _tracing_overhead_workload(options: BenchOptions):
             f"{null_s * 1e3:.2f} ms on "
             f"{etc.num_tasks}x{etc.num_machines})"
         )
-    return run, run_reference
-
-
-def _rolling_serving_workload(options: BenchOptions):
-    """Horizon-batched rolling serve vs per-task mapping cadence.
-
-    Both thunks serve the identical streamed workload through
-    :class:`~repro.sim.rolling.RollingSimulation` (map + 2-iteration
-    refine per mapping event).  The optimised thunk batches ~64 tasks
-    per horizon; the reference thunk shrinks the horizon to one mean
-    inter-arrival gap so every mapping event holds ~1 task, paying the
-    per-event mapping overhead once per task.  The ``speedup`` column is
-    the direct measure of what horizon batching buys the serving loop.
-    """
-    from repro.heuristics.minmin import MinMin
-    from repro.sim.rolling import (
-        EnsembleTaskSource,
-        RollingSimulation,
-        calibrate_rate,
-    )
-
-    tasks, machines = (400, 4) if options.smoke else (4000, 8)
-
-    def make_source():
-        return EnsembleTaskSource(
-            tasks, machines, tasks_per_instance=64, rng=_ETC_SEED
-        )
-
-    rate = calibrate_rate(next(make_source().chunks()))
-
-    def serve(horizon: float):
-        return RollingSimulation(
-            make_source(),
-            MinMin(),
-            horizon=horizon,
-            refine_iterations=2,
-            rng=_ETC_SEED,
-        ).run()
-
-    def run():
-        return serve(64.0 / rate)
-
-    def run_reference():
-        return serve(1.0 / rate)
-
-    return run, run_reference
-
-
-def _serve_load_workload(options: BenchOptions):
-    """Warm-cache scheduling service vs a no-cache twin, same traffic.
-
-    ``build`` starts two in-process :class:`~repro.serve.service.
-    SchedulingService` instances behind one event loop on a daemon
-    thread: the optimised variant with a pre-warmed content-addressed
-    response cache, the reference with caching disabled.  Both thunks
-    replay identical synthetic traffic (a compute-dominated study-kind
-    payload) through :func:`~repro.serve.load.run_load` over real HTTP,
-    so the ``speedup`` column is the end-to-end value of serving repeat
-    requests from the response cache instead of recomputing — with the
-    request/latency headline recorded in the entry's ``extra`` field.
-    """
-    import asyncio
-    import atexit
-    import shutil
-    import tempfile
-    import threading
-
-    from repro.serve.http import start_server
-    from repro.serve.load import post_json, run_load
-    from repro.serve.service import SchedulingService
-
-    smoke = options.smoke
-    payload = {
-        "kind": "study",
-        "ensemble": {
-            "tasks": 24 if smoke else 48,
-            "machines": 6 if smoke else 8,
-            "instances": 4 if smoke else 10,
-        },
-        "heuristic": "min-min",
-        "seed": _ETC_SEED,
-    }
-    requests = 32 if smoke else 160
-    concurrency = 8
-
-    cache_dir = tempfile.mkdtemp(prefix="repro-bench-serve-")
-    atexit.register(shutil.rmtree, cache_dir, ignore_errors=True)
-    cached_service = SchedulingService(cache_dir, max_workers=4)
-    nocache_service = SchedulingService(None, max_workers=4)
-
-    loop = asyncio.new_event_loop()
-    thread = threading.Thread(
-        target=loop.run_forever, name="repro-bench-serve", daemon=True
-    )
-    thread.start()
-
-    def _start(service):
-        return asyncio.run_coroutine_threadsafe(
-            start_server(service), loop
-        ).result(timeout=30)
-
-    cached_server = _start(cached_service)
-    nocache_server = _start(nocache_service)
-
-    def _url(server) -> str:
-        port = server.sockets[0].getsockname()[1]
-        return f"http://127.0.0.1:{port}/v1/schedule"
-
-    cached_url, nocache_url = _url(cached_server), _url(nocache_server)
-
-    def _shutdown():
-        async def _close():
-            for server in (cached_server, nocache_server):
-                server.close()
-                await server.wait_closed()
-            # 3.11's wait_closed() does not wait for in-flight
-            # connection handlers; cancel stragglers so the loop stops
-            # clean instead of warning about destroyed pending tasks.
-            for task in asyncio.all_tasks():
-                if task is not asyncio.current_task():
-                    task.cancel()
-
-        asyncio.run_coroutine_threadsafe(_close(), loop).result(timeout=10)
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(timeout=5)
-        cached_service.close()
-        nocache_service.close()
-
-    atexit.register(_shutdown)
-
-    # Warm the cache so the optimised thunk times pure cache serving.
-    status, _body = post_json(cached_url, payload)
-    if status != 200:
-        raise ConfigurationError(
-            f"serve-load warmup request failed with HTTP {status}"
-        )
-
-    last_report: dict = {}
-
-    def _load(url: str) -> dict:
-        report = run_load(
-            url, payload, requests=requests, concurrency=concurrency
-        )
-        if report["errors"]:
-            raise ConfigurationError(
-                f"serve-load saw {report['errors']} failed request(s)"
-            )
-        return report
-
-    def run():
-        report = _load(cached_url)
-        last_report.clear()
-        last_report.update(report)
-        return report
-
-    def run_reference():
-        return _load(nocache_url)
-
-    def bench_extra() -> dict:
-        return {
-            "requests": last_report.get("requests"),
-            "requests_per_s": last_report.get("requests_per_s"),
-            "latency_ms": dict(last_report.get("latency_ms", {})),
-            "cached": last_report.get("cached"),
-        }
-
-    run.bench_extra = bench_extra
     return run, run_reference
 
 
@@ -601,45 +230,11 @@ WORKLOADS: tuple[Workload, ...] = (
         _iterative_workload,
     ),
     Workload(
-        "experiment-grid-small",
-        "Serial experiment grid (3 heuristics, no reference variant)",
-        _experiment_workload,
-    ),
-    Workload(
-        "runner-cached-grid",
-        "Warm-cache resume via run_grid vs uncached recompute (the "
-        "reference variant)",
-        _cached_grid_workload,
-    ),
-    Workload(
         "tracing-overhead",
         "Iterative 512x32 run under a live CollectingTracer vs the null "
         "tracer (the reference variant); fails the bench when the "
         "overhead ratio exceeds the checked-in budget",
         _tracing_overhead_workload,
-    ),
-    Workload(
-        "streamed-generation",
-        "Out-of-core ensemble streaming into an ETC store in a fresh "
-        "subprocess, asserted under a peak-RSS budget the payload "
-        "exceeds, vs materialising the whole ensemble first (the "
-        "reference variant)",
-        _streamed_generation_workload,
-    ),
-    Workload(
-        "rolling-horizon",
-        "Rolling-horizon serve of 4000 streamed tasks x 8 machines "
-        "(400x4 in smoke mode), ~64 tasks mapped+refined per horizon, "
-        "vs a per-task mapping cadence (the reference variant)",
-        _rolling_serving_workload,
-    ),
-    Workload(
-        "serve-load",
-        "Synthetic HTTP traffic against the scheduling service with a "
-        "warm content-addressed response cache (160 study requests at "
-        "concurrency 8; 32 in smoke mode), vs an identical no-cache "
-        "service that recomputes every request (the reference variant)",
-        _serve_load_workload,
     ),
 )
 
@@ -690,7 +285,6 @@ def run_bench(
     repeats: int = DEFAULT_REPEATS,
     with_reference: bool = True,
     only: Sequence[str] | None = None,
-    backend: str | None = None,
     profile: int | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> dict:
@@ -699,7 +293,7 @@ def run_bench(
     ``only`` restricts the run to a subset of workload names;
     ``with_reference=False`` skips the pre-optimisation variants (halves
     runtime, but the report then carries no speedup figures);
-    ``backend`` reaches the workload builds as :class:`BenchOptions`; ``profile=N`` additionally runs each
+    ``profile=N`` additionally runs each
     optimised thunk once under :mod:`cProfile` after timing and stores
     the top-``N`` cumulative entries in the workload's ``profile``
     field; ``progress`` receives one line per finished workload.
@@ -708,7 +302,6 @@ def run_bench(
         raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
     if profile is not None and profile < 1:
         raise ConfigurationError(f"profile must be >= 1, got {profile}")
-    options = BenchOptions(smoke=smoke, backend=backend)
     selected = WORKLOADS
     if only is not None:
         known = {w.name: w for w in WORKLOADS}
@@ -724,23 +317,16 @@ def run_bench(
 
     results: dict[str, dict] = {}
     for workload in selected:
-        run, run_reference = workload.build(options)
+        run, run_reference = workload.build(smoke)
         entry = dict(_time_thunk(run, repeats))
         entry["description"] = workload.description
-        if with_reference and run_reference is not None:
+        if with_reference:
             reference = _time_thunk(run_reference, repeats)
             entry["reference_best_s"] = reference["best_s"]
             entry["reference_median_s"] = reference["median_s"]
             entry["speedup"] = reference["best_s"] / entry["best_s"]
         if profile is not None:
             entry["profile"] = _profile_thunk(run, profile)
-        # Workloads may attach a ``bench_extra`` callable to the run
-        # thunk to publish headline figures beyond wall-clock (the
-        # serve-load workload records its requests/s and latency
-        # percentiles this way).
-        extra_fn = getattr(run, "bench_extra", None)
-        if callable(extra_fn):
-            entry["extra"] = extra_fn()
         results[workload.name] = entry
         if progress is not None:
             speedup = entry.get("speedup")
@@ -887,16 +473,6 @@ def format_report(report: dict) -> str:
                 else f"{'-':>12} {'-':>8}"
             )
         )
-    for name, entry in sorted(report["results"].items()):
-        extra = entry.get("extra") or {}
-        if extra.get("requests_per_s") is not None:
-            latency = extra.get("latency_ms", {})
-            lines.append(
-                f"{name}: {extra['requests_per_s']:.1f} requests/s "
-                f"(p50 {latency.get('p50', 0):.3f} ms, "
-                f"p95 {latency.get('p95', 0):.3f} ms, "
-                f"{extra.get('cached', 0)} cached)"
-            )
     return "\n".join(lines)
 
 

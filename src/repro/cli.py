@@ -111,10 +111,14 @@ def _ledger_append(
     started: float,
     config: dict,
     metrics: dict,
-    counters: dict | None = None,
+    tracer=None,
     extra: dict | None = None,
 ) -> None:
-    """Build and append one ledger record for a finished command."""
+    """Build and append one ledger record for a finished command.
+
+    ``tracer`` is the command's collecting tracer (``None`` when it ran
+    untraced); its counters go into the record.
+    """
     from repro.obs.ledger import RunLedger, build_record
 
     record = build_record(
@@ -122,13 +126,22 @@ def _ledger_append(
         seed=getattr(args, "seed", None),
         config=config,
         metrics=metrics,
-        counters=counters,
+        counters=tracer.counters.as_dict() if tracer is not None else None,
         duration_s=round(time.perf_counter() - started, 6),
         extra=extra,
     )
     ledger = RunLedger(args.ledger)
     ledger.append(record)
     print(f"ledger: appended run {record['run_id']} to {ledger.path}")
+
+
+def _write_trace(tracer, path: str) -> None:
+    """Export ``tracer``'s records as obs JSONL to ``path``."""
+    from repro.obs import write_jsonl
+
+    lines = write_jsonl(tracer, path)
+    print(f"trace: wrote {lines} JSONL records to {path} "
+          "(render with `repro obs timeline`)")
 
 
 def _maybe_collect(enabled: bool):
@@ -164,7 +177,6 @@ def _runner_run_fn(args: argparse.Namespace):
             cache_dir=cache_dir,
             resume=args.resume,
             shards=args.shards,
-            batch_size=getattr(args, "batch_size", None),
             on_error="raise",
         )
         return list(result.records)
@@ -294,7 +306,7 @@ def cmd_study(args: argparse.Namespace) -> int:
                 "backend": args.backend,
             },
             metrics=metrics,
-            counters=tracer.counters.as_dict() if tracer is not None else None,
+            tracer=tracer,
         )
     return 0
 
@@ -358,7 +370,7 @@ def _cmd_study_faults(args: argparse.Namespace) -> int:
                 "consistency": args.consistency.value,
             },
             metrics=metrics,
-            counters=tracer.counters.as_dict() if tracer is not None else None,
+            tracer=tracer,
         )
     return 0
 
@@ -481,7 +493,7 @@ def _cmd_simulate_faults(args: argparse.Namespace) -> int:
                 "requeues": result.requeues,
                 "dropped": len(result.dropped),
             },
-            counters=tracer.counters.as_dict() if tracer is not None else None,
+            tracer=tracer,
             extra={"plan_signature": plan.signature()},
         )
     return 0
@@ -655,7 +667,7 @@ def cmd_export(args: argparse.Namespace) -> int:
                 "backend": args.backend,
             },
             metrics=metrics,
-            counters=tracer.counters.as_dict() if tracer is not None else None,
+            tracer=tracer,
         )
     return 0
 
@@ -701,7 +713,6 @@ def cmd_run_grid(args: argparse.Namespace) -> int:
             cache_dir=cache_dir,
             resume=args.resume,
             shards=args.shards,
-            batch_size=args.batch_size,
             timeout_s=args.timeout,
             retries=args.retries,
             store_dir=args.store_dir,
@@ -716,12 +727,8 @@ def cmd_run_grid(args: argparse.Namespace) -> int:
     if args.store_dir is not None:
         print(f"store: {result.store_published} ensemble(s) published, "
               f"{result.store_reused} reused from {args.store_dir}")
-    if args.trace_out and tracer is not None:
-        from repro.obs import write_jsonl
-
-        lines = write_jsonl(tracer, args.trace_out)
-        print(f"trace: wrote {lines} JSONL records to {args.trace_out} "
-              "(render with `repro obs timeline`)")
+    if args.trace_out:
+        _write_trace(tracer, args.trace_out)
     if result.timeseries_summary is not None:
         ts = result.timeseries_summary
         print(f"timeseries: {ts['samples']} sample(s) to {ts['path']} — "
@@ -800,7 +807,6 @@ def cmd_run_grid(args: argparse.Namespace) -> int:
                 "seeded": args.seeded,
                 "workers": args.workers,
                 "shards": args.shards,
-                "batch_size": args.batch_size,
                 "backend": args.backend,
                 "cache_dir": cache_dir,
                 "resume": args.resume,
@@ -808,7 +814,7 @@ def cmd_run_grid(args: argparse.Namespace) -> int:
                 "stream_chunk": args.stream_chunk,
             },
             metrics=metrics,
-            counters=tracer.counters.as_dict() if tracer is not None else None,
+            tracer=tracer,
             extra=extra,
         )
     return 0 if result.ok else 1
@@ -992,12 +998,8 @@ def cmd_run_rolling(args: argparse.Namespace) -> int:
         print(f"timeseries        : {ts['samples']} sample(s) to "
               f"{ts['path']} — peak RSS "
               f"{ts['peak_rss_bytes'] / 1e6:.1f} MB")
-    if args.trace_out and tracer is not None:
-        from repro.obs import write_jsonl
-
-        lines = write_jsonl(tracer, args.trace_out)
-        print(f"trace: wrote {lines} JSONL records to {args.trace_out} "
-              "(render with `repro obs timeline`)")
+    if args.trace_out:
+        _write_trace(tracer, args.trace_out)
     if args.append_ledger:
         extra: dict = {}
         if plan is not None:
@@ -1044,7 +1046,7 @@ def cmd_run_rolling(args: argparse.Namespace) -> int:
                 "failures": result.failures,
                 "retries": result.retries,
             },
-            counters=tracer.counters.as_dict() if tracer is not None else None,
+            tracer=tracer,
             extra=extra or None,
         )
     return 0
@@ -1118,12 +1120,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     service.close()
     if args.append_ledger:
         flush_ledger()
-    if args.trace_out and tracer is not None:
-        from repro.obs.export import write_jsonl
-
-        lines = write_jsonl(tracer, args.trace_out)
-        print(f"trace: wrote {lines} JSONL records to {args.trace_out} "
-              "(inspect with `repro obs timeline`)")
+    if args.trace_out:
+        _write_trace(tracer, args.trace_out)
     counts = service.stats()["counts"]
     print(f"served {counts['requests']} request(s) "
           f"({counts['cache_hits']} cache hit(s), "
@@ -1315,7 +1313,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         repeats=args.repeats,
         with_reference=not args.no_reference,
         only=args.workloads.split(",") if args.workloads else None,
-        backend=args.backend,
         profile=args.profile,
         progress=lambda line: print(line, file=sys.stderr),
     )
@@ -1344,7 +1341,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 "repeats": args.repeats,
                 "with_reference": not args.no_reference,
                 "workloads": args.workloads,
-                "backend": args.backend,
             },
             metrics=metrics,
             extra={"bench_report": report},
@@ -1581,10 +1577,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=DEFAULT_BACKEND,
                        help="kernel backend (decision-identical; default: "
                             "%(default)s)")
-        p.add_argument("--batch-size", type=int, default=None,
-                       help="pack same-shape grid cells into submission "
-                            "batches of this size (default: one cell per "
-                            "submission)")
 
     def add_faults(p):
         from repro.sim.hcsystem import RECOVERY_POLICIES
@@ -1955,9 +1947,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list restricting which workloads run")
     b.add_argument("--list", action="store_true", dest="list_workloads",
                    help="list the registered workloads and exit")
-    b.add_argument("--backend", choices=backend_names(), default=None,
-                   help="kernel backend for the backend-aware workloads "
-                        "(default: incremental)")
     b.add_argument("--baseline",
                    help="bench JSON to compare against (exit 1 on regression)")
     b.add_argument("--tolerance", type=float, default=0.5,

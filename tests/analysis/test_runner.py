@@ -17,7 +17,6 @@ from repro.analysis.parallel import split_into_cells
 from repro.analysis.runner import (
     CellCache,
     cell_key,
-    pack_same_shape_batches,
     run_grid,
     split_into_shards,
 )
@@ -286,6 +285,21 @@ class TestRunGrid:
         with pytest.raises(ConfigurationError):
             run_grid(grid_config, on_error="explode")
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_zero_shards_rejected_before_publishing(
+        self, grid_config, tmp_path, workers
+    ):
+        store_dir = tmp_path / "store"
+        with pytest.raises(ConfigurationError, match="shards"):
+            run_grid(
+                grid_config,
+                max_workers=workers,
+                shards=0,
+                cache_dir=tmp_path / "cells",
+                store_dir=store_dir,
+            )
+        assert not store_dir.exists()
+
     def test_shards_do_not_change_output(self, grid_config, tmp_path):
         serial = run_experiment(grid_config)
         for shards in (1, 2, 7):
@@ -499,89 +513,6 @@ def _sleepy_cell(config):
 
     time.sleep(1.0)
     return run_experiment(config)
-
-
-class TestBatchPacking:
-    def test_homogeneous_grid_chunks_in_order(self, grid_config):
-        cells = split_into_cells(grid_config)
-        batches = pack_same_shape_batches(cells, 3)
-        assert [len(b) for b in batches] == [3, 1]
-        assert [cell for batch in batches for cell in batch] == cells
-
-    def test_mixed_shapes_never_share_a_batch(self):
-        small = _single_cell_config(num_tasks=4)
-        big = _single_cell_config(num_tasks=9)
-        cells = [small, big, small, big, small]
-        batches = pack_same_shape_batches(cells, 2)
-        for batch in batches:
-            shapes = {(c.num_tasks, c.num_machines) for c in batch}
-            assert len(shapes) == 1
-        assert sorted(len(b) for b in batches) == [1, 2, 2]
-
-    def test_batch_size_one_is_singletons(self, grid_config):
-        cells = split_into_cells(grid_config)
-        assert pack_same_shape_batches(cells, 1) == [[c] for c in cells]
-
-    def test_rejects_nonpositive_batch_size(self, grid_config):
-        with pytest.raises(ConfigurationError):
-            pack_same_shape_batches(split_into_cells(grid_config), 0)
-
-    def test_custom_key(self):
-        batches = pack_same_shape_batches(
-            ["aa", "b", "cc"], 2, key=len
-        )
-        assert batches == [["aa", "cc"], ["b"]]
-
-
-class TestRunGridBatched:
-    def test_pooled_batched_matches_serial(self, grid_config, tmp_path):
-        serial = run_experiment(grid_config)
-        result = run_grid(
-            grid_config, cache_dir=tmp_path, max_workers=2, batch_size=3
-        )
-        assert list(result.records) == serial
-        assert result.computed_cells == result.total_cells == 4
-
-    def test_serial_batched_matches_serial(self, grid_config, tmp_path):
-        serial = run_experiment(grid_config)
-        result = run_grid(
-            grid_config, cache_dir=tmp_path, max_workers=1, batch_size=2
-        )
-        assert list(result.records) == serial
-
-    def test_batched_cache_entries_resume_unbatched(self, grid_config, tmp_path):
-        first = run_grid(
-            grid_config, cache_dir=tmp_path, max_workers=2, batch_size=4
-        )
-        resumed = run_grid(grid_config, cache_dir=tmp_path, resume=True)
-        assert resumed.cached_cells == resumed.total_cells
-        assert resumed.records == first.records
-
-    def test_batch_counters_emitted(self, grid_config, tmp_path):
-        tracer = CollectingTracer()
-        with use_tracer(tracer):
-            run_grid(grid_config, cache_dir=tmp_path, max_workers=1, batch_size=3)
-        counters = tracer.counters.as_dict()
-        assert counters.get("runner.batch.submitted") == 2
-        histograms = tracer.histograms.as_dict()
-        assert histograms.get("runner.batch.size").count == 2
-        assert histograms.get("runner.batch.fill_pct").count == 2
-
-    def test_batched_failure_quarantines_every_cell(self, grid_config, tmp_path):
-        result = run_grid(
-            grid_config,
-            cache_dir=tmp_path,
-            max_workers=2,
-            batch_size=4,
-            retries=0,
-            cell_fn=_failing_cell,
-        )
-        assert len(result.quarantined) == 4
-        assert result.records == ()
-
-    def test_rejects_nonpositive_batch_size(self, grid_config):
-        with pytest.raises(ConfigurationError):
-            run_grid(grid_config, batch_size=0)
 
 
 class TestBackendConfigIdentity:
