@@ -11,7 +11,7 @@ import time
 import pytest
 
 from repro.analysis.experiments import ExperimentConfig, run_experiment
-from repro.analysis.parallel import run_experiment_parallel
+from repro.analysis.runner import run_grid
 from repro.etc.generation import Heterogeneity, generate_range_based
 from repro.heuristics import get_heuristic
 
@@ -73,7 +73,7 @@ def test_bench_parallel_grid_runner(benchmark, paper_output):
     )
 
     def run():
-        return run_experiment_parallel(config, max_workers=2)
+        return run_grid(config, max_workers=2).records
 
     parallel = benchmark.pedantic(run, rounds=1, iterations=1)
     serial = run_experiment(config)

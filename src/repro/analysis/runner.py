@@ -1,10 +1,10 @@
-"""Sharded, resumable experiment execution with on-disk result caching.
+"""Resumable experiment execution with on-disk result caching.
 
-The one-shot pool in :mod:`repro.analysis.parallel` recomputes every
-(heterogeneity, consistency) cell on every invocation and loses all
-completed work when a run is interrupted.  This module replaces that
-engine while keeping :func:`repro.analysis.parallel.run_experiment_parallel`
-as a thin compatible wrapper:
+:func:`run_grid` is the one execution path for experiment grids: it
+splits the grid into (heterogeneity, consistency) cells
+(:func:`repro.analysis.parallel.split_into_cells`), runs them serially
+or on a process pool, and — given a cache directory — keeps completed
+work across interrupted runs:
 
 * **Content-addressed cells.**  Every cell sub-config is hashed with
   the run ledger's :func:`~repro.obs.ledger.config_hash` scheme
@@ -19,11 +19,10 @@ as a thin compatible wrapper:
   serves those cells from cache and computes only the remainder;
   cached records are byte-identical to recomputed ones (asserted by
   the integration suite).
-* **Work-stealing shard queue.**  The uncached cells are partitioned
-  round-robin into shards (:func:`split_into_shards`) and submitted
-  shard-interleaved to the process pool, whose shared queue lets idle
-  workers steal the next cell — heterogeneous cell costs cannot strand
-  a worker on a long tail.
+* **Work-stealing queue.**  The uncached cells are submitted in grid
+  order to the process pool, whose shared queue lets idle workers take
+  the next cell — heterogeneous cell costs cannot strand a worker on a
+  long tail.
 * **Timeouts and quarantine.**  A per-cell wall-clock timeout (pooled
   mode) and bounded retries turn a pathological cell into a *poisoned*
   cell — recorded in the cache as ``<key>.poison.json`` and skipped on
@@ -121,7 +120,6 @@ __all__ = [
     "cell_key",
     "cell_label",
     "store_entry_key",
-    "split_into_shards",
     "CellCache",
     "CellTimeoutError",
     "QuarantinedCell",
@@ -152,7 +150,7 @@ def cell_key(config: ExperimentConfig) -> str:
     The hash covers everything that determines the cell's records —
     the ETC-instance seed, grid shape, heuristic configuration and
     iterative parameters — and nothing that does not (worker counts,
-    shard counts, cache paths), so re-running the same science always
+    cache paths), so re-running the same science always
     hits the same entry.
     """
     from repro.obs.ledger import config_hash
@@ -247,22 +245,6 @@ def _run_cell_from_store(
             return store.instances(key)
 
     return run_experiment(config, instances_for=instances_for)
-
-
-def split_into_shards(cells: list, num_shards: int) -> list[list]:
-    """Round-robin partition of ``cells`` into at most ``num_shards``
-    shards.
-
-    Adjacent grid cells often share costs (same heterogeneity class),
-    so the round-robin stride spreads expensive neighbourhoods across
-    shards.  Never returns empty shards: with ``num_shards >
-    len(cells)`` every shard is a singleton, and an empty grid yields
-    no shards at all.
-    """
-    if num_shards < 1:
-        raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
-    effective = min(num_shards, len(cells))
-    return [cells[i::effective] for i in range(effective)]
 
 
 # ----------------------------------------------------------------------
@@ -508,7 +490,6 @@ def run_grid(
     progress=None,
     cache_dir: str | Path | None = None,
     resume: bool = False,
-    shards: int | None = None,
     timeout_s: float | None = None,
     retries: int = DEFAULT_RETRIES,
     on_error: str = "quarantine",
@@ -524,12 +505,10 @@ def run_grid(
     order, so the output is bit-identical to a serial
     :func:`~repro.analysis.experiments.run_experiment` run.
 
-    ``cache_dir=None`` disables persistence entirely (the legacy
-    one-shot behaviour); with a cache directory, every completed cell
-    is persisted as it finishes and ``resume=True`` serves previously
-    completed cells from cache.  ``shards`` controls the round-robin
-    interleaving of the submission queue (default: one shard per
-    cell).  ``timeout_s`` bounds each cell attempt's wall clock in
+    ``cache_dir=None`` disables persistence entirely (a one-shot run);
+    with a cache directory, every completed cell is persisted as it
+    finishes and ``resume=True`` serves previously completed cells from
+    cache.  ``timeout_s`` bounds each cell attempt's wall clock in
     pooled mode (serial runs cannot be interrupted and ignore it).
     ``retries`` bounds re-attempts after a failure or timeout; what
     happens when the budget is exhausted depends on ``on_error``:
@@ -537,8 +516,8 @@ def run_grid(
     * ``"quarantine"`` (default) — poison the cell (when a cache is
       configured), continue with the rest of the grid, and report it
       in :attr:`GridResult.quarantined`;
-    * ``"raise"`` — re-raise the cell's original exception, matching
-      the legacy ``run_experiment_parallel`` contract.
+    * ``"raise"`` — re-raise the cell's original exception (what the
+      ``study`` and ``export`` commands use).
 
     ``store_dir`` switches cell inputs onto the zero-copy store
     transport (see the module docstring): pending cells' ensembles are
@@ -561,7 +540,7 @@ def run_grid(
     so the merged snapshots form a single trace tree — worker spans
     carry the parent's trace id, cached cells re-root as synthetic
     ``runner.cell.cached`` spans, and the merged tree is deterministic
-    in cell order (serial and sharded runs produce the same
+    in cell order (serial and pooled runs produce the same
     :func:`~repro.obs.spans.tree_shape`).
 
     ``cell_fn`` is the per-cell executor (tests inject failing or
@@ -578,8 +557,6 @@ def run_grid(
         raise ConfigurationError(
             f"on_error must be 'quarantine' or 'raise', got {on_error!r}"
         )
-    if shards is not None and shards < 1:
-        raise ConfigurationError(f"shards must be >= 1, got {shards}")
     if store_dir is not None and cell_fn is not run_experiment:
         raise ConfigurationError(
             "store_dir fixes the cell executor to the store transport; "
@@ -596,9 +573,9 @@ def run_grid(
     progress = progress if progress is not None else NULL_PROGRESS
     tracer = get_tracer()
     cache = CellCache(cache_dir) if cache_dir is not None else None
-    # The legacy wrapper (no cache) promises byte-identical traced
-    # output vs a serial run, so runner.* counters/histograms are only
-    # emitted when the cache-backed engine is in use.
+    # Uncached runs promise traced output byte-identical to a serial
+    # run_experiment, so runner.* counters/histograms are only emitted
+    # when the cache-backed engine is in use.
     count_obs = tracer.enabled and cache is not None
     cells = split_into_cells(config)
     keys = [cell_key(cell) for cell in cells]
@@ -663,8 +640,7 @@ def run_grid(
     store_published = 0
     store_reused = 0
     # One ``runner.grid`` span covers the whole run.  Cache mode only
-    # (``count_obs``) so the legacy wrapper's traced output stays
-    # byte-identical; ``phase`` spans never emit events, so the event
+    # (``count_obs``) so uncached traced output stays byte-identical; ``phase`` spans never emit events, so the event
     # stream contract holds in cache mode too.  The span's context is
     # shipped to every worker so merged snapshots form one trace tree.
     grid_cm = (
@@ -732,9 +708,8 @@ def run_grid(
             if store_dir is not None:
                 store = ETCStore(store_dir)
                 # Transport-only parent-side counters: excluded from
-                # the byte-identity contract (the legacy no-store
-                # wrapper never emits them), so they are gated only on
-                # the tracer.
+                # the byte-identity contract (no-store runs never emit
+                # them), so they are gated only on the tracer.
                 ipc_obs = tracer.enabled
                 window = (
                     stream_chunk
@@ -800,8 +775,8 @@ def run_grid(
             if serial:
                 # Isolate per-cell collection only when the cache needs
                 # a snapshot to persist; otherwise run under the
-                # caller's tracer directly, exactly like the legacy
-                # serial path.
+                # caller's tracer directly, exactly like a serial
+                # run_experiment.
                 isolate = cache is not None and tracer.enabled
                 for work in pending:
                     while True:
@@ -834,7 +809,6 @@ def run_grid(
                     pending,
                     cell_fn=cell_fn,
                     max_workers=max_workers,
-                    shards=shards,
                     timeout_s=timeout_s,
                     retries=retries,
                     observed=tracer.enabled,
@@ -898,7 +872,6 @@ def _run_pooled(
     *,
     cell_fn,
     max_workers: int | None,
-    shards: int | None,
     timeout_s: float | None,
     retries: int,
     observed: bool,
@@ -909,8 +882,8 @@ def _run_pooled(
     context=None,
     sampler=None,
 ) -> int:
-    """Drive the process pool: shard-interleaved submission, completion-
-    order persistence, parent-side timeouts, bounded retries.
+    """Drive the process pool: grid-order submission, completion-order
+    persistence, parent-side timeouts, bounded retries.
 
     Returns the retry count.  Snapshots are *not* merged here — the
     caller merges every snapshot in cell order afterwards so traced
@@ -919,8 +892,6 @@ def _run_pooled(
     tracers; ``sampler`` (a :class:`~repro.obs.timeseries.GridSampler`)
     gets queue-depth updates as pool occupancy changes.
     """
-    num_shards = shards if shards is not None else len(works)
-    order = [work for shard in split_into_shards(works, num_shards) for work in shard]
     retried = 0
     abandoned_timeouts = False
     pool = ProcessPoolExecutor(max_workers=max_workers)
@@ -946,7 +917,7 @@ def _run_pooled(
             give_up(work, exc)
             return 0
 
-        for work in order:
+        for work in works:
             submit(work)
 
         while in_flight:

@@ -119,10 +119,9 @@ def improvement_study(
 
     ``run_fn`` maps an :class:`ExperimentConfig` to its records; the
     default is the serial :func:`~repro.analysis.experiments.run_experiment`.
-    The CLI routes this through the cached runner
-    (:func:`~repro.analysis.runner.run_grid`) when ``--cache-dir`` /
-    ``--resume`` are given — the records are identical either way, only
-    execution and caching differ.  ``backend`` picks the kernel
+    The CLI routes it through :func:`~repro.analysis.runner.run_grid`
+    (which adds the optional cell cache) — the records are identical
+    either way, only execution and caching differ.  ``backend`` picks the kernel
     generation (see :mod:`repro.heuristics.backends`); all backends are
     decision-identical, so the rows do not depend on it.
     ``generation_method`` picks the ETC generator (``"range"`` /

@@ -27,9 +27,11 @@ result-producing subcommands (``bench``, ``study``, ``compare``,
 ``export``, ``run-grid``, ``report``) accept ``--append-ledger`` to
 append one fingerprinted ``repro-ledger/1`` record to the run ledger
 (default ``.repro/ledger.jsonl``; relocatable with ``--ledger-path``),
-which the ``obs`` family inspects.  ``run-grid`` (and ``study`` /
-``export`` under ``--cache-dir`` / ``--resume``) executes through the
-resumable cached runner (see :mod:`repro.analysis.runner`).
+which the ``obs`` family inspects.  ``study``, ``export`` and
+``run-grid`` execute their grids through one
+:func:`repro.analysis.runner.run_grid` call each; ``run-grid`` caches
+cells by default, ``study`` / ``export`` under ``--cache-dir`` /
+``--resume``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ import os
 import sys
 import time
 from collections.abc import Sequence
+from contextlib import ExitStack
+from enum import Enum
 
 from repro import __version__
 
@@ -62,7 +66,7 @@ from repro.core.seeding import SeededIterativeScheduler
 from repro.core.ties import make_tie_breaker
 from repro.etc.generation import Consistency, Heterogeneity
 from repro.etc import generation, io as etc_io
-from repro.exceptions import ReproError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.heuristics import get_heuristic, heuristic_names
 
 __all__ = ["main", "build_parser"]
@@ -88,6 +92,19 @@ def _consistency(value: str) -> Consistency:
         ) from None
 
 
+def _comma_list(parse):
+    """argparse type: a comma list whose every item ``parse`` accepts.
+
+    The value stays the string as given (the ledger records it so).
+    """
+    def check(value: str) -> str:
+        for item in value.split(","):
+            parse(item)
+        return value
+
+    return check
+
+
 def _load_etc(path: str):
     if path.endswith(".json"):
         return etc_io.load_json(path)
@@ -102,37 +119,13 @@ def _make_heuristic(name: str, seed: int):
 
 
 # ----------------------------------------------------------------------
-# run-ledger plumbing (see repro.obs.ledger)
+# run bookkeeping shared by the result-producing subcommands
 # ----------------------------------------------------------------------
-def _ledger_append(
-    args: argparse.Namespace,
-    command: str,
-    *,
-    started: float,
-    config: dict,
-    metrics: dict,
-    tracer=None,
-    extra: dict | None = None,
-) -> None:
-    """Build and append one ledger record for a finished command.
-
-    ``tracer`` is the command's collecting tracer (``None`` when it ran
-    untraced); its counters go into the record.
-    """
-    from repro.obs.ledger import RunLedger, build_record
-
-    record = build_record(
-        command,
-        seed=getattr(args, "seed", None),
-        config=config,
-        metrics=metrics,
-        counters=tracer.counters.as_dict() if tracer is not None else None,
-        duration_s=round(time.perf_counter() - started, 6),
-        extra=extra,
-    )
-    ledger = RunLedger(args.ledger)
-    ledger.append(record)
-    print(f"ledger: appended run {record['run_id']} to {ledger.path}")
+def _ledger_config(args: argparse.Namespace, names, **computed) -> dict:
+    """A ledger ``config``: the named args plus values the command
+    computed itself, with enums recorded by value."""
+    config = {name: getattr(args, name) for name in names} | computed
+    return {k: v.value if isinstance(v, Enum) else v for k, v in config.items()}
 
 
 def _write_trace(tracer, path: str) -> None:
@@ -144,44 +137,136 @@ def _write_trace(tracer, path: str) -> None:
           "(render with `repro obs timeline`)")
 
 
-def _maybe_collect(enabled: bool):
-    """A collecting-tracer context when ``enabled``, else a no-op one."""
-    from contextlib import nullcontext
+class _Run:
+    """Start time, tracer, sampler and ledger row of one command run.
 
-    from repro.obs import CollectingTracer, use_tracer
-
-    return use_tracer(CollectingTracer()) if enabled else nullcontext(None)
-
-
-def _runner_run_fn(args: argparse.Namespace):
-    """The per-config executor for study/export: cached runner or ``None``.
-
-    Returns ``None`` when no runner option was given, so callers keep
-    the exact legacy execution path; otherwise a ``config -> records``
-    callable routed through :func:`repro.analysis.runner.run_grid`
-    with the requested cache/resume/shard settings (``--resume`` alone
-    implies the default cache directory).
+    A collecting tracer is created when ``--trace-out`` is given, or for
+    ``--append-ledger`` when the ledger row should carry the run's
+    counters (``ledger_counters``).  Entering the run installs the
+    tracer; leaving it closes :attr:`sampler` and, on success, exports
+    the trace to ``--trace-out``.  :meth:`append` writes the ledger row.
     """
-    if args.cache_dir is None and not args.resume and args.shards is None:
-        return None
-    from repro.analysis.runner import DEFAULT_CACHE_DIR, run_grid
 
-    cache_dir = args.cache_dir if args.cache_dir is not None else (
-        DEFAULT_CACHE_DIR if args.resume else None
+    def __init__(
+        self,
+        args: argparse.Namespace,
+        command: str,
+        *,
+        ledger_counters: bool = False,
+    ) -> None:
+        from repro.obs import CollectingTracer
+
+        self.args = args
+        self.command = command
+        self.started = time.perf_counter()
+        self.trace_out = getattr(args, "trace_out", None)
+        collect = self.trace_out or (ledger_counters and args.append_ledger)
+        self.tracer = CollectingTracer() if collect else None
+        self.sampler = None
+        self._stack = ExitStack()
+
+    def __enter__(self) -> _Run:
+        from repro.obs import use_tracer
+
+        if self.tracer is not None:
+            self._stack.enter_context(use_tracer(self.tracer))
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if self.sampler is not None:
+                self.sampler.close()
+        finally:
+            self._stack.close()
+        if exc_type is None and self.trace_out:
+            _write_trace(self.tracer, self.trace_out)
+
+    def append(self, config: dict, metrics: dict, extra: dict | None = None) -> None:
+        """Append the run's ledger row (only under ``--append-ledger``)."""
+        if not self.args.append_ledger:
+            return
+        from repro.obs.ledger import build_record
+
+        self.append_record(build_record(
+            self.command,
+            seed=getattr(self.args, "seed", None),
+            config=config,
+            metrics=metrics,
+            counters=(
+                self.tracer.counters.as_dict() if self.tracer is not None else None
+            ),
+            duration_s=round(time.perf_counter() - self.started, 6),
+            extra=extra,
+        ))
+
+    def append_record(self, record: dict) -> None:
+        from repro.obs.ledger import RunLedger
+
+        ledger = RunLedger(self.args.ledger)
+        ledger.append(record)
+        print(f"ledger: appended run {record['run_id']} to {ledger.path}",
+              flush=True)
+
+
+def _runner_cache_dir(args: argparse.Namespace):
+    """study/export cell cache: ``--cache-dir``, or the default cache
+    directory when only ``--resume`` is given, else none."""
+    from repro.analysis.runner import DEFAULT_CACHE_DIR
+
+    if args.cache_dir is not None:
+        return args.cache_dir
+    return DEFAULT_CACHE_DIR if args.resume else None
+
+
+def _grid_means(records) -> dict:
+    """Grid-level means of a run's records (empty without records)."""
+    import numpy as np
+
+    comparisons = [r.comparison for r in records]
+    if not comparisons:
+        return {}
+    return {
+        "original_makespan_mean": float(
+            np.mean([c.original_makespan for c in comparisons])
+        ),
+        "final_makespan_mean": float(
+            np.mean([c.final_makespan for c in comparisons])
+        ),
+        "makespan_increase_rate": float(
+            np.mean([c.makespan_increased for c in comparisons])
+        ),
+        "non_makespan_improvement_mean": float(
+            np.mean([c.mean_delta for c in comparisons])
+        ),
+    }
+
+
+def _fault_plan(args: argparse.Namespace, machines, horizon: float):
+    """Seeded fault plan over ``horizon`` from the fault-shape flags.
+
+    Returns the plan and the recovery backoff bounds scaled to its
+    mean downtime (keyword arguments of the simulators).
+    """
+    import numpy as np
+
+    from repro.sim.faults import FaultConfig, generate_fault_plan
+
+    mean_downtime = args.downtime_frac * horizon
+    config = FaultConfig(
+        failure_rate=args.failures / horizon,
+        mean_downtime=mean_downtime,
+        slowdown_rate=args.slowdowns / horizon if args.slowdowns else 0.0,
+        slowdown_factor=args.slowdown_factor,
+        mean_slowdown=mean_downtime if args.slowdowns else 0.0,
     )
-
-    def run_fn(config):
-        result = run_grid(
-            config,
-            max_workers=getattr(args, "workers", None),
-            cache_dir=cache_dir,
-            resume=args.resume,
-            shards=args.shards,
-            on_error="raise",
-        )
-        return list(result.records)
-
-    return run_fn
+    plan = generate_fault_plan(
+        machines, config, horizon, rng=np.random.default_rng(args.seed + 1)
+    )
+    backoff = {
+        "backoff_base": max(0.25 * mean_downtime, 1e-9),
+        "backoff_cap": max(4.0 * mean_downtime, 1e-9),
+    }
+    return plan, backoff
 
 
 # ----------------------------------------------------------------------
@@ -254,10 +339,20 @@ def cmd_iterate(args: argparse.Namespace) -> int:
 def cmd_study(args: argparse.Namespace) -> int:
     if args.faults:
         return _cmd_study_faults(args)
-    started = time.perf_counter()
-    run_fn = _runner_run_fn(args)
-    study_kwargs = {"run_fn": run_fn} if run_fn is not None else {}
-    with _maybe_collect(args.append_ledger) as tracer:
+    import numpy as np
+
+    from repro.analysis.runner import run_grid
+
+    def run_fn(config):
+        return run_grid(
+            config,
+            cache_dir=_runner_cache_dir(args),
+            resume=args.resume,
+            retries=0,
+            on_error="raise",
+        ).records
+
+    with _Run(args, "study", ledger_counters=True) as run:
         rows = improvement_study(
             heuristics=tuple(args.heuristics.split(",")),
             num_tasks=args.tasks,
@@ -269,45 +364,30 @@ def cmd_study(args: argparse.Namespace) -> int:
             seeded_iterations=args.seeded,
             seed=args.seed,
             backend=args.backend,
-            **study_kwargs,
+            run_fn=run_fn,
         )
     print(format_improvement_table(rows))
-    if args.append_ledger:
-        import numpy as np
-
-        metrics = {}
-        for r in rows:
-            prefix = f"{r.heuristic}.{r.tie_policy}"
-            metrics[f"{prefix}.mapping_change_rate"] = r.mapping_change_rate
-            metrics[f"{prefix}.makespan_increase_rate"] = r.makespan_increase_rate
-            metrics[f"{prefix}.machine_improved_rate"] = r.machine_improved_rate
-            metrics[f"{prefix}.non_makespan_improvement_mean"] = (
-                r.mean_improvement.mean
-            )
-        metrics["makespan_increase_rate_mean"] = float(
-            np.mean([r.makespan_increase_rate for r in rows])
+    metrics = {}
+    for r in rows:
+        prefix = f"{r.heuristic}.{r.tie_policy}"
+        metrics[f"{prefix}.mapping_change_rate"] = r.mapping_change_rate
+        metrics[f"{prefix}.makespan_increase_rate"] = r.makespan_increase_rate
+        metrics[f"{prefix}.machine_improved_rate"] = r.machine_improved_rate
+        metrics[f"{prefix}.non_makespan_improvement_mean"] = (
+            r.mean_improvement.mean
         )
-        metrics["non_makespan_improvement_mean"] = float(
-            np.mean([r.mean_improvement.mean for r in rows])
-        )
-        _ledger_append(
-            args,
-            "study",
-            started=started,
-            config={
-                "heuristics": args.heuristics,
-                "tasks": args.tasks,
-                "machines": args.machines,
-                "instances": args.instances,
-                "heterogeneity": args.heterogeneity.value,
-                "consistency": args.consistency.value,
-                "ties": args.ties,
-                "seeded": args.seeded,
-                "backend": args.backend,
-            },
-            metrics=metrics,
-            tracer=tracer,
-        )
+    metrics["makespan_increase_rate_mean"] = float(
+        np.mean([r.makespan_increase_rate for r in rows])
+    )
+    metrics["non_makespan_improvement_mean"] = float(
+        np.mean([r.mean_improvement.mean for r in rows])
+    )
+    run.append(
+        _ledger_config(args, ("heuristics", "tasks", "machines", "instances",
+                              "heterogeneity", "consistency", "ties",
+                              "seeded", "backend")),
+        metrics,
+    )
     return 0
 
 
@@ -318,17 +398,15 @@ def _cmd_study_faults(args: argparse.Namespace) -> int:
         format_fault_table,
     )
 
-    started = time.perf_counter()
     try:
         rates = tuple(float(r) for r in args.failure_rates.split(","))
     except ValueError:
         print(f"--failure-rates must be comma-separated numbers, "
               f"got {args.failure_rates!r}", file=sys.stderr)
         return 2
-    heuristics = tuple(args.heuristics.split(","))
     rows = []
-    with _maybe_collect(args.append_ledger) as tracer:
-        for heuristic in heuristics:
+    with _Run(args, "study-faults", ledger_counters=True) as run:
+        for heuristic in args.heuristics.split(","):
             rows.extend(fault_degradation_study(
                 heuristic,
                 failure_rates=rates,
@@ -343,40 +421,29 @@ def _cmd_study_faults(args: argparse.Namespace) -> int:
                 seed=args.seed,
             ))
     print(format_fault_table(rows))
-    if args.append_ledger:
-        metrics = {}
-        for r in rows:
-            prefix = f"{r.heuristic}.{r.mapping_kind}.rate_{r.failure_rate:g}"
-            metrics[f"{prefix}.makespan_degradation"] = r.makespan_degradation
-            metrics[f"{prefix}.non_makespan_degradation"] = (
-                r.non_makespan_degradation
-            )
-            metrics[f"{prefix}.failures"] = r.failures
-            metrics[f"{prefix}.dropped"] = r.dropped
-        _ledger_append(
-            args,
-            "study-faults",
-            started=started,
-            config={
-                "heuristics": args.heuristics,
-                "tasks": args.tasks,
-                "machines": args.machines,
-                "instances": args.instances,
-                "failure_rates": args.failure_rates,
-                "recovery": args.recovery,
-                "retry_budget": args.retry_budget,
-                "downtime_frac": args.downtime_frac,
-                "heterogeneity": args.heterogeneity.value,
-                "consistency": args.consistency.value,
-            },
-            metrics=metrics,
-            tracer=tracer,
+    metrics = {}
+    for r in rows:
+        prefix = f"{r.heuristic}.{r.mapping_kind}.rate_{r.failure_rate:g}"
+        metrics[f"{prefix}.makespan_degradation"] = r.makespan_degradation
+        metrics[f"{prefix}.non_makespan_degradation"] = (
+            r.non_makespan_degradation
         )
+        metrics[f"{prefix}.failures"] = r.failures
+        metrics[f"{prefix}.dropped"] = r.dropped
+    run.append(
+        _ledger_config(args, ("heuristics", "tasks", "machines", "instances",
+                              "failure_rates", "recovery", "retry_budget",
+                              "downtime_frac", "heterogeneity",
+                              "consistency")),
+        metrics,
+    )
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+    import numpy as np
+
+    run = _Run(args, "compare")
     rows = heuristic_comparison(
         tuple(args.heuristics.split(",")),
         num_tasks=args.tasks,
@@ -387,42 +454,27 @@ def cmd_compare(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     print(format_comparison_table(rows))
-    if args.append_ledger:
-        import numpy as np
-
-        metrics = {
-            f"{r.heuristic}.{r.etc_class}.makespan_mean": r.mean_makespan
-            for r in rows
-        }
-        metrics["makespan_mean_overall"] = float(
-            np.mean([r.mean_makespan for r in rows])
-        )
-        _ledger_append(
-            args,
-            "compare",
-            started=started,
-            config={
-                "heuristics": args.heuristics,
-                "tasks": args.tasks,
-                "machines": args.machines,
-                "instances": args.instances,
-                "heterogeneity": args.heterogeneity.value,
-                "consistency": args.consistency.value,
-            },
-            metrics=metrics,
-        )
+    metrics = {
+        f"{r.heuristic}.{r.etc_class}.makespan_mean": r.mean_makespan
+        for r in rows
+    }
+    metrics["makespan_mean_overall"] = float(
+        np.mean([r.mean_makespan for r in rows])
+    )
+    run.append(
+        _ledger_config(args, ("heuristics", "tasks", "machines", "instances",
+                              "heterogeneity", "consistency")),
+        metrics,
+    )
     return 0
 
 
 def _cmd_simulate_faults(args: argparse.Namespace) -> int:
     """``simulate --faults``: execute a static mapping under a seeded
     fault plan and report how recovery coped."""
-    import numpy as np
-
-    from repro.sim.faults import FaultConfig, generate_fault_plan
     from repro.sim.hcsystem import FaultTolerantHCSystem
 
-    started = time.perf_counter()
+    run = _Run(args, "simulate-faults", ledger_counters=True)
     etc = generation.generate_range_based(
         args.tasks, args.machines, args.heterogeneity, args.consistency,
         rng=args.seed,
@@ -430,25 +482,11 @@ def _cmd_simulate_faults(args: argparse.Namespace) -> int:
     heuristic = _make_heuristic(args.heuristic, args.seed)
     mapping = heuristic.map_tasks(etc)
     horizon = mapping.makespan()
-    mean_downtime = args.downtime_frac * horizon
-    config = FaultConfig(
-        failure_rate=args.failures / horizon,
-        mean_downtime=mean_downtime,
-        slowdown_rate=args.slowdowns / horizon if args.slowdowns else 0.0,
-        slowdown_factor=args.slowdown_factor,
-        mean_slowdown=mean_downtime if args.slowdowns else 0.0,
-    )
-    plan = generate_fault_plan(
-        etc.machines, config, horizon, rng=np.random.default_rng(args.seed + 1)
-    )
-    with _maybe_collect(args.append_ledger) as tracer:
+    plan, backoff = _fault_plan(args, etc.machines, horizon)
+    with run:
         system = FaultTolerantHCSystem(
-            etc,
-            plan,
-            policy=args.recovery,
-            retry_budget=args.retry_budget,
-            backoff_base=max(0.25 * mean_downtime, 1e-9),
-            backoff_cap=4.0 * mean_downtime,
+            etc, plan, policy=args.recovery, retry_budget=args.retry_budget,
+            **backoff,
         )
         result = system.execute(mapping)
     degradation = result.makespan / horizon if horizon > 0 else 1.0
@@ -467,35 +505,21 @@ def _cmd_simulate_faults(args: argparse.Namespace) -> int:
           f"retries: {result.retries}  requeues: {result.requeues}")
     for machine, finish in sorted(result.finish_times().items()):
         print(f"  {machine:<6} finish {finish:.6g}")
-    if args.append_ledger:
-        _ledger_append(
-            args,
-            "simulate-faults",
-            started=started,
-            config={
-                "heuristic": args.heuristic,
-                "tasks": args.tasks,
-                "machines": args.machines,
-                "failures": args.failures,
-                "downtime_frac": args.downtime_frac,
-                "slowdowns": args.slowdowns,
-                "recovery": args.recovery,
-                "retry_budget": args.retry_budget,
-                "heterogeneity": args.heterogeneity.value,
-                "consistency": args.consistency.value,
-            },
-            metrics={
-                "fault_free_makespan": horizon,
-                "faulty_makespan": result.makespan,
-                "makespan_degradation": degradation,
-                "failures": result.failures,
-                "retries": result.retries,
-                "requeues": result.requeues,
-                "dropped": len(result.dropped),
-            },
-            tracer=tracer,
-            extra={"plan_signature": plan.signature()},
-        )
+    run.append(
+        _ledger_config(args, ("heuristic", "tasks", "machines", "failures",
+                              "downtime_frac", "slowdowns", "recovery",
+                              "retry_budget", "heterogeneity", "consistency")),
+        {
+            "fault_free_makespan": horizon,
+            "faulty_makespan": result.makespan,
+            "makespan_degradation": degradation,
+            "failures": result.failures,
+            "retries": result.retries,
+            "requeues": result.requeues,
+            "dropped": len(result.dropped),
+        },
+        extra={"plan_signature": plan.signature()},
+    )
     return 0
 
 
@@ -595,14 +619,24 @@ def cmd_witness(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_records(records, path: str) -> None:
+    from repro.analysis.export import run_records_to_rows, write_csv, write_json
+
+    rows = run_records_to_rows(list(records))
+    if path.endswith(".json"):
+        write_json(rows, path)
+    else:
+        write_csv(rows, path)
+    print(f"wrote {len(rows)} run records to {path}")
+
+
 def cmd_export(args: argparse.Namespace) -> int:
     """Run an experiment grid and write per-run records to CSV/JSON."""
     from repro.analysis.experiments import ExperimentConfig
-    from repro.analysis.export import run_records_to_rows, write_csv, write_json
-    from repro.analysis.parallel import run_experiment_parallel
+    from repro.analysis.runner import run_grid
     from repro.obs.progress import make_progress
 
-    started = time.perf_counter()
+    run = _Run(args, "export", ledger_counters=True)
     config = ExperimentConfig(
         heuristics=tuple(args.heuristics.split(",")),
         num_tasks=args.tasks,
@@ -615,67 +649,29 @@ def cmd_export(args: argparse.Namespace) -> int:
         seed=args.seed,
         backend=args.backend,
     )
-    run_fn = _runner_run_fn(args)
-    with _maybe_collect(args.append_ledger) as tracer:
-        if run_fn is not None:
-            records = run_fn(config)
-        else:
-            records = run_experiment_parallel(
-                config,
-                max_workers=args.workers,
-                progress=make_progress(args.progress, label="cells"),
-            )
-    rows = run_records_to_rows(records)
-    if args.output.endswith(".json"):
-        write_json(rows, args.output)
-    else:
-        write_csv(rows, args.output)
-    print(f"wrote {len(rows)} run records to {args.output}")
-    if args.append_ledger:
-        import numpy as np
-
-        comparisons = [r.comparison for r in records]
-        metrics = {
-            "original_makespan_mean": float(
-                np.mean([c.original_makespan for c in comparisons])
-            ),
-            "final_makespan_mean": float(
-                np.mean([c.final_makespan for c in comparisons])
-            ),
-            "makespan_increase_rate": float(
-                np.mean([c.makespan_increased for c in comparisons])
-            ),
-            "non_makespan_improvement_mean": float(
-                np.mean([c.mean_delta for c in comparisons])
-            ),
-            "runs": len(records),
-        }
-        _ledger_append(
-            args,
-            "export",
-            started=started,
-            config={
-                "heuristics": args.heuristics,
-                "tasks": args.tasks,
-                "machines": args.machines,
-                "instances": args.instances,
-                "heterogeneity": args.heterogeneity.value,
-                "consistency": args.consistency.value,
-                "ties": args.ties,
-                "seeded": args.seeded,
-                "workers": args.workers,
-                "backend": args.backend,
-            },
-            metrics=metrics,
-            tracer=tracer,
-        )
+    with run:
+        records = run_grid(
+            config,
+            max_workers=args.workers,
+            progress=make_progress(args.progress, label="cells"),
+            cache_dir=_runner_cache_dir(args),
+            resume=args.resume,
+            retries=0,
+            on_error="raise",
+        ).records
+    _write_records(records, args.output)
+    run.append(
+        _ledger_config(args, ("heuristics", "tasks", "machines", "instances",
+                              "heterogeneity", "consistency", "ties",
+                              "seeded", "workers", "backend")),
+        {**_grid_means(records), "runs": len(records)},
+    )
     return 0
 
 
 def cmd_run_grid(args: argparse.Namespace) -> int:
     """Execute a full experiment grid through the resumable cached runner."""
     from repro.analysis.experiments import ExperimentConfig
-    from repro.analysis.export import run_records_to_rows, write_csv, write_json
     from repro.analysis.runner import run_grid
     from repro.obs.progress import make_progress
 
@@ -687,7 +683,7 @@ def cmd_run_grid(args: argparse.Namespace) -> int:
         print("error: --stream needs the ETC store (add --store DIR)",
               file=sys.stderr)
         return 2
-    started = time.perf_counter()
+    run = _Run(args, "run-grid", ledger_counters=True)
     config = ExperimentConfig(
         heuristics=tuple(args.heuristics.split(",")),
         num_tasks=args.tasks,
@@ -705,14 +701,13 @@ def cmd_run_grid(args: argparse.Namespace) -> int:
         backend=args.backend,
     )
     cache_dir = None if args.no_cache else args.cache_dir
-    with _maybe_collect(args.append_ledger or bool(args.trace_out)) as tracer:
+    with run:
         result = run_grid(
             config,
             max_workers=args.workers,
             progress=make_progress(args.progress, label="cells"),
             cache_dir=cache_dir,
             resume=args.resume,
-            shards=args.shards,
             timeout_s=args.timeout,
             retries=args.retries,
             store_dir=args.store_dir,
@@ -727,10 +722,8 @@ def cmd_run_grid(args: argparse.Namespace) -> int:
     if args.store_dir is not None:
         print(f"store: {result.store_published} ensemble(s) published, "
               f"{result.store_reused} reused from {args.store_dir}")
-    if args.trace_out:
-        _write_trace(tracer, args.trace_out)
-    if result.timeseries_summary is not None:
-        ts = result.timeseries_summary
+    ts = result.timeseries_summary
+    if ts is not None:
         print(f"timeseries: {ts['samples']} sample(s) to {ts['path']} — "
               f"{ts['tasks_per_s']:.6g} tasks scheduled/s, "
               f"{100 * ts['cache_hit_rate']:.0f}% cache hits")
@@ -738,85 +731,44 @@ def cmd_run_grid(args: argparse.Namespace) -> int:
         print(f"quarantined: {q.label} [{q.key[:12]}] after "
               f"{q.attempts} attempt(s): {q.error}", file=sys.stderr)
     if args.output:
-        rows = run_records_to_rows(list(result.records))
-        if args.output.endswith(".json"):
-            write_json(rows, args.output)
-        else:
-            write_csv(rows, args.output)
-        print(f"wrote {len(rows)} run records to {args.output}")
-    if args.append_ledger:
-        import numpy as np
-
+        _write_records(result.records, args.output)
+    metrics = {
+        "cells_total": result.total_cells,
+        "cells_cached": result.cached_cells,
+        "cells_computed": result.computed_cells,
+        "cells_retried": result.retried,
+        "cells_quarantined": len(result.quarantined),
+        "runs": len(result.records),
+    }
+    if args.store_dir is not None:
+        metrics["store_published"] = result.store_published
+        metrics["store_reused"] = result.store_reused
+    metrics.update(_grid_means(result.records))
+    # Headline throughput: every record schedules the cell's full
+    # task set once, so records x tasks over the wall clock is the
+    # grid-level tasks-scheduled-per-second figure.
+    duration = time.perf_counter() - run.started
+    tasks_scheduled = len(result.records) * args.tasks
+    metrics["tasks_scheduled"] = tasks_scheduled
+    metrics["tasks_scheduled_per_s"] = (
+        tasks_scheduled / duration if duration > 0 else 0.0
+    )
+    extra = {}
+    if run.tracer is not None:
         from repro.obs.ledger import histogram_summaries
 
-        comparisons = [r.comparison for r in result.records]
-        metrics = {
-            "cells_total": result.total_cells,
-            "cells_cached": result.cached_cells,
-            "cells_computed": result.computed_cells,
-            "cells_retried": result.retried,
-            "cells_quarantined": len(result.quarantined),
-            "runs": len(result.records),
-        }
-        if args.store_dir is not None:
-            metrics["store_published"] = result.store_published
-            metrics["store_reused"] = result.store_reused
-        if comparisons:
-            metrics["original_makespan_mean"] = float(
-                np.mean([c.original_makespan for c in comparisons])
-            )
-            metrics["final_makespan_mean"] = float(
-                np.mean([c.final_makespan for c in comparisons])
-            )
-            metrics["makespan_increase_rate"] = float(
-                np.mean([c.makespan_increased for c in comparisons])
-            )
-            metrics["non_makespan_improvement_mean"] = float(
-                np.mean([c.mean_delta for c in comparisons])
-            )
-        # Headline throughput: every record schedules the cell's full
-        # task set once, so records x tasks over the wall clock is the
-        # grid-level tasks-scheduled-per-second figure.
-        duration = time.perf_counter() - started
-        tasks_scheduled = len(result.records) * args.tasks
-        metrics["tasks_scheduled"] = tasks_scheduled
-        metrics["tasks_scheduled_per_s"] = (
-            tasks_scheduled / duration if duration > 0 else 0.0
-        )
-        extra = None
-        if tracer is not None or result.timeseries_summary is not None:
-            extra = {}
-            if tracer is not None:
-                extra["histograms"] = histogram_summaries(
-                    tracer.histograms.as_dict()
-                )
-            if result.timeseries_summary is not None:
-                extra["timeseries"] = result.timeseries_summary
-        _ledger_append(
-            args,
-            "run-grid",
-            started=started,
-            config={
-                "heuristics": args.heuristics,
-                "tasks": args.tasks,
-                "machines": args.machines,
-                "instances": args.instances,
-                "heterogeneities": args.heterogeneities,
-                "consistencies": args.consistencies,
-                "ties": args.ties,
-                "seeded": args.seeded,
-                "workers": args.workers,
-                "shards": args.shards,
-                "backend": args.backend,
-                "cache_dir": cache_dir,
-                "resume": args.resume,
-                "store_dir": args.store_dir,
-                "stream_chunk": args.stream_chunk,
-            },
-            metrics=metrics,
-            tracer=tracer,
-            extra=extra,
-        )
+        extra["histograms"] = histogram_summaries(run.tracer.histograms.as_dict())
+    if ts is not None:
+        extra["timeseries"] = ts
+    run.append(
+        _ledger_config(args, ("heuristics", "tasks", "machines", "instances",
+                              "heterogeneities", "consistencies", "ties",
+                              "seeded", "workers", "backend", "resume",
+                              "store_dir", "stream_chunk"),
+                       cache_dir=cache_dir),
+        metrics,
+        extra,
+    )
     return 0 if result.ok else 1
 
 
@@ -827,7 +779,6 @@ def cmd_run_rolling(args: argparse.Namespace) -> int:
     from repro.etc.generation import DEFAULT_STREAM_WINDOW
     from repro.obs.progress import make_progress
     from repro.sim.arrivals import TraceArrivals, make_arrival_process
-    from repro.sim.faults import FaultConfig, generate_fault_plan
     from repro.sim.rolling import (
         EnsembleTaskSource,
         RollingSampler,
@@ -840,8 +791,20 @@ def cmd_run_rolling(args: argparse.Namespace) -> int:
         print("error: --arrival trace needs --arrival-trace PATH",
               file=sys.stderr)
         return 2
-    started = time.perf_counter()
-    window = args.stream_chunk or DEFAULT_STREAM_WINDOW
+    window = (
+        DEFAULT_STREAM_WINDOW if args.stream_chunk is None else args.stream_chunk
+    )
+    # Checked up front so a bad shape never leaves a half-made --store.
+    if window < 1:
+        raise ConfigurationError(f"window must be >= 1, got {window}")
+    if args.chunk_tasks < 1:
+        raise ConfigurationError(
+            f"tasks_per_instance must be >= 1, got {args.chunk_tasks}"
+        )
+    # Event collection is opt-in via --trace-out only: a collecting
+    # tracer holds every per-decision event in memory, which would
+    # break the bounded-RSS guarantee on million-task serving runs.
+    run = _Run(args, "run-rolling")
     heuristic = _make_heuristic(args.heuristic, args.seed)
     refine = None if args.refine_iterations == 0 else args.refine_iterations
 
@@ -860,7 +823,6 @@ def cmd_run_rolling(args: argparse.Namespace) -> int:
         args.horizon if args.horizon is not None
         else args.batch_target / rate_est
     )
-    est_duration = args.tasks / rate_est
 
     if args.arrival == "trace":
         arrival = TraceArrivals.from_file(args.arrival_trace)
@@ -881,22 +843,10 @@ def cmd_run_rolling(args: argparse.Namespace) -> int:
                 mean_burst=args.mean_burst,
             )
 
-    plan = None
-    mean_downtime = 0.0
+    plan, backoff = None, {}
     if args.faults:
-        mean_downtime = args.downtime_frac * est_duration
-        config = FaultConfig(
-            failure_rate=args.failures / est_duration,
-            mean_downtime=mean_downtime,
-            slowdown_rate=(
-                args.slowdowns / est_duration if args.slowdowns else 0.0
-            ),
-            slowdown_factor=args.slowdown_factor,
-            mean_slowdown=mean_downtime if args.slowdowns else 0.0,
-        )
-        plan = generate_fault_plan(
-            [f"m{j}" for j in range(args.machines)],
-            config, est_duration, rng=np.random.default_rng(args.seed + 1),
+        plan, backoff = _fault_plan(
+            args, [f"m{j}" for j in range(args.machines)], args.tasks / rate_est
         )
 
     store = None
@@ -933,9 +883,8 @@ def cmd_run_rolling(args: argparse.Namespace) -> int:
                 rng=args.seed, window=window,
             )
 
-        sampler = None
         if args.timeseries:
-            sampler = RollingSampler(
+            run.sampler = RollingSampler(
                 args.timeseries, total_tasks=args.tasks,
                 label="run-rolling", interval_s=args.sample_interval,
             )
@@ -949,26 +898,18 @@ def cmd_run_rolling(args: argparse.Namespace) -> int:
             plan=plan,
             recovery=args.recovery,
             retry_budget=args.retry_budget,
-            backoff_base=max(0.25 * mean_downtime, 1e-9) if plan else 1.0,
-            backoff_cap=max(4.0 * mean_downtime, 1e-9) if plan else None,
+            **backoff,
         )
-        # Event collection is opt-in via --trace-out only: a collecting
-        # tracer holds every per-decision event in memory, which would
-        # break the bounded-RSS guarantee on million-task serving runs.
-        with _maybe_collect(bool(args.trace_out)) as tracer:
-            try:
-                result = simulation.run(
-                    sampler=sampler,
-                    progress=make_progress(args.progress, label="events"),
-                )
-            finally:
-                if sampler is not None:
-                    sampler.close()
+        with run:
+            result = simulation.run(
+                sampler=run.sampler,
+                progress=make_progress(args.progress, label="events"),
+            )
     finally:
         if store is not None:
             store.close()
 
-    duration = time.perf_counter() - started
+    duration = time.perf_counter() - run.started
     throughput = result.dispatches / duration if duration > 0 else 0.0
     accounted = result.completed + len(result.dropped)
     print(f"heuristic         : {args.heuristic} "
@@ -978,6 +919,7 @@ def cmd_run_rolling(args: argparse.Namespace) -> int:
     print(f"horizon           : {horizon:.6g} — {result.horizons} mapping "
           f"event(s), mean batch {result.mean_batch:.1f}, "
           f"max {result.batch_max}")
+    extra: dict = {}
     if plan is not None:
         print(f"fault plan        : {plan.num_failures} failures, "
               f"{plan.num_slowdowns} slowdowns "
@@ -985,6 +927,7 @@ def cmd_run_rolling(args: argparse.Namespace) -> int:
         print(f"plan signature    : {plan.signature()}")
         print(f"faults hit        : {result.failures} failures, "
               f"{result.aborted} aborted, {result.retries} retries")
+        extra["plan_signature"] = plan.signature()
     print(f"tasks accounted   : {accounted}/{result.total_tasks} "
           f"({result.completed} completed + {len(result.dropped)} dropped)")
     print(f"makespan          : {result.makespan:.6g} "
@@ -993,73 +936,39 @@ def cmd_run_rolling(args: argparse.Namespace) -> int:
           f"peak backlog {result.peak_backlog})")
     print(f"throughput        : {result.dispatches} dispatches in "
           f"{duration:.3f}s wall — {throughput:.6g} tasks scheduled/s")
-    if sampler is not None:
-        ts = sampler.summary()
+    if run.sampler is not None:
+        ts = extra["timeseries"] = run.sampler.summary()
         print(f"timeseries        : {ts['samples']} sample(s) to "
               f"{ts['path']} — peak RSS "
               f"{ts['peak_rss_bytes'] / 1e6:.1f} MB")
-    if args.trace_out:
-        _write_trace(tracer, args.trace_out)
-    if args.append_ledger:
-        extra: dict = {}
-        if plan is not None:
-            extra["plan_signature"] = plan.signature()
-        if sampler is not None:
-            extra["timeseries"] = sampler.summary()
-        _ledger_append(
-            args,
-            "run-rolling",
-            started=started,
-            config={
-                "tasks": args.tasks,
-                "machines": args.machines,
-                "heuristic": args.heuristic,
-                "refine_iterations": args.refine_iterations,
-                "horizon": horizon,
-                "arrival": args.arrival,
-                "rate": args.rate,
-                "utilization": args.utilization,
-                "chunk_tasks": args.chunk_tasks,
-                "stream": window,
-                "store_dir": args.store_dir,
-                "faults": args.faults,
-                "failures": args.failures if args.faults else 0,
-                "recovery": args.recovery,
-                "retry_budget": args.retry_budget,
-                "heterogeneity": args.heterogeneity.value,
-                "consistency": args.consistency.value,
-            },
-            metrics={
-                "tasks_total": result.total_tasks,
-                "tasks_completed": result.completed,
-                "tasks_dropped": len(result.dropped),
-                "tasks_scheduled": result.dispatches,
-                "tasks_scheduled_per_s": throughput,
-                "horizons": result.horizons,
-                "batch_mean": result.mean_batch,
-                "batch_max": result.batch_max,
-                "makespan": result.makespan,
-                "mean_queue_wait": result.mean_queue_wait,
-                "max_queue_wait": result.max_queue_wait,
-                "mean_flow": result.mean_flow,
-                "peak_backlog": result.peak_backlog,
-                "failures": result.failures,
-                "retries": result.retries,
-            },
-            tracer=tracer,
-            extra=extra or None,
-        )
+    run.append(
+        _ledger_config(args, ("tasks", "machines", "heuristic",
+                              "refine_iterations", "arrival", "rate",
+                              "utilization", "chunk_tasks", "store_dir",
+                              "faults", "recovery", "retry_budget",
+                              "heterogeneity", "consistency"),
+                       horizon=horizon, stream=window,
+                       failures=args.failures if args.faults else 0),
+        {
+            "tasks_total": result.total_tasks,
+            "tasks_completed": result.completed,
+            "tasks_dropped": len(result.dropped),
+            "tasks_scheduled": result.dispatches,
+            "tasks_scheduled_per_s": throughput,
+            "horizons": result.horizons,
+            "batch_mean": result.mean_batch,
+            "batch_max": result.batch_max,
+            "makespan": result.makespan,
+            "mean_queue_wait": result.mean_queue_wait,
+            "max_queue_wait": result.max_queue_wait,
+            "mean_flow": result.mean_flow,
+            "peak_backlog": result.peak_backlog,
+            "failures": result.failures,
+            "retries": result.retries,
+        },
+        extra,
+    )
     return 0
-
-
-def _serve_ledger_config(args: argparse.Namespace, port: int) -> dict:
-    return {
-        "host": args.host,
-        "port": port,
-        "workers": args.workers,
-        "max_pending": args.max_pending,
-        "cache_dir": None if args.no_cache else args.cache_dir,
-    }
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -1070,6 +979,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.http import start_server
     from repro.serve.service import SchedulingService
 
+    run = _Run(args, "serve")
     cache_dir = None if args.no_cache else args.cache_dir
     service = SchedulingService(
         cache_dir, max_workers=args.workers, max_pending=args.max_pending
@@ -1077,15 +987,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     bound_port = args.port
 
     def flush_ledger() -> None:
-        record = service.ledger_record(config=_serve_ledger_config(args, bound_port))
-        if record is None:
-            return
-        from repro.obs.ledger import RunLedger
-
-        ledger = RunLedger(args.ledger)
-        ledger.append(record)
-        print(f"ledger: appended run {record['run_id']} to {ledger.path}",
-              flush=True)
+        record = service.ledger_record(config=_ledger_config(
+            args, ("host", "workers", "max_pending"),
+            port=bound_port, cache_dir=cache_dir,
+        ))
+        if record is not None:
+            run.append_record(record)
 
     async def serve_forever() -> None:
         nonlocal bound_port
@@ -1115,13 +1022,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
         server.close()
         await server.wait_closed()
 
-    with _maybe_collect(bool(args.trace_out)) as tracer:
+    with run:
         asyncio.run(serve_forever())
     service.close()
     if args.append_ledger:
         flush_ledger()
-    if args.trace_out:
-        _write_trace(tracer, args.trace_out)
     counts = service.stats()["counts"]
     print(f"served {counts['requests']} request(s) "
           f"({counts['cache_hits']} cache hit(s), "
@@ -1135,7 +1040,7 @@ def cmd_serve_load(args: argparse.Namespace) -> int:
 
     from repro.serve.load import format_load_report, run_load
 
-    started = time.perf_counter()
+    run = _Run(args, "serve-load")
     if args.payload:
         from pathlib import Path
 
@@ -1168,25 +1073,16 @@ def cmd_serve_load(args: argparse.Namespace) -> int:
     if args.errors_fatal and report["errors"]:
         print(f"error: {report['errors']} request(s) failed", file=sys.stderr)
         return 1
-    if args.append_ledger:
-        _ledger_append(
-            args,
-            "serve-load",
-            started=started,
-            config={
-                "url": args.url,
-                "requests": args.requests,
-                "concurrency": args.concurrency,
-                "rate": args.rate,
-            },
-            metrics={
-                "requests_per_s": report["requests_per_s"],
-                "latency_p50_ms": report["latency_ms"]["p50"],
-                "latency_p95_ms": report["latency_ms"]["p95"],
-                "errors": report["errors"],
-            },
-            extra={"load_report": report},
-        )
+    run.append(
+        _ledger_config(args, ("url", "requests", "concurrency", "rate")),
+        {
+            "requests_per_s": report["requests_per_s"],
+            "latency_p50_ms": report["latency_ms"]["p50"],
+            "latency_p95_ms": report["latency_ms"]["p95"],
+            "errors": report["errors"],
+        },
+        extra={"load_report": report},
+    )
     return 0
 
 
@@ -1194,7 +1090,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     """Generate the full reproduction report (Markdown)."""
     from repro.analysis.report import build_report
 
-    started = time.perf_counter()
+    run = _Run(args, "report")
     text = build_report(quick=args.quick, seed=args.seed)
     if args.output:
         from pathlib import Path
@@ -1203,23 +1099,17 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"report written to {args.output}")
     else:
         print(text)
-    if args.append_ledger:
-        _ledger_append(
-            args,
-            "report",
-            started=started,
-            config={"quick": args.quick, "output": args.output},
-            metrics={"report_chars": len(text)},
-        )
+    run.append(_ledger_config(args, ("quick", "output")),
+               {"report_chars": len(text)})
     return 0
 
 
-#: The paper worked examples replayable by ``repro trace --example``.
+#: The paper's worked examples, replayable by ``repro trace --example``.
 TRACE_EXAMPLES = ("min-min", "mct", "met", "swa", "kpb", "sufferage")
 
 
-def _trace_example_run(example: str):
-    """(heuristic, witness ETC) for one paper worked example."""
+def _paper_examples() -> dict:
+    """``TRACE_EXAMPLES`` name -> (label, heuristic, witness ETC)."""
     from repro.etc.witness import (
         KPB_EXAMPLE_PERCENT,
         SWA_EXAMPLE_HIGH_THRESHOLD,
@@ -1232,24 +1122,20 @@ def _trace_example_run(example: str):
     )
     from repro.heuristics import KPercentBest, Sufferage, SwitchingAlgorithm
 
-    table = {
-        "min-min": (lambda: get_heuristic("min-min"), minmin_example_etc),
-        "mct": (lambda: get_heuristic("mct"), mct_met_example_etc),
-        "met": (lambda: get_heuristic("met"), mct_met_example_etc),
-        "swa": (
-            lambda: SwitchingAlgorithm(
-                low=SWA_EXAMPLE_LOW_THRESHOLD, high=SWA_EXAMPLE_HIGH_THRESHOLD
-            ),
-            swa_example_etc,
-        ),
-        "kpb": (
-            lambda: KPercentBest(percent=KPB_EXAMPLE_PERCENT),
-            kpb_example_etc,
-        ),
-        "sufferage": (Sufferage, sufferage_example_etc),
+    return {
+        "min-min": ("Min-Min (Tables 1-3)", get_heuristic("min-min"),
+                    minmin_example_etc()),
+        "mct": ("MCT (Tables 4-6)", get_heuristic("mct"), mct_met_example_etc()),
+        "met": ("MET (Tables 7-8)", get_heuristic("met"), mct_met_example_etc()),
+        "swa": ("SWA (Tables 9-11)",
+                SwitchingAlgorithm(low=SWA_EXAMPLE_LOW_THRESHOLD,
+                                   high=SWA_EXAMPLE_HIGH_THRESHOLD),
+                swa_example_etc()),
+        "kpb": ("K-percent Best (Tables 12-14)",
+                KPercentBest(percent=KPB_EXAMPLE_PERCENT), kpb_example_etc()),
+        "sufferage": ("Sufferage (Tables 15-17)", Sufferage(),
+                      sufferage_example_etc()),
     }
-    make_heuristic, make_etc = table[example]
-    return make_heuristic(), make_etc()
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -1261,7 +1147,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     if args.example:
-        heuristic, etc = _trace_example_run(args.example)
+        _, heuristic, etc = _paper_examples()[args.example]
         label = f"paper example {args.example!r}"
     else:
         etc = _load_etc(args.etc)
@@ -1307,7 +1193,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for workload in WORKLOADS:
             print(f"{workload.name:<28} {workload.description}")
         return 0
-    started = time.perf_counter()
+    run = _Run(args, "bench")
     report = run_bench(
         smoke=args.smoke,
         repeats=args.repeats,
@@ -1326,25 +1212,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.output:
         write_report(report, args.output)
         print(f"\nreport written to {args.output}")
-    if args.append_ledger:
-        metrics = {}
-        for name, entry in report["results"].items():
-            metrics[f"bench.{name}.best_s"] = entry["best_s"]
-            if "speedup" in entry:
-                metrics[f"bench.{name}.speedup"] = entry["speedup"]
-        _ledger_append(
-            args,
-            "bench",
-            started=started,
-            config={
-                "smoke": args.smoke,
-                "repeats": args.repeats,
-                "with_reference": not args.no_reference,
-                "workloads": args.workloads,
-            },
-            metrics=metrics,
-            extra={"bench_report": report},
-        )
+    metrics = {}
+    for name, entry in report["results"].items():
+        metrics[f"bench.{name}.best_s"] = entry["best_s"]
+        if "speedup" in entry:
+            metrics[f"bench.{name}.speedup"] = entry["speedup"]
+    run.append(
+        _ledger_config(args, ("smoke", "repeats", "workloads"),
+                       with_reference=not args.no_reference),
+        metrics,
+        extra={"bench_report": report},
+    )
     if args.baseline:
         regressions = compare_reports(
             report, load_report(args.baseline), tolerance=args.tolerance
@@ -1375,37 +1253,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_paper(args: argparse.Namespace) -> int:
     """Replay the paper's five worked examples (compact form)."""
-    from repro.etc.witness import (
-        KPB_EXAMPLE_PERCENT,
-        SWA_EXAMPLE_HIGH_THRESHOLD,
-        SWA_EXAMPLE_LOW_THRESHOLD,
-        kpb_example_etc,
-        mct_met_example_etc,
-        minmin_example_etc,
-        sufferage_example_etc,
-        swa_example_etc,
-    )
-    from repro.heuristics import KPercentBest, Sufferage, SwitchingAlgorithm
-
-    runs = [
-        ("Min-Min (Tables 1-3)", get_heuristic("min-min"), minmin_example_etc()),
-        ("MCT (Tables 4-6)", get_heuristic("mct"), mct_met_example_etc()),
-        ("MET (Tables 7-8)", get_heuristic("met"), mct_met_example_etc()),
-        (
-            "SWA (Tables 9-11)",
-            SwitchingAlgorithm(
-                low=SWA_EXAMPLE_LOW_THRESHOLD, high=SWA_EXAMPLE_HIGH_THRESHOLD
-            ),
-            swa_example_etc(),
-        ),
-        (
-            "K-percent Best (Tables 12-14)",
-            KPercentBest(percent=KPB_EXAMPLE_PERCENT),
-            kpb_example_etc(),
-        ),
-        ("Sufferage (Tables 15-17)", Sufferage(), sufferage_example_etc()),
-    ]
-    for label, heuristic, etc in runs:
+    for label, heuristic, etc in _paper_examples().values():
         result = IterativeScheduler(heuristic).run(etc)
         spans = " -> ".join(f"{s:g}" for s in result.makespans())
         verdict = (
@@ -1555,24 +1403,24 @@ def build_parser() -> argparse.ArgumentParser:
                            default=Consistency.INCONSISTENT,
                            help="consistent | semi-consistent | inconsistent")
 
-    def add_ledger(p):
-        p.add_argument("--append-ledger", action="store_true",
-                       help="append a repro-ledger/1 record to the run ledger")
+    def add_ledger_path(p):
         p.add_argument("--ledger", "--ledger-path", dest="ledger",
                        default=DEFAULT_LEDGER_PATH,
                        help="run ledger path (default: %(default)s)")
 
+    def add_ledger(p):
+        p.add_argument("--append-ledger", action="store_true",
+                       help="append a repro-ledger/1 record to the run ledger")
+        add_ledger_path(p)
+
     def add_runner(p):
         p.add_argument("--cache-dir", default=None,
-                       help="cell cache directory; enables persist-as-you-go "
-                            "execution through the resumable runner "
-                            "(--resume alone defaults it to .repro/cells)")
+                       help="cell cache directory; persists each completed "
+                            "cell as it finishes (--resume alone defaults it "
+                            "to .repro/cells)")
         p.add_argument("--resume", action="store_true",
                        help="serve already-completed cells from the cache "
                             "instead of recomputing them")
-        p.add_argument("--shards", type=int, default=None,
-                       help="round-robin submission shards for the work "
-                            "queue (default: one per cell)")
         p.add_argument("--backend", choices=backend_names(),
                        default=DEFAULT_BACKEND,
                        help="kernel backend (decision-identical; default: "
@@ -1591,6 +1439,37 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--downtime-frac", type=float, default=0.05,
                        help="mean downtime as a fraction of the fault-free "
                             "makespan")
+
+    def add_fault_shape(p):
+        p.add_argument("--failures", type=float, default=2.0,
+                       help="(--faults) expected failures per machine over "
+                            "the fault horizon (simulate: the fault-free "
+                            "makespan; run-rolling: the run)")
+        p.add_argument("--slowdowns", type=float, default=0.0,
+                       help="(--faults) expected slowdown episodes per "
+                            "machine over the fault horizon")
+        p.add_argument("--slowdown-factor", type=float, default=2.0,
+                       help="(--faults) execution-time multiplier while slowed")
+
+    def add_progress(p):
+        p.add_argument("--progress", action="store_true",
+                       help="live progress on stderr")
+
+    def add_trace_out(p):
+        p.add_argument("--trace-out", metavar="PATH", default=None,
+                       help="collect a trace (even without --append-ledger) "
+                            "and export it as obs JSONL, spans included, when "
+                            "the command ends; render with `repro obs "
+                            "timeline PATH`")
+
+    def add_timeseries(p):
+        p.add_argument("--timeseries", metavar="PATH", default=None,
+                       help="stream repro-timeseries/1 throughput samples "
+                            "(tasks scheduled/s, RSS, queue depth or backlog) "
+                            "to PATH while the command runs")
+        p.add_argument("--sample-interval", type=float, default=0.5,
+                       help="minimum seconds between time-series samples "
+                            "(default: %(default)s)")
 
     g = sub.add_parser("generate", help="generate a synthetic ETC matrix")
     g.add_argument("--tasks", type=int, required=True)
@@ -1660,19 +1539,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "batch-sufferage")
     d.add_argument("--kpb-percent", type=float, default=50.0)
     d.add_argument("--batch-interval", type=float, default=1000.0)
-    d.add_argument("--progress", action="store_true",
-                   help="live event-count progress on stderr")
     d.add_argument("--heuristic", choices=heuristic_names(), default="min-min",
                    help="(--faults) mapping heuristic for the static run")
-    d.add_argument("--failures", type=float, default=2.0,
-                   help="(--faults) expected failures per machine over the "
-                        "fault-free makespan")
-    d.add_argument("--slowdowns", type=float, default=0.0,
-                   help="(--faults) expected slowdown episodes per machine "
-                        "over the fault-free makespan")
-    d.add_argument("--slowdown-factor", type=float, default=2.0,
-                   help="(--faults) execution-time multiplier while slowed")
+    add_progress(d)
     add_faults(d)
+    add_fault_shape(d)
     add_common(d)
     add_ledger(d)
     d.set_defaults(func=cmd_simulate)
@@ -1700,9 +1571,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--seeded", action="store_true")
     e.add_argument("--workers", type=int, default=None,
                    help="process count for the parallel runner")
-    e.add_argument("--progress", action="store_true",
-                   help="live per-cell progress (with ETA) on stderr")
     e.add_argument("-o", "--output", required=True, help="CSV/JSON path")
+    add_progress(e)
     add_common(e)
     add_ledger(e)
     add_runner(e)
@@ -1716,9 +1586,11 @@ def build_parser() -> argparse.ArgumentParser:
     rg.add_argument("--tasks", type=int, default=30)
     rg.add_argument("--machines", type=int, default=8)
     rg.add_argument("--instances", type=int, default=20)
-    rg.add_argument("--heterogeneities", default="hihi,lolo",
+    rg.add_argument("--heterogeneities", type=_comma_list(_heterogeneity),
+                    default="hihi,lolo",
                     help="comma list: hihi,hilo,lohi,lolo")
-    rg.add_argument("--consistencies", default="inconsistent",
+    rg.add_argument("--consistencies", type=_comma_list(_consistency),
+                    default="inconsistent",
                     help="comma list: consistent,semi-consistent,inconsistent")
     rg.add_argument("--ties", choices=["deterministic", "random"],
                     default="deterministic")
@@ -1741,22 +1613,12 @@ def build_parser() -> argparse.ArgumentParser:
                     default=None,
                     help="bound the store publish window to N instances in "
                          "RAM at a time (requires --store)")
-    rg.add_argument("--progress", action="store_true",
-                    help="live per-cell progress (with ETA) on stderr")
-    rg.add_argument("--trace-out", metavar="PATH", default=None,
-                    help="collect a trace (even without --append-ledger) and "
-                         "export it as obs JSONL, spans included; render "
-                         "with `repro obs timeline PATH`")
-    rg.add_argument("--timeseries", metavar="PATH", default=None,
-                    help="stream repro-timeseries/1 throughput samples "
-                         "(tasks/s, cache hits, RSS, queue depth) to PATH "
-                         "while the grid runs")
-    rg.add_argument("--sample-interval", type=float, default=0.5,
-                    help="minimum seconds between time-series samples "
-                         "(default: %(default)s)")
     rg.add_argument("-o", "--output",
                     help="write per-run records to CSV/JSON")
     rg.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    add_progress(rg)
+    add_trace_out(rg)
+    add_timeseries(rg)
     add_ledger(rg)
     add_runner(rg)
     # run-grid caches by default (unlike study/export, which only opt
@@ -1819,27 +1681,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="publish the task stream once into a memory-mapped "
                          "ETC store at DIR and serve from it (idempotent "
                          "per key, so reruns skip generation)")
-    rr.add_argument("--failures", type=float, default=2.0,
-                    help="(--faults) expected failures per machine over "
-                         "the run")
-    rr.add_argument("--slowdowns", type=float, default=0.0,
-                    help="(--faults) expected slowdown episodes per machine "
-                         "over the run")
-    rr.add_argument("--slowdown-factor", type=float, default=2.0,
-                    help="(--faults) execution-time multiplier while slowed")
-    rr.add_argument("--progress", action="store_true",
-                    help="live event-count progress on stderr")
-    rr.add_argument("--trace-out", metavar="PATH", default=None,
-                    help="collect a trace (even without --append-ledger) "
-                         "with rolling.horizon spans and export it as obs "
-                         "JSONL; render with `repro obs timeline PATH`")
-    rr.add_argument("--timeseries", metavar="PATH", default=None,
-                    help="stream repro-timeseries/1 throughput samples "
-                         "(tasks scheduled/s, backlog, RSS) to PATH")
-    rr.add_argument("--sample-interval", type=float, default=0.5,
-                    help="minimum seconds between time-series samples "
-                         "(default: %(default)s)")
+    add_progress(rr)
+    add_trace_out(rr)
+    add_timeseries(rr)
     add_faults(rr)
+    add_fault_shape(rr)
     add_common(rr)
     add_ledger(rr)
     rr.set_defaults(func=cmd_run_rolling)
@@ -1850,6 +1696,9 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the scheduling-as-a-service HTTP API "
              "(see docs/serving.md)",
+        description="Run the scheduling service until SIGINT/SIGTERM. "
+                    "--trace-out serialises request handling: a debugging "
+                    "aid, not for load.",
     )
     sv.add_argument("--host", default="127.0.0.1",
                     help="bind address (default: %(default)s)")
@@ -1867,14 +1716,11 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default: %(default)s)")
     sv.add_argument("--no-cache", action="store_true",
                     help="disable the response cache (recompute everything)")
-    sv.add_argument("--trace-out", metavar="PATH", default=None,
-                    help="collect serve.request/serve.compute spans and "
-                         "export them as obs JSONL on shutdown (serialises "
-                         "request handling; debugging aid, not for load)")
     sv.add_argument("--ledger-every", type=float, default=0.0,
                     help="with --append-ledger, also flush a ledger record "
                          "every N seconds of traffic (default: only at "
                          "shutdown)")
+    add_trace_out(sv)
     add_ledger(sv)
     sv.set_defaults(func=cmd_serve)
 
@@ -1968,11 +1814,6 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("obs", help="inspect the run ledger")
     osub = o.add_subparsers(dest="obs_command", required=True)
 
-    def add_obs_common(p):
-        p.add_argument("--ledger", "--ledger-path", dest="ledger",
-                       default=DEFAULT_LEDGER_PATH,
-                       help="run ledger path (default: %(default)s)")
-
     ot = osub.add_parser("tail", help="print the most recent ledger records")
     ot.add_argument("-n", "--last", type=int, default=10,
                     help="how many records (default: %(default)s)")
@@ -1982,7 +1823,7 @@ def build_parser() -> argparse.ArgumentParser:
     ot.add_argument("--interval", type=float, default=2.0,
                     help="poll interval in seconds for --follow "
                          "(default: %(default)s)")
-    add_obs_common(ot)
+    add_ledger_path(ot)
     ot.set_defaults(func=cmd_obs_tail)
 
     otl = osub.add_parser(
@@ -1999,7 +1840,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     os_ = osub.add_parser("summary",
                           help="longitudinal metric summary per command")
-    add_obs_common(os_)
+    add_ledger_path(os_)
     os_.set_defaults(func=cmd_obs_summary)
 
     od = osub.add_parser(
@@ -2014,7 +1855,7 @@ def build_parser() -> argparse.ArgumentParser:
     od.add_argument("--tolerance", type=float, default=0.05,
                     help="allowed relative worsening before a metric counts "
                          "as a regression (default: %(default)s)")
-    add_obs_common(od)
+    add_ledger_path(od)
     od.set_defaults(func=cmd_obs_diff)
 
     p = sub.add_parser("paper", help="replay the paper's worked examples")

@@ -10,7 +10,7 @@ records spans for every ``span(...)`` region and for the new
 event-free ``phase(...)`` regions.
 
 Cross-process identity travels as a :class:`SpanContext` — a tiny
-picklable ``(trace_id, span_id)`` pair shipped to shard workers next
+picklable ``(trace_id, span_id)`` pair shipped to pool workers next
 to the ``(config, store_root)`` payloads.  A worker tracer built from
 a context *adopts* it: the worker's root spans carry the parent's
 trace id and point at the parent span, so merging the worker snapshots
@@ -19,7 +19,7 @@ back (in deterministic cell order) yields a single trace tree.
 Span ids are ``<prefix>:<seq>`` where ``prefix`` is unique per tracer
 instance, so ids never collide across workers and merges need no
 rewriting.  Tree *structure* (kinds, fields, parent/child shape) is
-deterministic across serial and sharded runs; ids and wall-clock
+deterministic across serial and pooled runs; ids and wall-clock
 values are not, which is why :func:`tree_shape` exists — it is the
 comparable fingerprint the property suite asserts on.
 """
@@ -168,7 +168,7 @@ def tree_shape(spans) -> tuple:
     """Wall-clock-free structural fingerprint of a span forest.
 
     Two runs that did the same work in the same deterministic order —
-    e.g. a serial and a sharded grid over the same config — produce
+    e.g. a serial and a pooled grid over the same config — produce
     equal shapes even though span ids, trace ids and durations differ.
     """
     return tuple(_shape(root) for root in build_span_tree(spans))

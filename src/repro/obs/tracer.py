@@ -230,7 +230,7 @@ class CollectingTracer(Tracer):
     Pass ``context=``\\ :class:`~repro.obs.spans.SpanContext` to adopt a
     cross-process identity: the tracer reuses the context's trace id
     and parents its root spans under the context's span id, which is
-    how shard workers join the parent run's trace tree.
+    how pool workers join the parent run's trace tree.
     """
 
     enabled = True

@@ -1,9 +1,10 @@
-"""Unit tests for the parallel experiment runner."""
+"""Unit tests for grid cells and pooled grid execution."""
 
 import pytest
 
 from repro.analysis.experiments import ExperimentConfig, run_experiment
-from repro.analysis.parallel import run_experiment_parallel, split_into_cells
+from repro.analysis.parallel import split_into_cells
+from repro.analysis.runner import run_grid
 from repro.etc.generation import Consistency, Heterogeneity
 from repro.exceptions import ConfigurationError
 
@@ -46,7 +47,7 @@ class TestSplit:
 class TestParallel:
     def test_parallel_equals_serial(self, grid_config):
         serial = run_experiment(grid_config)
-        parallel = run_experiment_parallel(grid_config, max_workers=2)
+        parallel = run_grid(grid_config, max_workers=2).records
         assert len(parallel) == len(serial)
         assert [r.comparison for r in parallel] == [r.comparison for r in serial]
         assert [(r.heuristic, r.etc_class, r.instance_index) for r in parallel] == [
@@ -58,12 +59,12 @@ class TestParallel:
             heuristics=("mct",), num_tasks=6, num_machines=3,
             instances_per_cell=2, seed=1,
         )
-        assert len(run_experiment_parallel(config, max_workers=4)) == 2
+        assert len(run_grid(config, max_workers=4).records) == 2
 
     def test_workers_validation(self, grid_config):
         with pytest.raises(ConfigurationError):
-            run_experiment_parallel(grid_config, max_workers=0)
+            run_grid(grid_config, max_workers=0)
 
     def test_explicit_single_worker_runs_serially(self, grid_config):
-        out = run_experiment_parallel(grid_config, max_workers=1)
+        out = run_grid(grid_config, max_workers=1).records
         assert len(out) == len(run_experiment(grid_config))

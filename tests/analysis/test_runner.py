@@ -14,12 +14,7 @@ from repro.analysis.experiments import (
     run_record_to_dict,
 )
 from repro.analysis.parallel import split_into_cells
-from repro.analysis.runner import (
-    CellCache,
-    cell_key,
-    run_grid,
-    split_into_shards,
-)
+from repro.analysis.runner import CellCache, cell_key, run_grid
 from repro.etc.generation import Consistency, Heterogeneity
 from repro.exceptions import ConfigurationError
 from repro.obs import ProgressReporter, build_span_tree, read_timeseries
@@ -74,32 +69,9 @@ class TestSplitEdgeCases:
             _single_cell_config(), heterogeneities=(), consistencies=()
         )
         assert split_into_cells(config) == []
-        assert split_into_shards([], 4) == []
 
     def test_one_cell(self):
-        cells = split_into_cells(_single_cell_config())
-        assert len(cells) == 1
-        assert split_into_shards(cells, 1) == [cells]
-
-    def test_shards_exceed_cells(self, grid_config):
-        cells = split_into_cells(grid_config)
-        shards = split_into_shards(cells, len(cells) + 10)
-        assert len(shards) == len(cells)
-        assert all(len(s) == 1 for s in shards)
-
-    def test_round_robin_partition(self):
-        shards = split_into_shards(list(range(7)), 3)
-        assert shards == [[0, 3, 6], [1, 4], [2, 5]]
-        assert sorted(x for s in shards for x in s) == list(range(7))
-
-    def test_no_empty_shards(self, grid_config):
-        cells = split_into_cells(grid_config)
-        for num in range(1, len(cells) + 3):
-            assert all(split_into_shards(cells, num))
-
-    def test_rejects_nonpositive_shards(self):
-        with pytest.raises(ConfigurationError):
-            split_into_shards([1, 2], 0)
+        assert len(split_into_cells(_single_cell_config())) == 1
 
 
 class TestCellKey:
@@ -284,32 +256,6 @@ class TestRunGrid:
             run_grid(grid_config, timeout_s=0)
         with pytest.raises(ConfigurationError):
             run_grid(grid_config, on_error="explode")
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_zero_shards_rejected_before_publishing(
-        self, grid_config, tmp_path, workers
-    ):
-        store_dir = tmp_path / "store"
-        with pytest.raises(ConfigurationError, match="shards"):
-            run_grid(
-                grid_config,
-                max_workers=workers,
-                shards=0,
-                cache_dir=tmp_path / "cells",
-                store_dir=store_dir,
-            )
-        assert not store_dir.exists()
-
-    def test_shards_do_not_change_output(self, grid_config, tmp_path):
-        serial = run_experiment(grid_config)
-        for shards in (1, 2, 7):
-            result = run_grid(
-                grid_config,
-                cache_dir=tmp_path / str(shards),
-                max_workers=2,
-                shards=shards,
-            )
-            assert list(result.records) == serial
 
 
 @pytest.mark.obs

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.experiments import ExperimentConfig, run_experiment
-from repro.analysis.parallel import run_experiment_parallel
+from repro.analysis.runner import run_grid
 from repro.core.iterative import IterativeScheduler
 from repro.core.ties import DeterministicTieBreaker, RandomTieBreaker
 from repro.etc.generation import Consistency, Heterogeneity
@@ -143,7 +143,7 @@ class TestParallelMerge:
 
     def _parallel(self, config, max_workers=2):
         with use_tracer(CollectingTracer()) as tracer:
-            records = run_experiment_parallel(config, max_workers=max_workers)
+            records = run_grid(config, max_workers=max_workers).records
         return records, tracer
 
     def test_merged_counters_equal_serial(self, grid_config):
@@ -176,7 +176,7 @@ class TestParallelMerge:
             assert parallel_timers[name].count == stat.count
 
     def test_disabled_tracer_takes_untraced_path(self, grid_config):
-        records = run_experiment_parallel(grid_config, max_workers=2)
+        records = run_grid(grid_config, max_workers=2).records
         serial_records, _ = self._serial(grid_config)
         assert [r.comparison for r in records] == [
             r.comparison for r in serial_records
@@ -216,7 +216,7 @@ class TestParallelMerge:
         _, serial = self._serial(grid_config)
         stream = io.StringIO()
         with use_tracer(CollectingTracer()) as parallel:
-            run_experiment_parallel(
+            run_grid(
                 grid_config,
                 max_workers=2,
                 progress=ProgressReporter(stream=stream, label="cells"),
@@ -239,23 +239,21 @@ class TestParallelMerge:
 
 
 # ---------------------------------------------------------------------------
-# Span trees: serial and sharded runs agree modulo wall-clock
+# Span trees: serial and pooled runs agree modulo wall-clock
 # ---------------------------------------------------------------------------
 
 
 @given(
     max_workers=st.integers(2, 3),
-    shards=st.integers(1, 5),
     seed=st.integers(0, 2**8),
 )
 @settings(max_examples=4, deadline=None)
 def test_serial_and_sharded_span_trees_have_equal_shape(
-    tmp_path_factory, max_workers, shards, seed
+    tmp_path_factory, max_workers, seed
 ):
-    """The merged span tree of a sharded cached run has exactly the
+    """The merged span tree of a pooled cached run has exactly the
     structure (kinds, fields, nesting, order) of the serial run over
     the same config — only ids and wall-clock values may differ."""
-    from repro.analysis.runner import run_grid
     from repro.obs import tree_shape
 
     config = ExperimentConfig(
@@ -270,15 +268,14 @@ def test_serial_and_sharded_span_trees_have_equal_shape(
     base = tmp_path_factory.mktemp("span-trees")
     with use_tracer(CollectingTracer()) as serial:
         run_grid(config, cache_dir=base / f"serial-{seed}", max_workers=1)
-    with use_tracer(CollectingTracer()) as sharded:
+    with use_tracer(CollectingTracer()) as pooled:
         run_grid(
             config,
-            cache_dir=base / f"sharded-{seed}-{max_workers}-{shards}",
+            cache_dir=base / f"pooled-{seed}-{max_workers}",
             max_workers=max_workers,
-            shards=shards,
         )
-    assert serial.trace_id != sharded.trace_id
-    assert tree_shape(sharded.spans) == tree_shape(serial.spans)
+    assert serial.trace_id != pooled.trace_id
+    assert tree_shape(pooled.spans) == tree_shape(serial.spans)
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,47 @@ class TestCliSubcommands:
         assert check_docs.check_cli_subcommands(REPO_ROOT, files) == []
 
 
+class TestCliFlags:
+    OPTIONS = {
+        ("run-grid",): frozenset({"-h", "--help", "--workers", "--resume"}),
+        ("obs",): frozenset({"-h", "--help"}),
+        ("obs", "tail"): frozenset({"-h", "--help", "--follow"}),
+    }
+
+    def _problems(self, tmp_path, text):
+        _write(tmp_path, "docs/index.md", text)
+        return check_docs.check_cli_flags(
+            tmp_path, check_docs.doc_files(tmp_path), self.OPTIONS
+        )
+
+    def test_stale_flag_reported(self, tmp_path):
+        assert self._problems(
+            tmp_path,
+            "```\npython -m repro run-grid --workers 2 \\\n"
+            "    --batch-size 2 --resume\n```\n",
+        ) == ["docs/index.md: unknown option '--batch-size' for 'repro run-grid'"]
+
+    def test_nested_command_options(self, tmp_path):
+        assert self._problems(
+            tmp_path, "$ repro obs tail --follow --last 3\n"
+        ) == ["docs/index.md: unknown option '--last' for 'repro obs tail'"]
+
+    def test_invocation_ends_at_backtick_pipe_and_comment(self, tmp_path):
+        assert self._problems(
+            tmp_path,
+            "`repro run-grid --workers 2` then --anything\n"
+            "python -m repro run-grid --resume | grep --count x\n"
+            "python -m repro run-grid --resume  # not --real\n",
+        ) == []
+
+    def test_real_repo_flags_resolve(self):
+        files = check_docs.doc_files(REPO_ROOT)
+        assert check_docs.check_cli_flags(REPO_ROOT, files) == []
+        options = check_docs.cli_options(REPO_ROOT)
+        assert "--store" in options[("run-grid",)]
+        assert "--follow" in options[("obs", "tail")]
+
+
 class TestEndToEnd:
     def test_real_repo_is_consistent(self):
         assert check_docs.run_checks(REPO_ROOT) == []

@@ -703,3 +703,43 @@ class TestServeParsers:
     def test_serve_load_rejects_unknown_heuristic(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve-load", "--heuristic", "quantum"])
+
+
+class TestMalformedInput:
+    """Bad flag values end in a documented error, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run-grid", "--heterogeneities", "foo"],
+        ["run-grid", "--consistencies", "bogus"],
+        ["run-rolling", "--tasks", "50", "--chunk-tasks", "0",
+         "--store", "{store}"],
+        ["run-rolling", "--tasks", "50", "--stream", "0"],
+        ["run-rolling", "--tasks", "50", "--stream", "0", "--store", "{store}"],
+        ["run-rolling", "--tasks", "50", "--stream", "-1"],
+        ["run-grid", "--tasks", "5", "--instances", "1", "--stream", "0",
+         "--store", "{store}"],
+        ["run-grid", "--tasks", "5", "--instances", "1", "--no-cache",
+         "--workers", "0"],
+        ["run-rolling", "--tasks", "50", "--retry-budget", "-1"],
+        ["run-grid", "--no-cache", "--instances", "0"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_exits_with_documented_error(self, argv, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        store = tmp_path / "store"
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro",
+             *(arg.replace("{store}", str(store)) for arg in argv)],
+            capture_output=True, text=True, cwd=tmp_path, env=env,
+            timeout=120,
+        )
+        assert proc.returncode in (1, 2), proc.stderr
+        assert proc.stderr.startswith(("error:", "usage:")), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not store.exists()

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation consistency checker (zero dependencies).
 
-Three checks over ``docs/`` and ``README.md``, wired into ``make lint``
+Five checks over ``docs/`` and ``README.md``, wired into ``make lint``
 and CI so the docs cannot silently rot as the code moves:
 
 1. **Dead relative links** — every relative markdown link target
@@ -21,6 +21,11 @@ and CI so the docs cannot silently rot as the code moves:
    must name a real subcommand of the live argument parser (nested
    groups like ``repro obs <sub>`` included), so a renamed or removed
    command cannot survive in a quickstart.
+5. **Stale CLI flags** — every ``--flag`` written after such an
+   invocation (backslash continuations joined; the invocation ends at a
+   closing backtick, a pipe, ``;``, ``&&``, a redirect or a shell
+   comment) must be an option of that subcommand's live parser, so a
+   deleted or renamed flag cannot survive in a quickstart either.
 
 Usage::
 
@@ -55,6 +60,13 @@ _CLI_RE = re.compile(
     r"(?:python -m repro|\$ repro|`repro)\s+"
     r"([a-z][a-z0-9-]*)(?:\s+([a-z][a-z0-9-]*))?"
 )
+
+#: Where an invocation's own arguments end: a closing backtick, a
+#: pipe, a command chain, a redirect or a shell comment.
+_INVOCATION_END_RE = re.compile(r"`|\||&&|;|>|\s#")
+
+#: A long option token (``--trace-out``), not the tail of a longer word.
+_FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
 #: Files whose links/references are checked.
 _DOC_GLOBS = ("docs/*.md",)
@@ -190,15 +202,11 @@ def check_index_reachability(root: Path) -> list[str]:
     ]
 
 
-def cli_subcommands(root: Path) -> dict[str, frozenset[str]] | None:
-    """Live subcommand map of the ``repro`` CLI, or ``None`` to skip.
-
-    Keys are top-level subcommands; each value is the set of nested
-    subcommands the command owns (empty for flat commands).  Returns
-    ``None`` when the tree under ``root`` has no importable CLI (the
-    fabricated repos of the unit tests), mirroring how the module check
-    degrades when ``src/repro`` is absent.
-    """
+def _live_parser(root: Path):
+    """The ``repro`` CLI's argument parser under ``root``, or ``None``
+    when the tree has no importable CLI (the fabricated repos of the
+    unit tests), mirroring how the module check degrades when
+    ``src/repro`` is absent."""
     if not (root / "src" / "repro" / "cli.py").is_file():
         return None
     import importlib
@@ -207,22 +215,54 @@ def cli_subcommands(root: Path) -> dict[str, frozenset[str]] | None:
     if src not in sys.path:
         sys.path.insert(0, src)
     try:
-        parser = importlib.import_module("repro.cli").build_parser()
+        return importlib.import_module("repro.cli").build_parser()
     except Exception:
         return None
 
-    def _choices(p):
-        if p._subparsers is None:
-            return {}
-        for action in p._subparsers._group_actions:
-            if getattr(action, "choices", None):
-                return action.choices
-        return {}
 
+def _choices(parser) -> dict:
+    """Subcommand name -> subparser of ``parser`` (empty when flat)."""
+    if parser._subparsers is None:
+        return {}
+    for action in parser._subparsers._group_actions:
+        if getattr(action, "choices", None):
+            return action.choices
+    return {}
+
+
+def cli_subcommands(root: Path) -> dict[str, frozenset[str]] | None:
+    """Live subcommand map of the ``repro`` CLI, or ``None`` to skip.
+
+    Keys are top-level subcommands; each value is the set of nested
+    subcommands the command owns (empty for flat commands).
+    """
+    parser = _live_parser(root)
+    if parser is None:
+        return None
     return {
         name: frozenset(_choices(sub))
         for name, sub in _choices(parser).items()
     }
+
+
+def cli_options(root: Path) -> dict[tuple[str, ...], frozenset[str]] | None:
+    """Option strings of every live subcommand, or ``None`` to skip.
+
+    Keys are command paths: ``("run-grid",)`` or, for nested groups,
+    ``("obs", "tail")``.
+    """
+    parser = _live_parser(root)
+    if parser is None:
+        return None
+    options = {}
+    for name, sub in _choices(parser).items():
+        for path, p in [((name,), sub)] + [
+            ((name, nested), p) for nested, p in _choices(sub).items()
+        ]:
+            options[path] = frozenset(
+                flag for action in p._actions for flag in action.option_strings
+            )
+    return options
 
 
 def check_cli_subcommands(
@@ -257,13 +297,50 @@ def check_cli_subcommands(
     return problems
 
 
+def check_cli_flags(
+    root: Path,
+    files: list[Path],
+    options: dict[tuple[str, ...], frozenset[str]] | None = None,
+) -> list[str]:
+    """Stale ``--flag`` problems in ``repro <subcommand>`` invocations.
+
+    ``options`` defaults to the live parser's map (:func:`cli_options`);
+    the unit tests inject a fake one.  Invocations of unknown commands
+    are left to :func:`check_cli_subcommands`.
+    """
+    if options is None:
+        options = cli_options(root)
+    if options is None:
+        return []
+    problems = []
+    for path in files:
+        text = path.read_text(encoding="utf-8").replace("\\\n", " ")
+        for line in text.splitlines():
+            for match in _CLI_RE.finditer(line):
+                command = (match.group(1), match.group(2))
+                if command not in options:
+                    command = command[:1]
+                if command not in options:
+                    continue
+                tail = line[match.end():]
+                end = _INVOCATION_END_RE.search(tail)
+                for flag in _FLAG_RE.findall(tail[: end.start()] if end else tail):
+                    if flag not in options[command]:
+                        problems.append(
+                            f"{path.relative_to(root)}: unknown option "
+                            f"'{flag}' for 'repro {' '.join(command)}'"
+                        )
+    return problems
+
+
 def run_checks(root: Path) -> list[str]:
-    """All problems across the four checks (empty = consistent docs)."""
+    """All problems across the five checks (empty = consistent docs)."""
     files = doc_files(root)
     problems = check_links(root, files)
     problems += check_module_references(root, files)
     problems += check_index_reachability(root)
     problems += check_cli_subcommands(root, files)
+    problems += check_cli_flags(root, files)
     return problems
 
 
