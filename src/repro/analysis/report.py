@@ -1,6 +1,6 @@
 """One-command reproduction report.
 
-:func:`build_report` runs the complete reproduction — all five paper
+:func:`build_report` runs the complete reproduction — all six paper
 examples, the three invariance theorems, the improvement study and the
 cross-heuristic comparison — and returns a self-contained Markdown
 report of paper-vs-measured values.  ``python -m repro report -o
@@ -13,7 +13,9 @@ by the same public APIs the tests use.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 from repro.analysis.invariance import verify_invariance
 from repro.analysis.study import (
@@ -37,9 +39,81 @@ from repro.etc.witness import (
     sufferage_example_etc,
     swa_example_etc,
 )
+from repro.etc.matrix import ETCMatrix
 from repro.heuristics import KPercentBest, Sufferage, SwitchingAlgorithm, get_heuristic
+from repro.heuristics.base import Heuristic
 
-__all__ = ["ExampleOutcome", "paper_example_outcomes", "build_report"]
+__all__ = [
+    "PaperExample",
+    "PAPER_EXAMPLES",
+    "ExampleOutcome",
+    "paper_example_outcomes",
+    "build_report",
+]
+
+
+@dataclass(frozen=True)
+class PaperExample:
+    """One of the paper's six worked examples and its prose values.
+
+    ``name`` is the ``repro trace --example`` key; ``make_heuristic``
+    and ``make_etc`` build a fresh heuristic and witness matrix.
+    ``expected_first_iteration`` is ``None`` for the heuristics whose
+    mapping the paper proves unchanged by iteration.
+    """
+
+    name: str
+    label: str
+    section: str
+    tables: str
+    make_heuristic: Callable[[], Heuristic]
+    make_etc: Callable[[], ETCMatrix]
+    expected_original: dict[str, float]
+    expected_first_iteration: dict[str, float] | None
+
+
+#: The worked examples, read by ``repro paper``, ``repro trace
+#: --example`` and the report.
+PAPER_EXAMPLES: tuple[PaperExample, ...] = (
+    PaperExample(
+        "min-min", "Min-Min", "§3.2", "Tables 1-3",
+        partial(get_heuristic, "min-min"), minmin_example_etc,
+        {"m1": 5.0, "m2": 2.0, "m3": 4.0}, None,
+    ),
+    PaperExample(
+        "mct", "MCT", "§3.3", "Tables 4-6",
+        partial(get_heuristic, "mct"), mct_met_example_etc,
+        {"m1": 4.0, "m2": 3.0, "m3": 3.0}, None,
+    ),
+    PaperExample(
+        "met", "MET", "§3.4", "Tables 7-8",
+        partial(get_heuristic, "met"), mct_met_example_etc,
+        {"m1": 4.0, "m2": 3.0, "m3": 3.0}, None,
+    ),
+    PaperExample(
+        "swa", "SWA", "§3.5", "Tables 9-11",
+        partial(
+            SwitchingAlgorithm,
+            low=SWA_EXAMPLE_LOW_THRESHOLD,
+            high=SWA_EXAMPLE_HIGH_THRESHOLD,
+        ),
+        swa_example_etc,
+        {"m1": 6.0, "m2": 5.0, "m3": 5.0},
+        {"m2": 4.0, "m3": 6.5},
+    ),
+    PaperExample(
+        "kpb", "K-percent Best", "§3.6", "Tables 12-14",
+        partial(KPercentBest, percent=KPB_EXAMPLE_PERCENT), kpb_example_etc,
+        {"m1": 6.0, "m2": 5.0, "m3": 5.5},
+        {"m2": 7.0, "m3": 3.0},
+    ),
+    PaperExample(
+        "sufferage", "Sufferage", "§3.7", "Tables 15-17",
+        Sufferage, sufferage_example_etc,
+        {"m1": 10.0, "m2": 9.5, "m3": 9.5},
+        {"m2": 10.5, "m3": 8.5},
+    ),
+)
 
 
 @dataclass(frozen=True)
@@ -74,58 +148,19 @@ class ExampleOutcome:
 
 
 def paper_example_outcomes() -> list[ExampleOutcome]:
-    """Run all five worked examples and compare against the prose values."""
-    runs = [
-        (
-            "Min-Min (§3.2)", "Tables 1-3",
-            get_heuristic("min-min"), minmin_example_etc(),
-            {"m1": 5.0, "m2": 2.0, "m3": 4.0}, None,
-        ),
-        (
-            "MCT (§3.3)", "Tables 4-6",
-            get_heuristic("mct"), mct_met_example_etc(),
-            {"m1": 4.0, "m2": 3.0, "m3": 3.0}, None,
-        ),
-        (
-            "MET (§3.4)", "Tables 7-8",
-            get_heuristic("met"), mct_met_example_etc(),
-            {"m1": 4.0, "m2": 3.0, "m3": 3.0}, None,
-        ),
-        (
-            "SWA (§3.5)", "Tables 9-11",
-            SwitchingAlgorithm(
-                low=SWA_EXAMPLE_LOW_THRESHOLD, high=SWA_EXAMPLE_HIGH_THRESHOLD
+    """Run all six worked examples and compare against the prose values."""
+    return [
+        ExampleOutcome(
+            label=f"{example.label} ({example.section})",
+            tables=example.tables,
+            expected_original=example.expected_original,
+            expected_first_iteration=example.expected_first_iteration,
+            result=IterativeScheduler(example.make_heuristic()).run(
+                example.make_etc()
             ),
-            swa_example_etc(),
-            {"m1": 6.0, "m2": 5.0, "m3": 5.0},
-            {"m2": 4.0, "m3": 6.5},
-        ),
-        (
-            "K-percent Best (§3.6)", "Tables 12-14",
-            KPercentBest(percent=KPB_EXAMPLE_PERCENT), kpb_example_etc(),
-            {"m1": 6.0, "m2": 5.0, "m3": 5.5},
-            {"m2": 7.0, "m3": 3.0},
-        ),
-        (
-            "Sufferage (§3.7)", "Tables 15-17",
-            Sufferage(), sufferage_example_etc(),
-            {"m1": 10.0, "m2": 9.5, "m3": 9.5},
-            {"m2": 10.5, "m3": 8.5},
-        ),
-    ]
-    outcomes = []
-    for label, tables, heuristic, etc, expect_orig, expect_iter in runs:
-        result = IterativeScheduler(heuristic).run(etc)
-        outcomes.append(
-            ExampleOutcome(
-                label=label,
-                tables=tables,
-                expected_original=expect_orig,
-                expected_first_iteration=expect_iter,
-                result=result,
-            )
         )
-    return outcomes
+        for example in PAPER_EXAMPLES
+    ]
 
 
 def _fmt_finish(finish: dict[str, float]) -> str:

@@ -24,6 +24,7 @@ This module provides that analysis for any mapping produced here:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -256,11 +257,13 @@ def fault_degradation_study(
         raise ConfigurationError(f"instances must be >= 1, got {instances}")
     if not failure_rates:
         raise ConfigurationError("need at least one failure rate")
-    if any(rate <= 0 for rate in failure_rates):
-        raise ConfigurationError("failure rates must be positive")
-    if not 0 < downtime_frac:
+    if not all(math.isfinite(rate) and rate > 0 for rate in failure_rates):
         raise ConfigurationError(
-            f"downtime_frac must be positive, got {downtime_frac}"
+            f"failure rates must be positive and finite, got {list(failure_rates)}"
+        )
+    if not (math.isfinite(downtime_frac) and downtime_frac > 0):
+        raise ConfigurationError(
+            f"downtime_frac must be positive and finite, got {downtime_frac}"
         )
     heterogeneity = heterogeneity or Heterogeneity.HIHI
     consistency = consistency or Consistency.INCONSISTENT

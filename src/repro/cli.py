@@ -37,6 +37,7 @@ cells by default, ``study`` / ``export`` under ``--cache-dir`` /
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -47,6 +48,7 @@ from enum import Enum
 from repro import __version__
 
 from repro.analysis.gantt import render_gantt
+from repro.analysis.report import PAPER_EXAMPLES
 from repro.analysis.study import (
     format_comparison_table,
     format_improvement_table,
@@ -103,6 +105,19 @@ def _comma_list(parse):
         return value
 
     return check
+
+
+def _positive_rate(value: str) -> float:
+    """argparse type: a positive finite float."""
+    try:
+        rate = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {value!r}") from None
+    if not (math.isfinite(rate) and rate > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {value!r}"
+        )
+    return rate
 
 
 def _load_etc(path: str):
@@ -398,12 +413,7 @@ def _cmd_study_faults(args: argparse.Namespace) -> int:
         format_fault_table,
     )
 
-    try:
-        rates = tuple(float(r) for r in args.failure_rates.split(","))
-    except ValueError:
-        print(f"--failure-rates must be comma-separated numbers, "
-              f"got {args.failure_rates!r}", file=sys.stderr)
-        return 2
+    rates = tuple(float(r) for r in args.failure_rates.split(","))
     rows = []
     with _Run(args, "study-faults", ledger_counters=True) as run:
         for heuristic in args.heuristics.split(","):
@@ -1105,37 +1115,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 #: The paper's worked examples, replayable by ``repro trace --example``.
-TRACE_EXAMPLES = ("min-min", "mct", "met", "swa", "kpb", "sufferage")
-
-
-def _paper_examples() -> dict:
-    """``TRACE_EXAMPLES`` name -> (label, heuristic, witness ETC)."""
-    from repro.etc.witness import (
-        KPB_EXAMPLE_PERCENT,
-        SWA_EXAMPLE_HIGH_THRESHOLD,
-        SWA_EXAMPLE_LOW_THRESHOLD,
-        kpb_example_etc,
-        mct_met_example_etc,
-        minmin_example_etc,
-        sufferage_example_etc,
-        swa_example_etc,
-    )
-    from repro.heuristics import KPercentBest, Sufferage, SwitchingAlgorithm
-
-    return {
-        "min-min": ("Min-Min (Tables 1-3)", get_heuristic("min-min"),
-                    minmin_example_etc()),
-        "mct": ("MCT (Tables 4-6)", get_heuristic("mct"), mct_met_example_etc()),
-        "met": ("MET (Tables 7-8)", get_heuristic("met"), mct_met_example_etc()),
-        "swa": ("SWA (Tables 9-11)",
-                SwitchingAlgorithm(low=SWA_EXAMPLE_LOW_THRESHOLD,
-                                   high=SWA_EXAMPLE_HIGH_THRESHOLD),
-                swa_example_etc()),
-        "kpb": ("K-percent Best (Tables 12-14)",
-                KPercentBest(percent=KPB_EXAMPLE_PERCENT), kpb_example_etc()),
-        "sufferage": ("Sufferage (Tables 15-17)", Sufferage(),
-                      sufferage_example_etc()),
-    }
+TRACE_EXAMPLES = tuple(example.name for example in PAPER_EXAMPLES)
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -1147,7 +1127,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     if args.example:
-        _, heuristic, etc = _paper_examples()[args.example]
+        example = PAPER_EXAMPLES[TRACE_EXAMPLES.index(args.example)]
+        heuristic, etc = example.make_heuristic(), example.make_etc()
         label = f"paper example {args.example!r}"
     else:
         etc = _load_etc(args.etc)
@@ -1252,9 +1233,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_paper(args: argparse.Namespace) -> int:
-    """Replay the paper's five worked examples (compact form)."""
-    for label, heuristic, etc in _paper_examples().values():
-        result = IterativeScheduler(heuristic).run(etc)
+    """Replay the paper's six worked examples (compact form)."""
+    for example in PAPER_EXAMPLES:
+        label = f"{example.label} ({example.tables})"
+        result = IterativeScheduler(example.make_heuristic()).run(
+            example.make_etc()
+        )
         spans = " -> ".join(f"{s:g}" for s in result.makespans())
         verdict = (
             "MAKESPAN INCREASED" if result.makespan_increased() else
@@ -1511,7 +1495,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ties", default="deterministic",
                    help="comma list: deterministic,random")
     s.add_argument("--seeded", action="store_true")
-    s.add_argument("--failure-rates", default="1e-6,3e-6,1e-5",
+    s.add_argument("--failure-rates", type=_comma_list(_positive_rate),
+                   default="1e-6,3e-6,1e-5",
                    help="(--faults) comma list of failure rates per machine "
                         "per time unit")
     add_faults(s)

@@ -82,19 +82,19 @@ def tied_argmax(
     return tied_indices(arr, float(arr.max()), rel_tol, abs_tol)
 
 
-def tied_min_indices(row: np.ndarray) -> list[int]:
+def tied_min_indices(row: np.ndarray | list[float]) -> list[int]:
     """Exact :func:`tied_argmin` for short strictly positive rows.
 
-    A plain Python scan over ``row.tolist()`` outruns the vectorised
-    pipeline below ~100 elements (the machine axis is 32 at paper
-    scale).  For strictly positive values the tolerance
-    ``max(abs_tol, rel_tol * max(|v|, |target|))`` is exactly
+    ``row`` is an array or a list of floats.  A plain Python scan over
+    the list outruns the vectorised pipeline below ~100 elements (the
+    machine axis is 32 at paper scale).  For strictly positive values
+    the tolerance ``max(abs_tol, rel_tol * max(|v|, |target|))`` is exactly
     ``max(abs_tol, rel_tol * v)`` because ``v >= target > 0``, and
     ``|v - target|`` is exactly ``v - target``; both simplifications
     are value-identical, so the returned candidate list matches
     :func:`tied_argmin` element for element.
     """
-    lst = row.tolist()
+    lst = row if type(row) is list else row.tolist()
     target = min(lst)
     out = []
     for j, v in enumerate(lst):
@@ -106,7 +106,7 @@ def tied_min_indices(row: np.ndarray) -> list[int]:
     return out
 
 
-def first_tied_min_index(row: np.ndarray) -> int:
+def first_tied_min_index(row: np.ndarray | list[float]) -> int:
     """First index of :func:`tied_min_indices` without building the list.
 
     Exactly what ``DeterministicTieBreaker.choose(tied_min_indices(row))``
@@ -114,7 +114,7 @@ def first_tied_min_index(row: np.ndarray) -> int:
     element); used on the deterministic fast paths when no tracer needs
     the full candidate set.  Early-exits at the first tied element.
     """
-    lst = row.tolist()
+    lst = row if type(row) is list else row.tolist()
     target = min(lst)
     for j, v in enumerate(lst):
         tol = DEFAULT_REL_TOL * v

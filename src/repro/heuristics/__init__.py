@@ -24,7 +24,7 @@ from repro.heuristics.backends import (
 from repro.heuristics.genitor import Genitor
 from repro.heuristics.gsa import GeneticSimulatedAnnealing
 from repro.heuristics.optimal import BranchAndBound
-from repro.heuristics.kpb import KPBStep, KPercentBest, kpb_subset_size
+from repro.heuristics.kpb import KPBStep, KPBTrace, KPercentBest, kpb_subset_size
 from repro.heuristics.mct import MCT
 from repro.heuristics.met import MET
 from repro.heuristics.minmin import Duplex, MaxMin, MinMin, minmin_round_table
@@ -66,6 +66,7 @@ __all__ = [
     "SufferageTrace",
     "KPercentBest",
     "KPBStep",
+    "KPBTrace",
     "kpb_subset_size",
     "SwitchingAlgorithm",
     "SWAStep",

@@ -30,9 +30,61 @@ __all__ = [
     "get_heuristic",
     "heuristic_names",
     "validate_complete",
+    "LazyTrace",
 ]
 
 ReadyTimes = "MappingABC[str, float] | Sequence[float] | None"
+
+
+class LazyTrace(Sequence):
+    """A kernel's decision-trace tuple, built from its arrays when first read.
+
+    Subclasses implement ``_build(*parts) -> tuple``; the constructor
+    keeps ``parts`` as given, and the last part holds one entry per
+    element, so ``len()`` reads no built element.  Indexing, iteration,
+    comparison and hashing build the tuple once and cache it.  Compares
+    and hashes equal to that tuple; pickles as its parts.
+    """
+
+    __slots__ = ("_parts", "_built")
+
+    def __init__(self, *parts) -> None:
+        self._parts = parts
+        self._built: tuple | None = None
+
+    @abc.abstractmethod
+    def _build(self, *parts) -> tuple:
+        """The decision-trace tuple of ``parts``."""
+
+    def _tuple(self) -> tuple:
+        if self._built is None:
+            self._built = self._build(*self._parts)
+        return self._built
+
+    def __len__(self) -> int:
+        return len(self._parts[-1])
+
+    def __getitem__(self, index):
+        return self._tuple()[index]
+
+    def __iter__(self):
+        return iter(self._tuple())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, LazyTrace):
+            other = other._tuple()
+        if isinstance(other, tuple):
+            return self._tuple() == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._tuple())
+
+    def __reduce__(self):
+        return (type(self), self._parts)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._tuple()!r})"
 
 
 class Heuristic(abc.ABC):

@@ -23,11 +23,24 @@ ETC ties at the subset boundary resolve to the lower machine index
 (stable sort); completion-time ties inside the subset go through the
 tie-breaking policy.  The per-task subset trace is kept on
 :attr:`KPercentBest.last_trace` for paper Tables 13–14.
+
+Kernel (:class:`KPercentBest`).  Subsets depend only on ETC values, so
+all T per-task argsorts collapse into one vectorised axis-1 argsort,
+and the subset ETCs are read once into lists.  Each task's subset
+completion times are a list built against a kernel-owned ready list;
+:func:`~repro.core.ties.first_tied_min_index` picks from it (other tie
+policies draw from :func:`~repro.core.ties.tied_min_indices`).  The
+whole decided order is committed with one :meth:`Mapping.assign_many`.
+The trace is a :class:`KPBTrace` that keeps the subset array, the picks
+and the completions and builds the :class:`KPBStep` tuple only when it
+is first read.  The per-task argsort transcription
+(:class:`ReferenceKPercentBest`) is the test oracle.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +55,16 @@ from repro.core.ties import (
 )
 from repro.etc.matrix import ETCMatrix
 from repro.exceptions import ConfigurationError
-from repro.heuristics.base import Heuristic, register_heuristic
+from repro.heuristics.base import Heuristic, LazyTrace, register_heuristic
 from repro.obs.tracer import get_tracer
 
-__all__ = ["KPercentBest", "ReferenceKPercentBest", "KPBStep", "kpb_subset_size"]
+__all__ = [
+    "KPercentBest",
+    "ReferenceKPercentBest",
+    "KPBStep",
+    "KPBTrace",
+    "kpb_subset_size",
+]
 
 
 def kpb_subset_size(num_machines: int, percent: float) -> int:
@@ -66,6 +85,29 @@ class KPBStep:
     completion: float
 
 
+class KPBTrace(LazyTrace):
+    """The ``tuple[KPBStep, ...]`` of one kernel run, built lazily.
+
+    Parts: task and machine labels, the ``(tasks, size)`` subset index
+    array, each task's chosen machine index and its completion time.
+    """
+
+    __slots__ = ()
+
+    def _build(self, tasks, machines, subsets, picks, completions):
+        return tuple(
+            KPBStep(
+                task=task,
+                subset=tuple(machines[j] for j in subset),
+                machine=machines[pick],
+                completion=completion,
+            )
+            for task, subset, pick, completion in zip(
+                tasks, subsets.tolist(), picks.tolist(), completions.tolist()
+            )
+        )
+
+
 @register_heuristic
 class KPercentBest(Heuristic):
     """K-Percent Best: MCT restricted to each task's k% fastest machines."""
@@ -78,7 +120,7 @@ class KPercentBest(Heuristic):
                 f"percent must be in (0, 100], got {percent}"
             )
         self.percent = float(percent)
-        self.last_trace: tuple[KPBStep, ...] = ()
+        self.last_trace: Sequence[KPBStep] = ()
 
     def subset_for(self, etc: ETCMatrix, task: str) -> tuple[str, ...]:
         """The k% best machines for ``task`` by execution time."""
@@ -93,52 +135,43 @@ class KPercentBest(Heuristic):
         tie_breaker: TieBreaker,
         seed_mapping: dict[str, str] | None,
     ) -> None:
-        """Subsets depend only on ETC values, so all T per-task
-        argsorts collapse into one vectorised axis-1 argsort."""
         etc = mapping.etc
         tracer = get_tracer()
-        values = etc.values
         machines = etc.machines
         size = kpb_subset_size(etc.num_machines, self.percent)
         subsets = np.sort(
-            np.argsort(values, axis=1, kind="stable")[:, :size], axis=1
+            np.argsort(etc.values, axis=1, kind="stable")[:, :size], axis=1
         )
-        subset_lists = subsets.tolist()
-        ready = mapping.ready_times_view()
-        trace: list[KPBStep] = []
-        fast_ties = (
-            type(tie_breaker) is DeterministicTieBreaker and not tracer.enabled
-        )
-        for ti, task in enumerate(etc.tasks):
-            subset_idx = subsets[ti]
-            completion = values[ti, subset_idx] + ready[subset_idx]
+        costs = np.take_along_axis(etc.values, subsets, axis=1).tolist()
+        ready = mapping.ready_times_view().tolist()
+        fast_ties = type(tie_breaker) is DeterministicTieBreaker
+        picks: list[int] = []
+        completions: list[float] = []
+        for ti, (subset, cost) in enumerate(zip(subsets.tolist(), costs)):
+            completion = [c + ready[j] for c, j in zip(cost, subset)]
             if fast_ties:
                 pick = first_tied_min_index(completion)
             else:
                 pick = tie_breaker.choose(tied_min_indices(completion))
-            machine_idx = subset_lists[ti][pick]
-            finish = mapping.assign_index(ti, machine_idx)
-            subset = tuple(machines[j] for j in subset_lists[ti])
+            machine_idx = subset[pick]
+            ready[machine_idx] = finish = completion[pick]
+            picks.append(machine_idx)
+            completions.append(finish)
             if tracer.enabled:
                 tracer.event(
                     "k-percent-best.decision",
-                    task=task,
-                    subset=subset,
+                    task=etc.tasks[ti],
+                    subset=tuple(machines[j] for j in subset),
                     subset_size=size,
                     machine=machines[machine_idx],
                     completion=finish,
                 )
                 tracer.count("decisions")
                 tracer.observe("kpb.subset_size", size)
-            trace.append(
-                KPBStep(
-                    task=task,
-                    subset=subset,
-                    machine=machines[machine_idx],
-                    completion=finish,
-                )
-            )
-        self.last_trace = tuple(trace)
+        mapping.assign_many(range(len(picks)), picks)
+        self.last_trace = KPBTrace(
+            etc.tasks, machines, subsets, np.array(picks), np.array(completions)
+        )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(percent={self.percent})"

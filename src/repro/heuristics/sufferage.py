@@ -38,25 +38,28 @@ The per-pass decision trace is kept on :attr:`Sufferage.last_trace` so
 the bench harness can regenerate the per-pass rows of paper Tables 16
 and 17.
 
-Kernel (:class:`Sufferage`).  Pending tasks are an int
-row array.  Ready times are fixed within a pass, so one vectorised scan
-(:func:`_fast_decisions`) gives every pending task its earliest machine,
-earliest CT and sufferage value.  The holder contest then runs for all
-machines at once: sufferage values scatter into a ``(machines,
-pending)`` grid filled with ``-inf`` and each machine's first argmax is
-the final holder whenever no other candidate on that machine comes
-within ``DEFAULT_ABS_TOL`` of the top; only the remaining machines
-replay the sequential scan.  Winners commit in task order and drop out
-of the pending array.  The trace is a :class:`SufferageTrace` that keeps
-each pass's arrays and builds the :class:`SufferagePass` tuple only when
-it is first read, so untraced runs never build decision objects.  The
-paper transcription (:class:`ReferenceSufferage`) is the test oracle.
+Kernel (:class:`Sufferage`).  Pending tasks are an int row array and
+the kernel owns a copy of the ready vector.  Ready times are fixed
+within a pass, so one vectorised scan (:func:`_fast_decisions`) gives
+every pending task its earliest machine, earliest CT and sufferage
+value: an ``argmin`` and a runner-up pass, with the full tolerance scan
+only for rows whose runner-up is tolerance-tied with the minimum.  The
+holder contest (:func:`_contest`) is the paper's sequential scan over
+plain lists.  Winners update the kernel's ready vector, drop out of the
+pending array, and the whole decided order is committed with one
+:meth:`Mapping.assign_many`.  The trace is a :class:`SufferageTrace`
+that keeps each pass's arrays and builds the :class:`SufferagePass`
+tuple only when it is first read, so untraced runs never build decision
+objects.  The paper transcription (:class:`ReferenceSufferage`) is the
+test oracle.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -68,7 +71,7 @@ from repro.core.ties import (
     TieBreaker,
     tied_argmin,
 )
-from repro.heuristics.base import Heuristic, register_heuristic
+from repro.heuristics.base import Heuristic, LazyTrace, register_heuristic
 from repro.obs.tracer import get_tracer
 
 __all__ = [
@@ -125,11 +128,11 @@ class Sufferage(Heuristic):
         # The deterministic policy picks machines in one vectorised tie
         # scan; other policies draw per task, in snapshot order.
         breaker = None if type(tie_breaker) is DeterministicTieBreaker else tie_breaker
-        records: list[tuple[np.ndarray, ...]] = []
-        passes = _passes(etc.values, mapping.ready_times_view(), records, breaker)
-        for tasks, machines in passes:
-            for task, machine in zip(tasks, machines):
-                mapping.assign_index(task, machine)
+        records: list[tuple] = []
+        tasks, machines = _passes(
+            etc.values, mapping.ready_times_view().copy(), records, breaker
+        )
+        mapping.assign_many(tasks, machines)
         self.last_trace = SufferageTrace(etc.tasks, etc.machines, records)
         tracer = get_tracer()
         if tracer.enabled:
@@ -258,170 +261,157 @@ def _fast_decisions(
     strictly positive and every entry is ``>=`` its row minimum, so the
     reference tolerance scale ``max(|completion|, |best|)`` is exactly
     ``completion`` and ``|completion - best|`` is exactly
-    ``completion - best`` — the same booleans from half the elementwise
-    passes.  With a ``tie_breaker`` each row's machine is drawn through
-    ``choose(tied_argmin(row))`` in row order, the reference path's draw
-    order.  The buffer is owned, so the second-minimum masking happens
-    in place.
+    ``completion - best``.  That predicate ``c - best <= max(abs, rel *
+    c)`` grows with ``c``, so a row has a second tolerance-tied entry
+    exactly when its runner-up is tied: rows without one take
+    ``argmin``, ``best`` and ``runner-up - best`` from two full passes,
+    and only near-tie rows (exact duplicates included) take the full
+    tolerance scan.  With a ``tie_breaker`` each row's machine is drawn
+    through ``choose(tied_argmin(row))`` in row order, the reference
+    path's draw order.  The buffer is owned, so the runner-up masking
+    happens in place.
     """
-    if tie_breaker is None:
-        best = completion.min(axis=1)
-        tied = (completion - best[:, None]) <= np.maximum(
-            DEFAULT_ABS_TOL, DEFAULT_REL_TOL * completion
-        )
-        chosen = tied.argmax(axis=1)  # first tolerance-tied minimum per row
-    else:
+    num_rows, num_machines = completion.shape
+    if tie_breaker is not None:
         chosen = np.array(
             [tie_breaker.choose(tied_argmin(row)) for row in completion],
             dtype=np.intp,
         )
-    idx = np.arange(len(completion))
-    earliest = completion[idx, chosen]
-    if completion.shape[1] >= 2:
-        completion[idx, chosen] = np.inf
-        sufferage = completion.min(axis=1) - earliest
     else:
-        sufferage = np.zeros(len(completion))
+        chosen = completion.argmin(axis=1)
+    if num_machines < 2:
+        return chosen, completion[:, 0].copy(), np.zeros(num_rows)
+    # Flat indices into the row-major buffer: ``take``/``put`` on them
+    # outrun 2-D fancy indexing, and a row argmin outruns a row min.
+    flat = completion.reshape(-1)
+    starts = np.arange(0, num_rows * num_machines, num_machines)
+    at = starts + chosen
+    earliest = flat.take(at)
+    flat.put(at, np.inf)
+    runner_up = flat.take(starts + completion.argmin(axis=1))
+    sufferage = runner_up - earliest
+    # Every row's tolerance is at most the largest runner-up's, so one
+    # comparison of two reductions clears most passes of near ties.
+    if tie_breaker is None and sufferage.min() <= max(
+        DEFAULT_ABS_TOL, DEFAULT_REL_TOL * runner_up.max()
+    ):
+        near = np.flatnonzero(
+            sufferage <= np.maximum(DEFAULT_ABS_TOL, DEFAULT_REL_TOL * runner_up)
+        )
+        flat.put(at[near], earliest[near])
+        rows = completion[near]
+        tied = (rows - earliest[near, None]) <= np.maximum(
+            DEFAULT_ABS_TOL, DEFAULT_REL_TOL * rows
+        )
+        chosen[near] = pick = tied.argmax(axis=1)  # first tied minimum
+        cell = np.arange(near.size), pick
+        earliest[near] = rows[cell]
+        rows[cell] = np.inf
+        sufferage[near] = rows.min(axis=1) - earliest[near]
     return chosen, earliest, sufferage
 
 
 def _passes(
     values: np.ndarray,
     ready: np.ndarray,
-    records: list[tuple[np.ndarray, ...]] | None = None,
+    records: list[tuple],
     tie_breaker: TieBreaker | None = None,
-) -> Iterator[tuple[list[int], list[int]]]:
-    """The index-space kernel: yield each pass's ``(tasks, machines)``.
+) -> tuple[list[int], list[int]]:
+    """The index-space kernel: every pass's winners as ``(tasks, machines)``.
 
-    The winners come in task order; the caller commits them into
-    ``ready`` (which the next pass reads) before resuming.  ``records``
-    collects ``(rows, chosen, earliest, sufferage, winners)`` per pass
-    for :class:`SufferageTrace`.
+    ``ready`` is owned and updated after each pass.  The winners come
+    pass by pass, each pass in task order: the commit order.
+    ``records`` collects ``(rows, chosen, earliest, sufferage, winners)``
+    per pass for :class:`SufferageTrace`.
     """
-    rows = np.arange(values.shape[0])
+    num_tasks, num_machines = values.shape
+    pending = np.ones(num_tasks, dtype=bool)
+    rows = np.arange(num_tasks)
+    tasks: list[int] = []
+    machines: list[int] = []
     while rows.size:
-        chosen, earliest, sufferage = _fast_decisions(
-            values[rows] + ready, tie_breaker
-        )
-        winners = _contest(chosen, sufferage, values.shape[1])
-        if records is not None:
-            records.append((rows, chosen, earliest, sufferage, winners))
-        yield rows[winners].tolist(), chosen[winners].tolist()
-        keep = np.ones(rows.size, dtype=bool)
-        keep[winners] = False
-        rows = rows[keep]
+        completion = values.take(rows, axis=0)
+        completion += ready
+        chosen, earliest, sufferage = _fast_decisions(completion, tie_breaker)
+        machine_of = chosen.tolist()
+        winners = _contest(machine_of, sufferage, num_machines)
+        records.append((rows, chosen, earliest, sufferage, winners))
+        for position in winners:
+            machine = machine_of[position]
+            ready[machine] = earliest[position]
+            machines.append(machine)
+        won = rows.take(winners).tolist()
+        tasks += won
+        pending[won] = False
+        rows = pending.nonzero()[0]
+    return tasks, machines
 
 
 def _contest(
-    chosen: np.ndarray, sufferage: np.ndarray, num_machines: int
-) -> np.ndarray:
+    chosen: list[int], sufferage: np.ndarray, num_machines: int
+) -> list[int]:
     """Snapshot positions of every claimed machine's final holder, sorted.
 
-    The sequential scan lets a later task displace the holder only with
-    ``holder < s - DEFAULT_ABS_TOL``.  A machine's first argmax therefore
-    ends up holding it whenever every other candidate has
-    ``s < top - DEFAULT_ABS_TOL``: each earlier holder loses to it and
-    no later candidate beats it.  Machines with a near-tie replay the
-    sequential scan.
+    The paper's sequential scan: a later task displaces the holder only
+    with ``holder < s - DEFAULT_ABS_TOL`` (the right-hand sides come
+    from one array subtraction, the same float operation); an unclaimed
+    machine holds ``-inf``, which every finite sufferage value displaces.
     """
-    n = chosen.size
-    grid = np.full((num_machines, n), -np.inf)
-    grid[chosen, np.arange(n)] = sufferage
-    holder = grid.argmax(axis=1)
-    top = grid[np.arange(num_machines), holder]
-    claimed = top > -np.inf
-    near = np.count_nonzero(grid >= (top - DEFAULT_ABS_TOL)[:, None], axis=1)
-    for machine in np.flatnonzero(claimed & (near > 1)).tolist():
-        positions = np.flatnonzero(chosen == machine)
-        candidates = zip(positions.tolist(), sufferage[positions].tolist())
-        holder[machine], held = next(candidates)
-        for position, value in candidates:
-            if held < value - DEFAULT_ABS_TOL:
-                holder[machine], held = position, value
-    return np.sort(holder[claimed])
+    held = [-math.inf] * num_machines
+    holder = [-1] * num_machines
+    for position, machine, value, bar in zip(
+        count(), chosen, sufferage.tolist(), (sufferage - DEFAULT_ABS_TOL).tolist()
+    ):
+        if held[machine] < bar:
+            held[machine] = value
+            holder[machine] = position
+    winners = [position for position in holder if position >= 0]
+    winners.sort()
+    return winners
 
 
-class SufferageTrace(Sequence):
+class SufferageTrace(LazyTrace):
     """The ``tuple[SufferagePass, ...]`` of one kernel run, built lazily.
 
-    Holds each pass's arrays; the first read (indexing, iteration,
-    comparison, hashing) replays the holder contests into the tuple the
-    reference path builds and caches it.  Compares and hashes equal to
-    that tuple; pickles as its arrays.
+    Parts: task and machine labels and each pass's ``(rows, chosen,
+    earliest, sufferage, winners)`` record; building replays the holder
+    contests into the tuple the reference path builds.
     """
 
-    __slots__ = ("_tasks", "_machines", "_records", "_built")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        tasks: tuple[str, ...],
-        machines: tuple[str, ...],
-        records: list[tuple[np.ndarray, ...]],
-    ) -> None:
-        self._tasks = tasks
-        self._machines = machines
-        self._records = records
-        self._built: tuple[SufferagePass, ...] | None = None
-
-    def _tuple(self) -> tuple[SufferagePass, ...]:
-        if self._built is None:
-            self._built = tuple(
-                self._build(index, *record)
-                for index, record in enumerate(self._records)
-            )
-        return self._built
-
-    def _build(self, index, rows, chosen, earliest, sufferage, winners):
-        tasks, machines = self._tasks, self._machines
-        holders: dict[int, tuple[int, float]] = {}
-        decisions = []
-        for task, machine, ct, value in zip(
-            rows.tolist(), chosen.tolist(), earliest.tolist(), sufferage.tolist()
-        ):
-            incumbent = holders.get(machine)
-            if incumbent is None:
-                holders[machine] = (task, value)
-                outcome, other = "claimed", None
-            elif incumbent[1] < value - DEFAULT_ABS_TOL:
-                holders[machine] = (task, value)
-                outcome, other = "displaced", tasks[incumbent[0]]
-            else:
-                outcome, other = "rejected", tasks[incumbent[0]]
-            decisions.append(
-                SufferageDecision(
-                    tasks[task], machines[machine], ct, value, outcome, other
-                )
-            )
-        committed = tuple(
-            (tasks[t], machines[m])
-            for t, m in zip(rows[winners].tolist(), chosen[winners].tolist())
+    def _build(self, tasks, machines, records):
+        return tuple(
+            _build_pass(tasks, machines, index, *record)
+            for index, record in enumerate(records)
         )
-        return SufferagePass(index, tuple(decisions), committed)
 
-    def __len__(self) -> int:
-        return len(self._records)
 
-    def __getitem__(self, index):
-        return self._tuple()[index]
-
-    def __iter__(self):
-        return iter(self._tuple())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, SufferageTrace):
-            other = other._tuple()
-        if isinstance(other, tuple):
-            return self._tuple() == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._tuple())
-
-    def __reduce__(self):
-        return (SufferageTrace, (self._tasks, self._machines, self._records))
-
-    def __repr__(self) -> str:
-        return f"SufferageTrace({self._tuple()!r})"
+def _build_pass(tasks, machines, index, rows, chosen, earliest, sufferage, winners):
+    holders: dict[int, tuple[int, float]] = {}
+    decisions = []
+    for task, machine, ct, value in zip(
+        rows.tolist(), chosen.tolist(), earliest.tolist(), sufferage.tolist()
+    ):
+        incumbent = holders.get(machine)
+        if incumbent is None:
+            holders[machine] = (task, value)
+            outcome, other = "claimed", None
+        elif incumbent[1] < value - DEFAULT_ABS_TOL:
+            holders[machine] = (task, value)
+            outcome, other = "displaced", tasks[incumbent[0]]
+        else:
+            outcome, other = "rejected", tasks[incumbent[0]]
+        decisions.append(
+            SufferageDecision(
+                tasks[task], machines[machine], ct, value, outcome, other
+            )
+        )
+    committed = tuple(
+        (tasks[t], machines[m])
+        for t, m in zip(rows[winners].tolist(), chosen[winners].tolist())
+    )
+    return SufferagePass(index, tuple(decisions), committed)
 
 
 def _vectorised_decisions(

@@ -32,6 +32,7 @@ multiplicative ETC-perturbation model of the robustness literature
 from __future__ import annotations
 
 import hashlib
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -66,6 +67,17 @@ class FaultConfig:
     mean_slowdown: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in (
+            "failure_rate",
+            "mean_downtime",
+            "slowdown_rate",
+            "slowdown_factor",
+            "mean_slowdown",
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be finite, got {getattr(self, name)}"
+                )
         if self.failure_rate < 0 or self.slowdown_rate < 0:
             raise ConfigurationError(
                 f"fault rates must be >= 0, got failure_rate={self.failure_rate}, "

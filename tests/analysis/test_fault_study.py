@@ -80,3 +80,13 @@ class TestFaultDegradationStudy:
             fault_degradation_study(failure_rates=(-1.0,))
         with pytest.raises(ConfigurationError):
             fault_degradation_study(downtime_frac=0.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"failure_rates": (float("nan"),)},
+        {"failure_rates": (1e-6, float("inf"))},
+        {"downtime_frac": float("nan")},
+        {"downtime_frac": float("inf")},
+    ], ids=repr)
+    def test_rejects_non_finite_inputs(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            fault_degradation_study(**kwargs)

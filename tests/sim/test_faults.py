@@ -1,5 +1,7 @@
 """Unit tests for fault-plan generation and fault-tolerant execution."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,17 @@ class TestFaultConfig:
     def test_slowdowns_need_factor_above_one(self):
         with pytest.raises(ConfigurationError):
             FaultConfig(slowdown_rate=0.1, mean_slowdown=1.0, slowdown_factor=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [
+        "failure_rate", "mean_downtime", "slowdown_rate", "slowdown_factor",
+        "mean_slowdown",
+    ])
+    def test_rejects_non_finite_parameters(self, field, bad):
+        """NaN passes every ``< 0`` check, so each field is checked finite,
+        also when its process is disabled."""
+        with pytest.raises(ConfigurationError, match=field):
+            FaultConfig(**{field: bad})
 
 
 class TestFaultPlan:

@@ -185,8 +185,21 @@ class TestFaultCommands:
         assert "min-min/iterative" in out
 
     def test_study_faults_bad_rates_is_clean_error(self, capsys):
-        assert main(["study", "--faults", "--failure-rates", "fast"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["study", "--faults", "--failure-rates", "fast"])
+        assert excinfo.value.code == 2
         assert "--failure-rates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--failures", "nan"],
+        ["--failures", "inf"],
+        ["--slowdown-factor", "nan"],
+        ["--downtime-frac", "nan"],
+    ], ids=" ".join)
+    def test_simulate_faults_non_finite_is_clean_error(self, argv, capsys):
+        assert main(["simulate", "--faults", "--tasks", "8", "--machines", "2",
+                     *argv]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestPaper:
@@ -722,6 +735,10 @@ class TestMalformedInput:
          "--workers", "0"],
         ["run-rolling", "--tasks", "50", "--retry-budget", "-1"],
         ["run-grid", "--no-cache", "--instances", "0"],
+        ["study", "--faults", "--failure-rates", "x"],
+        ["study", "--faults", "--failure-rates", "0.1,-1"],
+        ["study", "--faults", "--failure-rates", "nan"],
+        ["study", "--faults", "--failure-rates", "1e-6,,2e-6"],
     ], ids=lambda argv: " ".join(argv))
     def test_exits_with_documented_error(self, argv, tmp_path):
         import os
@@ -743,3 +760,12 @@ class TestMalformedInput:
         assert proc.stderr.startswith(("error:", "usage:")), proc.stderr
         assert "Traceback" not in proc.stderr
         assert not store.exists()
+
+    @pytest.mark.parametrize("rates", ["x", "0.1,-1", "nan", "inf", "1e-6,,2e-6"])
+    def test_failure_rates_is_usage_error(self, rates, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["study", "--faults", "--failure-rates", rates])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "--failure-rates" in err
