@@ -14,6 +14,7 @@ the *makespan machine* is the machine attaining it.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Mapping as MappingABC
 from collections.abc import Sequence
@@ -68,14 +69,15 @@ def ready_time_vector(
             [float(ready_times.get(m, 0.0)) for m in etc.machines], dtype=np.float64
         )
     else:
-        vec = np.asarray(ready_times, dtype=np.float64)
+        vec = np.array(ready_times, dtype=np.float64)
         if vec.shape != (etc.num_machines,):
             raise MappingError(
                 f"ready time vector has shape {vec.shape}, "
                 f"expected ({etc.num_machines},)"
             )
-        vec = vec.copy()
-    if np.any(vec < 0) or not np.all(np.isfinite(vec)):
+    # A scan of the short list beats two vectorised passes; NaN fails
+    # both comparisons.
+    if not all(0.0 <= r < math.inf for r in vec.tolist()):
         raise MappingError("ready times must be finite and non-negative")
     return vec
 
@@ -105,7 +107,7 @@ class Mapping:
     ``certified`` is set by the kernels of Min-Min, MCT and MET when no
     decision had a second candidate within twice the tie tolerance of
     its minimum; :class:`~repro.core.iterative.IterativeScheduler` then
-    derives later iterations by :meth:`restrict` instead of re-running
+    derives later iterations from this mapping instead of re-running
     the heuristic.  It defaults to false.
     """
 
@@ -220,6 +222,11 @@ class Mapping:
             tasks[t] for t in self._by_machine[self._etc.machine_index(machine)]
         )
 
+    def column_tasks(self, column: int) -> tuple[int, ...]:
+        """Task rows on machine column ``column`` in execution order —
+        the index-space :meth:`machine_tasks`."""
+        return tuple(self._by_machine[column])
+
     # ------------------------------------------------------------------
     # Timing queries — Eq. (1)
     # ------------------------------------------------------------------
@@ -324,7 +331,10 @@ class Mapping:
                 raise MappingError(
                     f"task {self._etc.tasks[ti]!r} is already assigned"
                 )
-        costs = self._etc.values[tasks, machines].tolist()
+        # Index arrays, not lists: numpy converts lists element by element.
+        costs = self._etc.values[
+            np.array(tasks, dtype=np.intp), np.array(machines, dtype=np.intp)
+        ].tolist()
         ready = self._ready.tolist()
         by_machine = self._by_machine
         starts = []
@@ -375,7 +385,7 @@ class Mapping:
         mapping is left untouched.
         """
         drop = self._etc.machine_index(machine)
-        gone = self._by_machine[drop]
+        gone = set(self._by_machine[drop])
         machines = self._etc.machines
         if etc.machines != machines[:drop] + machines[drop + 1 :] or (
             etc.num_tasks != self._etc.num_tasks - len(gone)
@@ -384,35 +394,46 @@ class Mapping:
                 f"restrict: {etc!r} is not this mapping's matrix without "
                 f"machine {machine!r} and its tasks"
             )
-        rows = sorted(gone)
-        rows.append(self._etc.num_tasks)
-        row_of = _renumbering(rows)
-        # Machine lists are in commit order, so the dropped tasks'
-        # positions ascend.
-        cuts = list(map(self._position.__getitem__, gone))
-        cuts.append(len(self._task))
-        # Unmapped rows hold -1, which reads the trailing -1.
-        position_of = _renumbering(cuts) + [-1]
-        column_of = _renumbering([drop, len(machines)])
+        rows = [i for i in range(self._etc.num_tasks) if i not in gone]
+        cols = [j for j in range(len(machines)) if j != drop]
+        return self._restricted(etc, rows, cols)
 
+    def _restricted(
+        self, etc: ETCMatrix, rows: Sequence[int], cols: Sequence[int]
+    ) -> "Mapping":
+        """The assignments on machine columns ``cols``, over ``etc``.
+
+        Trusted fast path of :meth:`restrict` for any number of dropped
+        machines: ``etc`` is this mapping's matrix restricted to
+        ``rows`` x ``cols`` (both ascending), and ``rows`` holds every
+        row not assigned to a dropped column.  Commit order, starts,
+        finishes and ``certified`` carry over; nothing is validated.
+        """
+        row_of = [-1] * self._etc.num_tasks
+        for new, old in enumerate(rows):
+            row_of[old] = new
+        column_of = [-1] * self._etc.num_machines
+        for new, old in enumerate(cols):
+            column_of[old] = new
         out = object.__new__(type(self))
         out._etc = etc
-        out._initial_ready = np.delete(self._initial_ready, drop)
-        out._ready = np.delete(self._ready, drop)
-        out._task = list(map(row_of.__getitem__, _without(self._task, cuts)))
-        out._machine = list(
-            map(column_of.__getitem__, _without(self._machine, cuts))
-        )
-        out._start = _without(self._start, cuts)
-        out._finish = _without(self._finish, cuts)
-        out._position = list(
-            map(position_of.__getitem__, _without(self._position, rows))
-        )
-        out._by_machine = [
-            list(map(row_of.__getitem__, tasks))
-            for j, tasks in enumerate(self._by_machine)
-            if j != drop
-        ]
+        out._initial_ready = self._initial_ready[list(cols)]
+        out._ready = self._ready[list(cols)]
+        out._task, out._machine, out._start, out._finish = [], [], [], []
+        out._position = [-1] * len(rows)
+        out._by_machine = [[] for _ in cols]
+        for t, m, start, finish in zip(
+            self._task, self._machine, self._start, self._finish
+        ):
+            j = column_of[m]
+            if j >= 0:
+                ti = row_of[t]
+                out._position[ti] = len(out._task)
+                out._by_machine[j].append(ti)
+                out._task.append(ti)
+                out._machine.append(j)
+                out._start.append(start)
+                out._finish.append(finish)
         out._assignments = None
         out.certified = self.certified
         return out
@@ -469,30 +490,6 @@ class Mapping:
             f"Mapping(assigned={self.num_assigned}/{self._etc.num_tasks}, "
             f"makespan={self.makespan():.6g})"
         )
-
-
-def _without(items: list, cuts: list[int]) -> list:
-    """``items`` without the entries at ``cuts``.
-
-    ``cuts`` ascends and ends with the sentinel ``len(items)``; the
-    result is built from slices, never element by element.
-    """
-    kept = items[: cuts[0]]
-    for low, high in zip(cuts, cuts[1:]):
-        kept += items[low + 1 : high]
-    return kept
-
-
-def _renumbering(cuts: list[int]) -> list[int]:
-    """Old index -> new index once the entries at ``cuts`` are removed.
-
-    ``cuts`` ascends and ends with the sentinel length; entries at the
-    cuts themselves are left stale (callers never read them).
-    """
-    index = list(range(cuts[-1]))
-    for shift, (low, high) in enumerate(zip(cuts, cuts[1:]), start=1):
-        index[low + 1 : high] = range(low + 1 - shift, high - shift)
-    return index
 
 
 def finish_times_for_vector(

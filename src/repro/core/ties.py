@@ -32,6 +32,7 @@ __all__ = [
     "tied_argmin",
     "tied_argmax",
     "tied_min_indices",
+    "tied_max_indices",
     "first_tied_min_index",
     "separated_min_index",
     "TieBreaker",
@@ -104,6 +105,23 @@ def tied_min_indices(row: np.ndarray | list[float]) -> list[int]:
         if v - target <= tol:
             out.append(j)
     return out
+
+
+def tied_max_indices(values: list[float]) -> list[int]:
+    """Exact :func:`tied_argmax` for a short list of non-negative floats.
+
+    With ``0 <= v <= target`` (the maximum), the tolerance
+    ``max(abs_tol, rel_tol * max(|v|, |target|))`` is exactly
+    ``max(abs_tol, rel_tol * target)`` and ``|v - target|`` is exactly
+    ``target - v``, so the returned list matches :func:`tied_argmax`
+    element for element.  Finishing times satisfy the precondition
+    (non-negative ready times plus positive ETCs).
+    """
+    target = max(values)
+    tol = DEFAULT_REL_TOL * target
+    if tol < DEFAULT_ABS_TOL:
+        tol = DEFAULT_ABS_TOL
+    return [j for j, v in enumerate(values) if target - v <= tol]
 
 
 def first_tied_min_index(row: np.ndarray | list[float]) -> int:

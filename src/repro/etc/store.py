@@ -552,8 +552,13 @@ class ETCStore:
     def batch(self, key: str) -> ETCBatch:
         """The whole entry as a memmap-backed :class:`ETCBatch` (no copy)."""
         entry = self.entry(key)
+        # A plain ndarray view of the window (still no copy): slicing a
+        # ``numpy.memmap`` runs Python-level ``__getitem__`` and
+        # ``__array_finalize__`` hooks on every row a kernel reads.
         return ETCBatch._from_trusted(
-            self._mapped(entry), entry.task_labels(), entry.machine_labels()
+            self._mapped(entry).view(np.ndarray),
+            entry.task_labels(),
+            entry.machine_labels(),
         )
 
     def instance(self, key: str, index: int) -> ETCMatrix:

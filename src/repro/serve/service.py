@@ -143,7 +143,7 @@ def _execute_iterate(request: ScheduleRequest) -> dict:
         etc, max_iterations=request.max_iterations
     )
     comparison = compare_iterative(result)
-    final_mapping = result.final_mapping().to_dict()
+    final_machine = result.final_mapping().assignment_vector().tolist()
     return {
         "kind": "iterate",
         "heuristic": request.heuristic,
@@ -165,8 +165,11 @@ def _execute_iterate(request: ScheduleRequest) -> dict:
             }
             for m in comparison.machines
         ],
-        # ETC row order (the mapping itself commits frozen machines first).
-        "final_mapping": {task: final_mapping[task] for task in etc.tasks},
+        # ETC row order (the mapping itself commits frozen machines first);
+        # the technique maps every task, so no entry is -1.
+        "final_mapping": {
+            task: etc.machines[j] for task, j in zip(etc.tasks, final_machine)
+        },
     }
 
 

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro.core.iterative import IterativeScheduler
+from repro.core.iterative import IterativeScheduler, check_iteration_cap
 from repro.core.ties import DeterministicTieBreaker, TieBreaker
 from repro.etc.generation import (
     DEFAULT_STREAM_WINDOW,
@@ -391,10 +391,7 @@ class RollingSimulation:
     ) -> None:
         if horizon <= 0:
             raise ConfigurationError(f"horizon must be positive, got {horizon}")
-        if refine_iterations is not None and refine_iterations < 1:
-            raise ConfigurationError(
-                f"refine_iterations must be >= 1 or None, got {refine_iterations}"
-            )
+        check_iteration_cap(refine_iterations, "refine_iterations")
         self._recovery = Recovery(recovery, retry_budget, backoff_base, backoff_cap)
         self.source = source
         self.heuristic = heuristic

@@ -1,14 +1,20 @@
 """Unit tests for repro.core.iterative (the paper's technique)."""
 
+import dataclasses
+import pickle
+
 import pytest
 
-from repro.core.iterative import IterativeScheduler
+from repro.core.iterative import IterationRecord, IterativeScheduler
+from repro.core.metrics import compare_iterative
+from repro.core.schedule import Mapping
 from repro.core.ties import DeterministicTieBreaker, RandomTieBreaker
 from repro.core.validation import validate_iterative_result
 from repro.etc.generation import generate_range_based
 from repro.etc.matrix import ETCMatrix
 from repro.exceptions import ConfigurationError
 from repro.heuristics import MCT, MET, MinMin, Sufferage, get_heuristic
+from repro.heuristics.minmin import ReferenceMinMin
 
 
 @pytest.fixture
@@ -77,6 +83,12 @@ class TestProtocol:
     def test_max_iterations_validation(self, scheduler, square_etc):
         with pytest.raises(ConfigurationError):
             scheduler.run(square_etc, max_iterations=0)
+
+    @pytest.mark.parametrize("cap", [2.5, 1.0, True, False, "3", -1])
+    def test_max_iterations_must_be_a_positive_int(self, scheduler, square_etc, cap):
+        # 2.5 used to run 3 iterations and True 1: only an int counts.
+        with pytest.raises(ConfigurationError, match="max_iterations"):
+            scheduler.run(square_etc, max_iterations=cap)
 
     def test_single_machine_instance(self, scheduler):
         etc = ETCMatrix([[2.0], [3.0]])
@@ -169,3 +181,108 @@ class TestDeterminism:
             for name in ("mct", "met", "min-min", "sufferage"):
                 result = IterativeScheduler(get_heuristic(name)).run(etc)
                 validate_iterative_result(result)
+
+
+class TestLazyRecords:
+    """Derived records build their matrix and mapping on first read."""
+
+    @staticmethod
+    def _certified_run():
+        etc = generate_range_based(24, 5, rng=8)
+        result = IterativeScheduler(MinMin()).run(etc, [0.5, 0.0, 1.0, 0.0, 2.0])
+        assert result.original.mapping.certified
+        return etc, result
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        """Record every Mapping and ETCMatrix constructed from now on."""
+        built = []
+
+        def counting(kind, real):
+            def wrapper(*args, **kwargs):
+                built.append(kind)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            Mapping, "__init__", counting("Mapping", Mapping.__init__)
+        )
+        monkeypatch.setattr(
+            Mapping, "_restricted", counting("Mapping", Mapping._restricted)
+        )
+        monkeypatch.setattr(
+            ETCMatrix, "__init__", counting("ETCMatrix", ETCMatrix.__init__)
+        )
+        monkeypatch.setattr(
+            ETCMatrix,
+            "_from_trusted",
+            classmethod(
+                counting("ETCMatrix", ETCMatrix._from_trusted.__func__)
+            ),
+        )
+        return built
+
+    def test_reads_return_the_same_objects(self):
+        _, result = self._certified_run()
+        for rec in result.iterations:
+            assert rec.etc is rec.etc
+            assert rec.mapping is rec.mapping
+            assert rec.mapping.etc is rec.etc
+
+    def test_untraced_certified_run_builds_nothing_until_read(self, monkeypatch):
+        etc = generate_range_based(24, 5, rng=8)
+        built = self._count_builds(monkeypatch)
+        result = IterativeScheduler(MinMin()).run(etc)
+        # The original mapping is the only object the run builds.
+        assert built == ["Mapping"]
+        assert result.num_iterations == etc.num_machines
+        compare_iterative(result)
+        result.makespans()
+        assert built == ["Mapping"]
+        third = result.iterations[3]
+        third.frozen_tasks, third.makespan, third.trace
+        assert built == ["Mapping"]
+        third.mapping
+        assert built == ["Mapping", "ETCMatrix", "Mapping"]
+        third.etc
+        assert len(built) == 3
+
+    def test_equality_hash_and_repr_match_eager_records(self):
+        etc, result = self._certified_run()
+        full = IterativeScheduler(ReferenceMinMin()).run(
+            etc, [0.5, 0.0, 1.0, 0.0, 2.0]
+        )
+        for lazy, eager in zip(result.iterations[1:], full.iterations[1:]):
+            assert repr(lazy) == repr(eager)
+        for lazy in result.iterations[1:]:
+            twin = IterationRecord(
+                lazy.index,
+                lazy.etc,
+                lazy.mapping,
+                lazy.makespan,
+                lazy.frozen_machine,
+                lazy.frozen_tasks,
+                lazy.trace,
+            )
+            assert lazy == twin and twin == lazy
+            assert hash(lazy) == hash(twin)
+            assert dataclasses.replace(lazy, makespan=-1.0) != lazy
+
+    def test_unread_records_survive_pickling(self):
+        etc, result = self._certified_run()
+        restored = pickle.loads(pickle.dumps(result))
+        full = IterativeScheduler(ReferenceMinMin()).run(
+            etc, [0.5, 0.0, 1.0, 0.0, 2.0]
+        )
+        for rec, eager in zip(restored.iterations, full.iterations):
+            assert rec.etc == eager.etc
+            assert rec.mapping.assignments == eager.mapping.assignments
+            assert rec.mapping.machine_finish_times() == (
+                eager.mapping.machine_finish_times()
+            )
+        assert restored.final_finish_times == full.final_finish_times
+        assert restored.final_mapping().commit_order() == (
+            full.final_mapping().commit_order()
+        )
+        assert not restored.mapping_changed()

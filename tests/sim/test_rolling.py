@@ -409,6 +409,9 @@ class TestRollingSimulation:
             RollingSimulation(source, heuristic, horizon=0.0)
         with pytest.raises(ConfigurationError):
             RollingSimulation(source, heuristic, refine_iterations=0)
+        for cap in (2.5, True, "2"):
+            with pytest.raises(ConfigurationError, match="refine_iterations"):
+                RollingSimulation(source, heuristic, refine_iterations=cap)
         with pytest.raises(ConfigurationError):
             RollingSimulation(source, heuristic, recovery="panic")
         with pytest.raises(ConfigurationError):
