@@ -205,8 +205,10 @@ class TestStoreTransportCleanup:
         """Pooled store run where every attempt exceeds the per-cell
         timeout: cells are quarantined and the parent leaves no lock
         and no cached handle behind."""
+        # Sufferage: a cell's work (~0.5 s) is ten times the timeout; a
+        # certified Min-Min cell now finishes in about the timeout.
         config = ExperimentConfig(
-            heuristics=("min-min",),
+            heuristics=("sufferage",),
             num_tasks=256,
             num_machines=8,
             heterogeneities=(Heterogeneity.HIHI, Heterogeneity.LOLO),
