@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 #: Cache entry format identifier; bump when the JSON layout changes.
-RESPONSE_CACHE_SCHEMA = "repro-serve-cache/1"
+RESPONSE_CACHE_SCHEMA = "repro-serve-cache/2"
 
 #: Default response cache location, next to the cell cache under ``.repro/``.
 DEFAULT_RESPONSE_CACHE_DIR = ".repro/responses"
@@ -66,7 +66,9 @@ class ResponseCache:
 
         ``identity`` (the :func:`~repro.serve.models.request_identity`
         dict) rides along for auditability — a cache directory is
-        self-describing without the requests that filled it.
+        self-describing without the requests that filled it.  It names
+        an inline ETC by shape, value digest and labels, so an entry
+        stays small whatever the size of the matrix.
         """
         payload = {
             "schema": RESPONSE_CACHE_SCHEMA,

@@ -14,9 +14,6 @@ naming a *kind* of work plus the inputs it needs:
   ``study`` takes ``ensemble``;
 * ``heuristic`` / ``ties`` / ``seed`` / ``seeded`` / ``backend`` —
   the scheduling configuration, validated against the live registries;
-* ``scenarios`` — reserved for multi-scenario payloads (Bosman et al.,
-  arXiv 2402.19259): structurally validated and part of the cache
-  identity today, rejected as unimplemented when non-empty;
 * ``trace`` / ``request_id`` — *non-identity* fields: they change what
   a response carries, never what is computed.
 
@@ -27,20 +24,30 @@ positivity → :class:`~repro.exceptions.ETCShapeError` /
 :func:`repro.etc.io.from_csv` (label strip/duplicate rules).  Any such
 failure surfaces as :class:`RequestValidationError` with the underlying
 message preserved, so the HTTP layer can map it to a 400 without
-inventing a second validation path.
+inventing a second validation path.  The matrix is built once: the
+:class:`ScheduleRequest` carries that validated, read-only float64
+array from the body to the kernel.
 
 :func:`request_key` is the service's cache address: the run ledger's
 SHA-256 :func:`~repro.obs.ledger.config_hash` over
 :func:`request_identity` — the canonical dict of every
-*result-determining* field and nothing else.  Two requests that differ
-only in ``trace`` verbosity or ``request_id`` share a key; any change
-to the ETC values, heuristic, tie policy, seed, backend or ensemble
-spec misses.
+*result-determining* field and nothing else.  An inline ETC enters it
+as its shape, the SHA-256 of its C-order little-endian float64 bytes
+and its labels; ETC values are finite and strictly positive, so equal
+values always have equal bytes and the CSV, float JSON and integer
+JSON forms of one matrix share a key.  The backend enters under its
+resolved name, so an alias keys like its target.  Two requests that
+differ only in ``trace`` verbosity or ``request_id`` share a key; any
+change to the ETC values, labels, heuristic, tie policy, seed, backend
+or ensemble spec misses.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.etc import io as etc_io
 from repro.etc.generation import Consistency, Heterogeneity
@@ -56,6 +63,7 @@ __all__ = [
     "RequestValidationError",
     "OverloadError",
     "ScheduleRequest",
+    "etc_digest",
     "parse_request",
     "request_identity",
     "request_key",
@@ -76,11 +84,6 @@ GENERATION_METHODS = ("range", "cvb")
 #: Tie policies accepted by :func:`repro.core.ties.make_tie_breaker`.
 _TIE_POLICIES = ("deterministic", "random")
 
-#: Heuristics whose factories require an ``rng`` (mirrors the CLI).
-_STOCHASTIC_HEURISTICS = frozenset(
-    {"genitor", "random", "simulated-annealing", "tabu-search"}
-)
-
 #: Top-level payload keys the parser accepts.
 _KNOWN_FIELDS = frozenset(
     {
@@ -94,7 +97,6 @@ _KNOWN_FIELDS = frozenset(
         "seeded",
         "backend",
         "max_iterations",
-        "scenarios",
         "trace",
         "request_id",
     }
@@ -117,14 +119,24 @@ class OverloadError(ServeError):
     """The service is at its pending-request capacity (HTTP 503)."""
 
 
+def etc_digest(etc: ETCMatrix) -> str:
+    """SHA-256 hex digest of ``etc``'s values as C-order little-endian
+    float64 bytes (labels and shape are not part of it)."""
+    values = np.ascontiguousarray(etc.values, dtype="<f8")
+    return hashlib.sha256(values.data).hexdigest()
+
+
 @dataclass(frozen=True)
 class ScheduleRequest:
     """One validated, canonicalised schedule request.
 
-    Inline matrices are stored in canonical label+values form (whatever
-    the wire encoding — CSV text and JSON values canonicalise to the
-    same tuple structure), so equality of the stored form is equality
-    of the scheduling problem.
+    An inline instance is kept as the one validated :class:`ETCMatrix`
+    the parser built, whatever the wire encoding.  Equality and hashing
+    see it only through ``etc_identity`` — shape, value digest and
+    labels — never through ``ndarray ==``, so equality of requests is
+    equality of the scheduling problem.  ``etc_identity`` is derived
+    from ``etc`` on construction, which keeps
+    ``dataclasses.replace`` and pickling working unchanged.
     """
 
     kind: str
@@ -134,51 +146,59 @@ class ScheduleRequest:
     seeded: bool = False
     backend: str = "incremental"
     max_iterations: int | None = None
-    #: Canonical inline instance: (values rows, task labels, machine
-    #: labels), or ``None`` when the request carries an ensemble spec.
-    etc_values: tuple[tuple[float, ...], ...] | None = None
-    etc_tasks: tuple[str, ...] | None = None
-    etc_machines: tuple[str, ...] | None = None
+    #: The validated inline instance, or ``None`` when the request
+    #: carries an ensemble spec.
+    etc: ETCMatrix | None = field(default=None, compare=False, repr=False)
     #: Canonical ensemble spec, or ``None`` for inline-instance kinds.
     ensemble: dict | None = None
-    #: Reserved multi-scenario payload (must be empty for now).
-    scenarios: tuple = ()
     # -- non-identity fields -------------------------------------------
     trace: bool = False
     request_id: str | None = field(default=None, compare=False)
+    #: ``(shape, values SHA-256, task labels, machine labels)`` of
+    #: ``etc``, or ``None`` without one.
+    etc_identity: tuple | None = field(default=None, init=False)
+
+    def __post_init__(self) -> None:
+        if self.etc is not None:
+            object.__setattr__(
+                self,
+                "etc_identity",
+                (self.etc.shape, etc_digest(self.etc), self.etc.tasks,
+                 self.etc.machines),
+            )
 
     def etc_matrix(self) -> ETCMatrix:
-        """Rebuild the validated inline instance."""
-        if self.etc_values is None:
+        """The validated inline instance."""
+        if self.etc is None:
             raise ServeError(f"request kind {self.kind!r} has no inline ETC")
-        return ETCMatrix(
-            [list(row) for row in self.etc_values],
-            tasks=list(self.etc_tasks) if self.etc_tasks else None,
-            machines=list(self.etc_machines) if self.etc_machines else None,
-        )
+        return self.etc
 
 
-def _fail(message: str) -> RequestValidationError:
-    return RequestValidationError(message)
+def _require(condition: bool, message: str, *args) -> None:
+    """Raise a :class:`RequestValidationError` unless ``condition``.
 
-
-def _require(condition: bool, message: str) -> None:
+    ``message`` is a :meth:`str.format` template filled from ``args``
+    only on failure, so a valid request never pays for the ``repr`` of
+    a large payload value.
+    """
     if not condition:
-        raise _fail(message)
+        raise RequestValidationError(message.format(*args))
 
 
 def _parse_int(payload: dict, name: str, default: int) -> int:
     value = payload.get(name, default)
     _require(
         isinstance(value, int) and not isinstance(value, bool),
-        f"{name!r} must be an integer, got {value!r}",
+        "{!r} must be an integer, got {!r}", name, value,
     )
     return value
 
 
 def _parse_bool(payload: dict, name: str, default: bool) -> bool:
     value = payload.get(name, default)
-    _require(isinstance(value, bool), f"{name!r} must be a boolean, got {value!r}")
+    _require(
+        isinstance(value, bool), "{!r} must be a boolean, got {!r}", name, value
+    )
     return value
 
 
@@ -194,7 +214,7 @@ def _parse_labels(spec: dict, name: str) -> list[str] | None:
     labels = spec[name]
     _require(
         isinstance(labels, list) and all(isinstance(x, str) for x in labels),
-        f"'etc.{name}' must be an array of strings, got {labels!r}",
+        "'etc.{}' must be an array of strings, got {!r}", name, labels,
     )
     return labels
 
@@ -207,7 +227,7 @@ def _parse_etc(spec) -> ETCMatrix:
     the library's own validation so the 400 catalogue is exactly the
     :class:`~repro.exceptions.ETCError` contracts.
     """
-    _require(isinstance(spec, dict), f"'etc' must be an object, got {spec!r}")
+    _require(isinstance(spec, dict), "'etc' must be an object, got {!r}", spec)
     has_csv = "csv" in spec
     has_values = "values" in spec
     _require(
@@ -220,10 +240,10 @@ def _parse_etc(spec) -> ETCMatrix:
                 isinstance(spec["csv"], str), "'etc.csv' must be a CSV string"
             )
             unknown = set(spec) - {"csv"}
-            _require(not unknown, f"unknown 'etc' field(s): {sorted(unknown)}")
+            _require(not unknown, "unknown 'etc' field(s): {}", sorted(unknown))
             return etc_io.from_csv(spec["csv"])
         unknown = set(spec) - {"values", "tasks", "machines"}
-        _require(not unknown, f"unknown 'etc' field(s): {sorted(unknown)}")
+        _require(not unknown, "unknown 'etc' field(s): {}", sorted(unknown))
         return ETCMatrix(
             spec["values"],
             tasks=_parse_labels(spec, "tasks"),
@@ -239,20 +259,24 @@ def _parse_etc(spec) -> ETCMatrix:
 
 def _parse_ensemble(spec) -> dict:
     """Generation spec → canonical ensemble dict (enum values checked)."""
-    _require(isinstance(spec, dict), f"'ensemble' must be an object, got {spec!r}")
+    _require(
+        isinstance(spec, dict), "'ensemble' must be an object, got {!r}", spec
+    )
     unknown = set(spec) - _ENSEMBLE_FIELDS
-    _require(not unknown, f"unknown 'ensemble' field(s): {sorted(unknown)}")
+    _require(not unknown, "unknown 'ensemble' field(s): {}", sorted(unknown))
     tasks = _parse_int(spec, "tasks", 40)
     machines = _parse_int(spec, "machines", 8)
     instances = _parse_int(spec, "instances", 10)
-    _require(tasks >= 1, f"'ensemble.tasks' must be >= 1, got {tasks}")
-    _require(machines >= 1, f"'ensemble.machines' must be >= 1, got {machines}")
-    _require(instances >= 1, f"'ensemble.instances' must be >= 1, got {instances}")
+    _require(tasks >= 1, "'ensemble.tasks' must be >= 1, got {}", tasks)
+    _require(machines >= 1, "'ensemble.machines' must be >= 1, got {}", machines)
+    _require(
+        instances >= 1, "'ensemble.instances' must be >= 1, got {}", instances
+    )
     heterogeneity = spec.get("heterogeneity", Heterogeneity.HIHI.value)
     try:
         heterogeneity = Heterogeneity(heterogeneity).value
     except ValueError:
-        raise _fail(
+        raise RequestValidationError(
             f"unknown heterogeneity {heterogeneity!r}; choose from "
             f"{[h.value for h in Heterogeneity]}"
         ) from None
@@ -260,15 +284,15 @@ def _parse_ensemble(spec) -> dict:
     try:
         consistency = Consistency(consistency).value
     except ValueError:
-        raise _fail(
+        raise RequestValidationError(
             f"unknown consistency {consistency!r}; choose from "
             f"{[c.value for c in Consistency]}"
         ) from None
     method = spec.get("method", "range")
     _require(
         method in GENERATION_METHODS,
-        f"unknown generation method {method!r}; choose from "
-        f"{list(GENERATION_METHODS)}",
+        "unknown generation method {!r}; choose from {}",
+        method, list(GENERATION_METHODS),
     )
     return {
         "tasks": tasks,
@@ -294,31 +318,34 @@ def parse_request(payload) -> ScheduleRequest:
     schema = payload.get("schema", REQUEST_SCHEMA)
     _require(
         schema == REQUEST_SCHEMA,
-        f"unsupported request schema {schema!r} (expected {REQUEST_SCHEMA!r})",
+        "unsupported request schema {!r} (expected {!r})",
+        schema, REQUEST_SCHEMA,
     )
     unknown = set(payload) - _KNOWN_FIELDS
-    _require(not unknown, f"unknown request field(s): {sorted(unknown)}")
+    _require(not unknown, "unknown request field(s): {}", sorted(unknown))
 
     kind = payload.get("kind")
     _require(
         kind in REQUEST_KINDS,
-        f"'kind' must be one of {list(REQUEST_KINDS)}, got {kind!r}",
+        "'kind' must be one of {}, got {!r}", list(REQUEST_KINDS), kind,
     )
 
     heuristic = payload.get("heuristic", "min-min")
+    heuristics = heuristic_names()
     _require(
-        heuristic in heuristic_names(),
-        f"unknown heuristic {heuristic!r}; known: {list(heuristic_names())}",
+        heuristic in heuristics,
+        "unknown heuristic {!r}; known: {}", heuristic, list(heuristics),
     )
     ties = payload.get("ties", "deterministic")
     _require(
         ties in _TIE_POLICIES,
-        f"unknown tie policy {ties!r}; choose from {list(_TIE_POLICIES)}",
+        "unknown tie policy {!r}; choose from {}", ties, list(_TIE_POLICIES),
     )
     backend = payload.get("backend", "incremental")
+    backends = backend_names()
     _require(
-        backend in backend_names(),
-        f"unknown backend {backend!r}; known: {list(backend_names())}",
+        backend in backends,
+        "unknown backend {!r}; known: {}", backend, list(backends),
     )
     seed = _parse_int(payload, "seed", 0)
     seeded = _parse_bool(payload, "seeded", False)
@@ -330,24 +357,14 @@ def parse_request(payload) -> ScheduleRequest:
             isinstance(max_iterations, int)
             and not isinstance(max_iterations, bool)
             and max_iterations >= 1,
-            f"'max_iterations' must be an integer >= 1, got {max_iterations!r}",
+            "'max_iterations' must be an integer >= 1, got {!r}",
+            max_iterations,
         )
 
     request_id = payload.get("request_id")
     _require(
         request_id is None or isinstance(request_id, str),
-        f"'request_id' must be a string, got {request_id!r}",
-    )
-
-    scenarios = payload.get("scenarios", [])
-    _require(
-        isinstance(scenarios, list),
-        f"'scenarios' must be a list, got {scenarios!r}",
-    )
-    _require(
-        not scenarios,
-        "multi-scenario payloads are reserved but not implemented yet "
-        "(see ROADMAP.md: scenario-set scheduling)",
+        "'request_id' must be a string, got {!r}", request_id,
     )
 
     has_etc = payload.get("etc") is not None
@@ -358,9 +375,9 @@ def parse_request(payload) -> ScheduleRequest:
         ensemble = _parse_ensemble(payload["ensemble"])
         etc = None
     else:
-        _require(has_etc, f"{kind!r} requests need an inline 'etc' instance")
+        _require(has_etc, "{!r} requests need an inline 'etc' instance", kind)
         _require(
-            not has_ensemble, f"{kind!r} requests take 'etc', not 'ensemble'"
+            not has_ensemble, "{!r} requests take 'etc', not 'ensemble'", kind
         )
         ensemble = None
         etc = _parse_etc(payload["etc"])
@@ -373,15 +390,8 @@ def parse_request(payload) -> ScheduleRequest:
         seeded=seeded,
         backend=backend,
         max_iterations=max_iterations,
-        etc_values=(
-            tuple(tuple(float(v) for v in row) for row in etc.values.tolist())
-            if etc is not None
-            else None
-        ),
-        etc_tasks=tuple(etc.tasks) if etc is not None else None,
-        etc_machines=tuple(etc.machines) if etc is not None else None,
+        etc=etc,
         ensemble=ensemble,
-        scenarios=tuple(scenarios),
         trace=trace,
         request_id=request_id,
     )
@@ -393,8 +403,11 @@ def request_identity(request: ScheduleRequest) -> dict:
     Everything that changes the computed result is here; everything
     that only changes response presentation (``trace``, ``request_id``)
     is deliberately absent — the property the cache-keying test battery
-    pins down.
+    pins down.  An inline ETC appears as ``shape``, ``sha256`` (of the
+    values' bytes, see :func:`etc_digest`), ``tasks`` and ``machines``.
     """
+    from repro.heuristics.backends import get_backend
+
     identity = {
         "schema": REQUEST_SCHEMA,
         "kind": request.kind,
@@ -402,15 +415,16 @@ def request_identity(request: ScheduleRequest) -> dict:
         "ties": request.ties,
         "seed": request.seed,
         "seeded": request.seeded,
-        "backend": request.backend,
+        "backend": get_backend(request.backend).name,
         "max_iterations": request.max_iterations,
-        "scenarios": list(request.scenarios),
     }
-    if request.etc_values is not None:
+    if request.etc_identity is not None:
+        shape, digest, tasks, machines = request.etc_identity
         identity["etc"] = {
-            "values": [list(row) for row in request.etc_values],
-            "tasks": list(request.etc_tasks),
-            "machines": list(request.etc_machines),
+            "shape": list(shape),
+            "sha256": digest,
+            "tasks": list(tasks),
+            "machines": list(machines),
         }
     if request.ensemble is not None:
         identity["ensemble"] = dict(request.ensemble)

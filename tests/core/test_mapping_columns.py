@@ -178,7 +178,8 @@ def test_assign_many_is_bit_identical_to_sequential_commits(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     values = rng.uniform(0.1, 1e4, (num_tasks, num_machines))
     if data.draw(st.booleans()):
-        values = np.round(values)  # tie-rich
+        # Tie-rich; entries below 0.5 would round to an invalid 0.
+        values = np.maximum(np.round(values), 1.0)
     etc = ETCMatrix(values)
     ready = rng.uniform(0.0, 1e3, num_machines) * data.draw(st.integers(0, 1))
     order = rng.permutation(num_tasks).tolist()

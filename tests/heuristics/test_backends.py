@@ -164,20 +164,23 @@ class TestReferenceHeuristics:
 
 
 class TestBatchedAliasKeys:
-    """Configs naming the retired ``batched`` backend keep their keys."""
+    """Configs naming the retired ``batched`` backend stay valid: the
+    runner keeps their cell keys, and serve keys them as ``incremental``."""
 
-    def test_serve_request_key_unchanged(self):
-        request = parse_request(
-            {
-                "kind": "iterate",
-                "heuristic": "min-min",
-                "backend": "batched",
-                "etc": {"values": [[1.0, 2.0], [3.0, 1.5]]},
-            }
-        )
+    def test_serve_request_key_matches_incremental(self):
+        payload = {
+            "kind": "iterate",
+            "heuristic": "min-min",
+            "backend": "batched",
+            "etc": {"values": [[1.0, 2.0], [3.0, 1.5]]},
+        }
+        request = parse_request(payload)
         assert request.backend == "batched"
+        assert request_key(request) == request_key(
+            parse_request({**payload, "backend": "incremental"})
+        )
         assert request_key(request) == (
-            "497e3ac733537a2288305ee10484f0858665b52b8ec60d972bc0ea9c4a7f4508"
+            "03940f47c294fd9361a0017d64bbfeeaf2ab08dc5bd727d35ee285718cefd856"
         )
 
     def test_cell_key_unchanged(self):

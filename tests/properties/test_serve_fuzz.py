@@ -81,7 +81,6 @@ KNOBS = {
     "max_iterations": st.integers(1, 4),
     "trace": st.booleans(),
     "request_id": st.text(max_size=8),
-    "scenarios": st.just([]),
 }
 
 inline_requests = st.fixed_dictionaries(

@@ -10,6 +10,12 @@ than a handful of examples.
 
 from __future__ import annotations
 
+import asyncio
+import dataclasses
+import hashlib
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,14 +24,19 @@ from repro.serve.models import (
     REQUEST_SCHEMA,
     RequestValidationError,
     ServeError,
+    etc_digest,
     parse_request,
     request_identity,
     request_key,
 )
+from repro.serve.service import SchedulingService, execute_request
 
 pytestmark = pytest.mark.serve
 
 VALUES = [[4.0, 5.0, 5.0], [6.0, 2.0, 2.0], [5.0, 6.0, 3.0], [4.0, 1.0, 3.0]]
+
+#: ``request_key`` of ``map_payload()``.
+PINNED_KEY = "521873ebb0e56f575c1560a24185fe978ec01f402acc39b7aef066437854874c"
 
 
 def map_payload(**overrides) -> dict:
@@ -49,8 +60,8 @@ def test_parse_map_defaults():
     assert request.backend == "incremental"
     assert request.max_iterations is None
     assert request.trace is False
-    assert request.etc_values == tuple(tuple(row) for row in VALUES)
-    assert request.etc_tasks == ("t0", "t1", "t2", "t3")
+    assert request.etc.values.tolist() == VALUES
+    assert request.etc.tasks == ("t0", "t1", "t2", "t3")
     assert request.ensemble is None
 
 
@@ -60,6 +71,10 @@ def test_etc_matrix_round_trips():
     assert etc.num_tasks == 4
     assert etc.num_machines == 3
     assert etc.values.tolist() == VALUES
+    # The parsed matrix itself: no rebuild, no second validation.
+    assert etc is request.etc
+    assert etc.values.dtype == np.float64
+    assert not etc.values.flags.writeable
 
 
 def test_study_has_no_inline_etc():
@@ -88,7 +103,7 @@ def test_study_has_no_inline_etc():
         (map_payload(max_iterations=0), "'max_iterations'"),
         (map_payload(max_iterations=True), "'max_iterations'"),
         (map_payload(request_id=7), "'request_id'"),
-        (map_payload(scenarios="all"), "'scenarios' must be a list"),
+        (map_payload(scenarios=[]), "unknown request field"),
         ({"kind": "map"}, "need an inline 'etc'"),
         ({"kind": "map", "etc": {"values": VALUES}, "ensemble": {}},
          "not 'ensemble'"),
@@ -142,6 +157,23 @@ def test_etc_labels_must_be_string_arrays(field, labels):
     assert f"'etc.{field}' must be an array of strings" in str(excinfo.value)
 
 
+class _LoudDict(dict):
+    def __repr__(self):
+        raise AssertionError("repr of a valid payload value")
+
+
+def test_valid_values_are_never_formatted():
+    """Error messages are formatted only on failure: a valid payload
+    whose values cannot be ``repr``'d still parses."""
+    etc = _LoudDict(values=VALUES, tasks=["a", "b", "c", "d"])
+    request = parse_request(map_payload(etc=etc))
+    assert request.etc.tasks == ("a", "b", "c", "d")
+    ensemble = _LoudDict(tasks=4, machines=2, instances=1)
+    assert parse_request({"kind": "study", "ensemble": ensemble}).ensemble[
+        "tasks"
+    ] == 4
+
+
 def test_numeric_labels_do_not_share_a_key_with_strings():
     with pytest.raises(RequestValidationError):
         parse_request(
@@ -150,7 +182,7 @@ def test_numeric_labels_do_not_share_a_key_with_strings():
     request = parse_request(
         {"kind": "map", "etc": {"values": [[1.0]], "tasks": ["7"]}}
     )
-    assert request.etc_tasks == ("7",)
+    assert request.etc.tasks == ("7",)
 
 
 def test_explicit_string_labels_accepted():
@@ -160,8 +192,8 @@ def test_explicit_string_labels_accepted():
                  "machines": ["x", "y", "z"]}
         )
     )
-    assert request.etc_tasks == ("a", "b", "c", "d")
-    assert request.etc_machines == ("x", "y", "z")
+    assert request.etc.tasks == ("a", "b", "c", "d")
+    assert request.etc.machines == ("x", "y", "z")
 
 
 @pytest.mark.parametrize(
@@ -183,11 +215,22 @@ def test_malformed_ensemble_rejected(ensemble):
         parse_request({"kind": "study", "ensemble": ensemble})
 
 
-def test_scenarios_reserved_but_unimplemented():
-    with pytest.raises(RequestValidationError, match="reserved"):
-        parse_request(map_payload(scenarios=[{"name": "s0"}]))
-    # The empty list (the default) is fine.
-    assert parse_request(map_payload(scenarios=[])).scenarios == ()
+def test_scenarios_field_is_unknown():
+    """The reserved ``scenarios`` field is gone: even ``[]``, which it
+    used to accept, is a 400 like any other unknown field."""
+    service = SchedulingService(cache_dir=None)
+    try:
+        for scenarios in ([], [{"name": "s0"}]):
+            status, body = asyncio.run(
+                service.handle(map_payload(scenarios=scenarios))
+            )
+            assert status == 400
+            assert body["error"]["type"] == "validation"
+            assert body["error"]["message"] == (
+                "unknown request field(s): ['scenarios']"
+            )
+    finally:
+        service.close()
 
 
 def test_ensemble_defaults_canonicalised():
@@ -251,6 +294,102 @@ def test_ensemble_changes_miss():
                    {"method": "cvb"}):
         payload = {"kind": "study", "ensemble": {**base["ensemble"], **change}}
         assert request_key(parse_request(payload)) != key
+
+
+# ----------------------------------------------------------------------
+# The array key: shape, value bytes and labels
+# ----------------------------------------------------------------------
+
+
+def test_identity_names_the_etc_by_shape_digest_and_labels():
+    request = parse_request(map_payload())
+    assert request_identity(request)["etc"] == {
+        "shape": [4, 3],
+        "sha256": etc_digest(request.etc),
+        "tasks": ["t0", "t1", "t2", "t3"],
+        "machines": ["m0", "m1", "m2"],
+    }
+    assert etc_digest(request.etc) == hashlib.sha256(
+        np.array(VALUES, dtype="<f8").tobytes(order="C")
+    ).hexdigest()
+
+
+def test_pinned_key():
+    """One fixed request's key; a later accidental key change fails here."""
+    assert request_key(parse_request(map_payload())) == PINNED_KEY
+
+
+def test_one_ulp_change_misses():
+    base = parse_request(map_payload())
+    bumped = np.array(VALUES)
+    bumped[2, 1] = np.nextafter(bumped[2, 1], np.inf)
+    moved = parse_request(map_payload(etc={"values": bumped.tolist()}))
+    assert request_key(moved) != request_key(base)
+    assert moved != base
+
+
+def test_equal_bytes_in_different_shapes_miss():
+    flat = [1.0, 2.0, 3.0, 4.0]
+    requests = [
+        parse_request(
+            {"kind": "map", "etc": {"values": np.reshape(flat, shape).tolist()}}
+        )
+        for shape in ((1, 4), (2, 2), (4, 1))
+    ]
+    assert len({etc_digest(r.etc) for r in requests}) == 1
+    assert len({request_key(r) for r in requests}) == 3
+
+
+@pytest.mark.parametrize("field", ["tasks", "machines"])
+def test_reordered_labels_miss(field):
+    labels = {"tasks": ["a", "b", "c", "d"], "machines": ["x", "y", "z"]}
+    etc = {"values": VALUES, **labels}
+    reordered = parse_request(
+        map_payload(etc={**etc, field: labels[field][::-1]})
+    )
+    original = parse_request(map_payload(etc=etc))
+    assert etc_digest(reordered.etc) == etc_digest(original.etc)
+    assert request_key(reordered) != request_key(original)
+
+
+def test_integer_and_float_json_share_a_key():
+    as_ints = [[int(v) for v in row] for row in VALUES]
+    from_ints = parse_request(map_payload(etc={"values": as_ints}))
+    from_floats = parse_request(map_payload())
+    assert request_key(from_ints) == request_key(from_floats)
+    assert from_ints == from_floats
+
+
+def test_backend_alias_shares_a_key_with_its_target():
+    incremental = parse_request(map_payload(backend="incremental"))
+    batched = parse_request(map_payload(backend="batched"))
+    reference = parse_request(map_payload(backend="reference"))
+    assert request_key(batched) == request_key(incremental)
+    assert request_identity(batched)["backend"] == "incremental"
+    assert request_key(reference) != request_key(incremental)
+
+
+def test_request_equality_hash_replace_and_pickle():
+    csv_text = "task,m0,m1,m2\n" + "\n".join(
+        f"t{i}," + ",".join(str(v) for v in row) for i, row in enumerate(VALUES)
+    )
+    from_values = parse_request(map_payload(request_id="a"))
+    from_csv = parse_request({"kind": "map", "etc": {"csv": csv_text}})
+    assert from_values == from_csv
+    assert hash(from_values) == hash(from_csv)
+    assert from_values != parse_request(map_payload(heuristic="mct"))
+
+    reference = dataclasses.replace(from_values, backend="reference")
+    assert reference.backend == "reference"
+    assert reference.etc is from_values.etc
+    assert reference.etc_identity == from_values.etc_identity
+    assert reference != from_values
+
+    restored = pickle.loads(pickle.dumps(from_values))
+    assert restored == from_values
+    assert restored.request_id == "a"
+    assert request_key(restored) == request_key(from_values)
+    assert execute_request(restored) == execute_request(from_values)
 
 
 # ----------------------------------------------------------------------

@@ -11,10 +11,12 @@ import asyncio
 import json
 import time
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, ReproError
 from repro.obs import CollectingTracer, use_tracer
+from repro.serve.cache import RESPONSE_CACHE_SCHEMA
 from repro.serve.models import RESPONSE_SCHEMA
 from repro.serve.service import STATS_SCHEMA, SchedulingService, execute_request
 
@@ -80,6 +82,29 @@ def test_trace_verbosity_shares_the_cache_entry(tmp_path):
     assert second["key"] == first["key"]
     assert second["request_id"] == "r-1"
     assert "request_id" not in first
+
+
+@pytest.mark.parametrize(
+    "kind, heuristic", [("map", "sufferage"), ("iterate", "min-min")]
+)
+def test_cache_entry_of_a_large_instance_stays_small(tmp_path, kind, heuristic):
+    """The entry names a 128x16 ETC by shape, digest and labels instead
+    of holding its 2,048 values."""
+    values = np.round(np.random.default_rng(3).uniform(1.0, 100.0, (128, 16)), 2)
+    payload = {"kind": kind, "heuristic": heuristic,
+               "etc": {"values": values.tolist()}}
+    service = make_service(tmp_path)
+    try:
+        status, response = run(service.handle(payload))
+    finally:
+        service.close()
+    assert status == 200
+    entry = service.cache.path_for(response["key"])
+    assert entry.stat().st_size < 6 * 1024
+    stored = json.loads(entry.read_text())
+    assert stored["schema"] == RESPONSE_CACHE_SCHEMA == "repro-serve-cache/2"
+    assert stored["identity"]["etc"]["shape"] == [128, 16]
+    assert stored["result"] == response["result"]
 
 
 def test_cache_disabled_recomputes(tmp_path):

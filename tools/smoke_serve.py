@@ -18,7 +18,9 @@ Two sessions against real ``repro serve`` subprocesses:
 2. **Load session** — start a fresh untraced service, post one map
    request three times and assert the third answer (served from the
    raw-body hit index, ``fast_hits >= 1``) is byte-identical to the
-   second; then drive the ``repro serve-load`` CLI against it, writing
+   second; post the same instance as CSV and assert it is answered
+   from the entry the JSON ``values`` form filled (``cached: true``,
+   same key); then drive the ``repro serve-load`` CLI against it, writing
    the ``repro-serve-load/1`` report (default ``SERVE_load_smoke.json``,
    published as a CI artifact) and printing the requests/s headline.
 
@@ -45,6 +47,15 @@ MAP_PAYLOAD = {
     "kind": "map",
     "etc": {"values": [[4, 5, 5], [6, 2, 2], [5, 6, 3], [4, 1, 3]]},
     "heuristic": "min-min",
+}
+
+#: ``MAP_PAYLOAD``'s instance in the CSV wire form.
+CSV_PAYLOAD = {
+    **MAP_PAYLOAD,
+    "etc": {"csv": "task,m0,m1,m2\n" + "\n".join(
+        f"t{i}," + ",".join(str(v) for v in row)
+        for i, row in enumerate(MAP_PAYLOAD["etc"]["values"])
+    )},
 }
 
 
@@ -185,6 +196,10 @@ def session_load(tmp: Path) -> None:
               "third identical post returns the second's bytes")
         check(get(port, "/v1/stats")["counts"]["fast_hits"] >= 1,
               "the raw-body hit index served the third post (fast_hits)")
+        status, from_csv = post(port, "/v1/map", CSV_PAYLOAD)
+        check(status == 200 and from_csv["cached"] is True
+              and from_csv["key"] == json.loads(answers[0][1])["key"],
+              "the same instance posted as CSV hits the values entry")
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO / "src") + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
