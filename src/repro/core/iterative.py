@@ -19,8 +19,9 @@ task pool emptied — its initial ready time once no tasks remain.
 
 The paper proves that with deterministic ties Min-Min, MCT and MET give
 the same mapping at every iteration (Sections 3.2–3.4).  Under the
-code's tolerance ties that holds only when no decision had a second
-candidate near its minimum, which those kernels certify on the mapping
+code's tolerance ties that holds when every decision's near ties form
+one cluster within half a tolerance of its minimum (the rule in
+:mod:`repro.core.ties`), which those kernels certify on the mapping
 (:attr:`Mapping.certified`); :class:`IterativeScheduler` then derives
 iterations 1..k from the original mapping instead of re-running the
 heuristic (see :meth:`IterativeScheduler._derivable`).  A derived
@@ -508,8 +509,9 @@ class IterativeScheduler:
         """Whether later iterations may restrict the original ``mapping``.
 
         True only when the kernel certified it (:attr:`Mapping.certified`:
-        no decision had a second candidate near its minimum, so the
-        paper's invariance theorems hold under the tolerance ties), both
+        every decision kept the tie-cluster certificate of
+        :mod:`repro.core.ties`, so the paper's invariance theorems hold
+        under the tolerance ties), both
         tie breakers are exactly :class:`DeterministicTieBreaker`, the
         paper's makespan-machine freeze rule is in force, no tracer is
         listening (a traced run must emit every decision), and

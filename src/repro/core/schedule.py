@@ -104,9 +104,10 @@ class Mapping:
     heuristic, committed per pass).  :meth:`restrict` derives a new
     mapping; it never edits this one.
 
-    ``certified`` is set by the kernels of Min-Min, MCT and MET when no
-    decision had a second candidate within twice the tie tolerance of
-    its minimum; :class:`~repro.core.iterative.IterativeScheduler` then
+    ``certified`` is set by the kernels of Min-Min, MCT and MET when
+    every decision kept the certificate of :mod:`repro.core.ties` (its
+    near ties formed one cluster within half a tolerance of the
+    minimum); :class:`~repro.core.iterative.IterativeScheduler` then
     derives later iterations from this mapping instead of re-running
     the heuristic.  It defaults to false.
     """

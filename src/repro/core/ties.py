@@ -14,6 +14,34 @@ Ties between floating-point completion times are detected with a
 combined relative/absolute tolerance, matching the exact-decimal
 arithmetic of the paper's examples while staying robust on generated
 instances.
+
+Certificates.  The paper proves that under deterministic ties Min-Min,
+MCT and MET give the same mapping at every iteration (Sections
+3.2–3.4).  The tolerance relation is not transitive, so under it the
+proofs need one more condition per decision.  Let ``g`` be the minimum
+a decision faces and ``tol = max(DEFAULT_ABS_TOL, DEFAULT_REL_TOL * g)``.
+The decision keeps the certificate when every candidate inside its tie
+window (two tolerances above ``g`` for MCT and MET, Min-Min's four)
+lies within ``CERTIFIED_SPREAD * tol`` (half a tolerance) of ``g``.
+Such a cluster is an isolated clique of the tie predicate:
+
+* every subset of it is tied to the subset's own minimum ``g' <= g +
+  tol/2``, since ``v - g' <= tol/2`` and the tolerance only grows with
+  the value;
+* nothing above the window ties with any member of it: such a value
+  ``v`` exceeds ``g + 2 * tol``, so ``v - g' > 1.5 * tol``, more than
+  its own tolerance ``max(abs_tol, rel_tol * v)``.
+
+A later iteration restricts a decision to a subset of its candidates
+(fewer machines, the same ready times on the survivors) that still
+holds the committed pair, so the reference again ties exactly the
+surviving cluster and picks the same oldest task and the same lowest
+surviving machine: the exact-tie argument of the paper's proofs.
+Exact ties are the special case of spread 0.  The wide near ties of
+the tolerance-tie witness (spread 1.5 tolerances) do not certify, and
+there the iterative mapping does change.  The kernels set
+:attr:`~repro.core.schedule.Mapping.certified` only when every decision
+kept the certificate; :func:`separated_min_index` is the per-row check.
 """
 
 from __future__ import annotations
@@ -28,6 +56,7 @@ from repro.exceptions import ConfigurationError
 __all__ = [
     "DEFAULT_REL_TOL",
     "DEFAULT_ABS_TOL",
+    "CERTIFIED_SPREAD",
     "tied_indices",
     "tied_argmin",
     "tied_argmax",
@@ -45,6 +74,9 @@ __all__ = [
 DEFAULT_REL_TOL = 1e-9
 #: Default absolute tolerance for declaring two times tied.
 DEFAULT_ABS_TOL = 1e-12
+#: Widest spread, in tie tolerances of the minimum, of a tie cluster
+#: that keeps a decision's certificate (see the module docstring).
+CERTIFIED_SPREAD = 0.5
 
 
 def tied_indices(
@@ -147,12 +179,13 @@ def separated_min_index(row: np.ndarray) -> int:
     """First index of the minimum ``g`` of a separated row, else ``-1``.
 
     A strictly positive row is *separated* when no value lies in
-    ``(g, g + 2 * max(abs_tol, rel_tol * g)]``; exact ties at ``g`` are
-    allowed.  Then the tolerance-tied set of :func:`tied_min_indices` is
-    exactly the values equal to ``g``, on the row and on every sub-row
-    that keeps one of them, so :func:`first_tied_min_index` returns the
-    index returned here.  This per-decision check is what certifies
-    MCT and MET mappings for iteration by restriction.
+    ``(g + CERTIFIED_SPREAD * tol, g + 2 * tol]`` with
+    ``tol = max(abs_tol, rel_tol * g)``: the values near ``g`` form a
+    tie cluster that keeps the certificate (module docstring).  Then
+    the tolerance-tied set of :func:`tied_min_indices` is exactly that
+    cluster, on the row and on every sub-row that keeps one of its
+    members, so :func:`first_tied_min_index` returns the index returned
+    here.  MCT checks every decision with it, MET every near-tied row.
     """
     lst = row.tolist()
     g = min(lst)
@@ -160,10 +193,11 @@ def separated_min_index(row: np.ndarray) -> int:
     if tol < DEFAULT_ABS_TOL:
         tol = DEFAULT_ABS_TOL
     limit = g + 2.0 * tol
+    cluster = g + CERTIFIED_SPREAD * tol
     first = -1
     for j, v in enumerate(lst):
         if v <= limit:
-            if v != g:
+            if v > cluster:
                 return -1
             if first < 0:
                 first = j

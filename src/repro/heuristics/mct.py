@@ -55,7 +55,8 @@ class MCT(Heuristic):
         fast_ties = (
             type(tie_breaker) is DeterministicTieBreaker and not tracer.enabled
         )
-        # Certified while every row is separated (see Mapping.certified).
+        # Certified while every row is separated (the rule in
+        # repro.core.ties; see Mapping.certified).
         certified = fast_ties
         for ti, task in enumerate(etc.tasks):
             completion = values[ti] + ready

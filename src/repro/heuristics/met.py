@@ -20,9 +20,12 @@ and serves as the test oracle.  :class:`MET` never reads ready times to
 decide, so under the deterministic policy with no tracer it takes one
 row argmin over the whole ETC matrix, re-deciding only rows with a
 near tie (a second value within two tolerances of the row minimum)
-through the tolerance rule; the mapping is certified for iteration by
-restriction when no row had one.  Other policies and traced runs take
-the transcription's per-task loop.
+through the tolerance rule, since inside a tie cluster ``argmin`` can
+differ from the first tied index.  The mapping is certified for
+iteration by restriction when every such row passes MCT's per-row
+check, ``separated_min_index``: its near ties lie within half a
+tolerance of its minimum (the rule in :mod:`repro.core.ties`).  Other
+policies and traced runs take the transcription's per-task loop.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from repro.core.ties import (
     DeterministicTieBreaker,
     TieBreaker,
     first_tied_min_index,
+    separated_min_index,
     tied_argmin,
 )
 from repro.heuristics.base import Heuristic, register_heuristic
@@ -67,11 +71,12 @@ class MET(Heuristic):
         limit = best + 2.0 * np.maximum(DEFAULT_ABS_TOL, DEFAULT_REL_TOL * best)
         near = (values <= limit[:, None]) & (values != best[:, None])
         choice = values.argmin(axis=1)
-        near_rows = np.flatnonzero(near.any(axis=1))
-        for ti in near_rows.tolist():
+        certified = True
+        for ti in np.flatnonzero(near.any(axis=1)).tolist():
             choice[ti] = first_tied_min_index(values[ti])
+            certified = certified and separated_min_index(values[ti]) >= 0
         mapping.assign_many(range(len(choice)), choice.tolist())
-        mapping.certified = not near_rows.size
+        mapping.certified = certified
 
 
 class ReferenceMET(MET):

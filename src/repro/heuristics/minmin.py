@@ -33,7 +33,11 @@ column heads.  A decision needs no row scan unless another head, or the
 next task in the winning column, lies inside a tie window of four
 tolerances above the minimum; those near ties fall back to the
 reference's oldest-task / first-tied-machine rule over the few tasks
-inside the window (with a shortcut for exactly equal ETC runs).
+inside the window (with a shortcut for exactly equal ETC runs).  The
+mapping is certified for iteration by restriction when every window
+held one tie cluster, all within half a tolerance of its minimum (the
+rule in :mod:`repro.core.ties`): a single pair, an equal-ETC run, or a
+scan whose largest CT stays inside the cluster.
 :class:`MaxMin` keeps an :class:`IncrementalCompletionTable` (one
 column refresh per committed pair).  Both kernels are
 decision-for-decision identical to the oracle (tie-candidate sets,
@@ -48,6 +52,7 @@ import numpy as np
 
 from repro.core.schedule import Mapping
 from repro.core.ties import (
+    CERTIFIED_SPREAD,
     DEFAULT_ABS_TOL,
     DEFAULT_REL_TOL,
     DeterministicTieBreaker,
@@ -146,8 +151,9 @@ class MinMin(Heuristic):
         fast_ties = (
             type(tie_breaker) is DeterministicTieBreaker and not tracer.enabled
         )
-        # Certified while every decision is the only pair inside its
-        # tie window (see Mapping.certified); only under fast_ties.
+        # Certified while every decision's tie window holds one tie
+        # cluster (the rule in repro.core.ties; see Mapping.certified);
+        # only under fast_ties.
         certified = fast_ties
         # Per machine c: cols[c] lists the task rows in ascending ETC
         # order (stable, so equal ETCs keep task order) and svals[c]
@@ -175,7 +181,9 @@ class MinMin(Heuristic):
             # with g (its tolerance scales with the larger value) lies
             # well inside, rounding included.
             tol = rel_tol * g
-            window = g + 4.0 * (tol if tol > abs_tol else abs_tol)
+            if tol < abs_tol:
+                tol = abs_tol
+            window = g + 4.0 * tol
             col = cols[m]
             nxt = pos[m] + 1
             while nxt < num_tasks and mapped[col[nxt]]:
@@ -194,7 +202,6 @@ class MinMin(Heuristic):
                     candidates = [m]
                     machine_idx = tie_breaker.choose(candidates)
             else:
-                certified = False
                 inside = [c for c in machines if hv[c] <= window]
                 task_idx = -1
                 if hv.count(g) == len(inside):
@@ -204,14 +211,18 @@ class MinMin(Heuristic):
                         inside, window, svals, ready, pos, heads, run_ends
                     )
                 if task_idx >= 0:
-                    # Every tied pair sits at CT == g; the task's tied
-                    # machines are the inside columns it heads.
+                    # Every pair in the window sits at CT == g (a tie
+                    # cluster of spread 0, so the certificate holds);
+                    # the task's tied machines are the inside columns
+                    # it heads.
                     candidates = [c for c in inside if heads[c] == task_idx]
                     row = None
                 else:
-                    task_idx = _oldest_tied_task(
+                    task_idx, top = _oldest_tied_task(
                         inside, g, window, cols, svals, ready, pos, mapped
                     )
+                    if top > g + CERTIFIED_SPREAD * tol:
+                        certified = False
                     row = values[task_idx] + live_ready
                     candidates = tied_min_indices(row)
                 machine_idx = (
@@ -297,15 +308,20 @@ def _equal_run_head(inside, window, svals, ready, pos, heads, run_ends) -> int:
     return min(heads[c] for c in inside)
 
 
-def _oldest_tied_task(inside, g, window, cols, svals, ready, pos, mapped) -> int:
-    """The reference's oldest tolerance-tied task, from the window only.
+def _oldest_tied_task(
+    inside, g, window, cols, svals, ready, pos, mapped
+) -> tuple[int, float]:
+    """The reference's oldest tolerance-tied task, from the window only,
+    and the largest CT of an unmapped pair inside the window.
 
     Every task whose best CT ties with the global minimum ``g`` has that
     CT inside the window, so it appears in the window prefix of some
     column inside it; its best CT is the least of those appearances.
+    Columns outside ``inside`` hold no CT inside the window.
     """
     num_tasks = len(mapped)
     best: dict[int, float] = {}
+    top = g
     for c in inside:
         col, column_values, r = cols[c], svals[c], ready[c]
         for p in range(pos[c], num_tasks):
@@ -315,13 +331,16 @@ def _oldest_tied_task(inside, g, window, cols, svals, ready, pos, mapped) -> int
             ct = column_values[p] + r
             if ct > window:
                 break
+            if ct > top:
+                top = ct
             if ct < best.get(task, math.inf):
                 best[task] = ct
-    return min(
+    oldest = min(
         task
         for task, ct in best.items()
         if ct - g <= max(DEFAULT_ABS_TOL, DEFAULT_REL_TOL * ct)
     )
+    return oldest, top
 
 
 @register_heuristic

@@ -13,11 +13,12 @@ The runs cover every registered heuristic on both kernel backends, the
 deterministic and the seeded random tie breaker, zero and nonzero ready
 times, ``max_iterations`` of ``None``, 1 and 3, on a continuous ETC
 (where Min-Min, MCT and MET certify their mapping and later iterations
-are derived) and on an integer-grid ETC full of ties (where Min-Min
-does not certify; MCT and MET still do, since exact ties are allowed
-in a certificate), plus an exhausted task pool, the seeded scheduler and custom
-freeze policies.  A change of the driver that keeps decisions identical
-keeps every digest.
+are derived) and on an integer-grid ETC full of exact ties (which all
+three also certify: an exact tie is a tie cluster of spread 0, see
+``repro.core.ties``), plus an exhausted task pool, the seeded scheduler
+and custom freeze policies.  ``WIDE``, outside the digests, holds near
+ties too wide to certify, so the full loop is covered too.  A change of
+the driver that keeps decisions identical keeps every digest.
 """
 
 import hashlib
@@ -35,6 +36,7 @@ from repro.etc.generation import generate_range_based
 from repro.etc.matrix import ETCMatrix
 from repro.heuristics.backends import get_backend
 from repro.heuristics.base import heuristic_names
+from tests.properties.test_certified_iteration import CountingHeuristic
 
 #: Seeded, shortened settings for the stochastic heuristics.
 STOCHASTIC = {
@@ -48,6 +50,15 @@ STOCHASTIC = {
 CONTINUOUS = generate_range_based(7, 4, rng=23)
 TIED = ETCMatrix(np.random.default_rng(5).integers(1, 4, size=(7, 4)).astype(float))
 EXHAUSTED = generate_range_based(3, 5, rng=29)
+#: Near ties 0.9 and 1.5 tolerances above a minimum, like the
+#: tolerance-tie witness: no kernel may certify them.
+WIDE = ETCMatrix(
+    [
+        [1 + 1.5e-9, 1 + 0.9e-9, 1.0, 4.0],
+        [100.0, 100.0, 50.0, 60.0],
+        [3.0, 3.0 * (1 + 0.9e-9), 7.0, 5.0],
+    ]
+)
 READY = [0.0, 1.5, 0.25, 3.0]
 
 
@@ -187,7 +198,12 @@ def test_special_digest(case):
 
 
 def test_certified_runs_are_covered():
-    """Both the derived path and the full loop run on the grid."""
+    """The grid's ETCs certify, so its runs take the derived path; wide
+    near ties do not, and their runs take the full loop."""
     for name in ("min-min", "mct", "met"):
         assert _make(name).map_tasks(CONTINUOUS).certified
-    assert not _make("min-min").map_tasks(TIED).certified
+        assert _make(name).map_tasks(TIED).certified
+        heuristic = CountingHeuristic(_make(name))
+        result = IterativeScheduler(heuristic).run(WIDE)
+        assert not result.original.mapping.certified
+        assert heuristic.calls == result.num_iterations > 1

@@ -20,8 +20,13 @@ Two sessions against real ``repro serve`` subprocesses:
    raw-body hit index, ``fast_hits >= 1``) is byte-identical to the
    second; post the same instance as CSV and assert it is answered
    from the entry the JSON ``values`` form filled (``cached: true``,
-   same key); then drive the ``repro serve-load`` CLI against it, writing
-   the ``repro-serve-load/1`` report (default ``SERVE_load_smoke.json``,
+   same key); post one tie-rich 2-decimal 24×6 ``/v1/iterate`` Min-Min
+   instance with ``"backend": "incremental"`` (its certified iterations
+   are derived from the original mapping) and with ``"backend":
+   "reference"`` (the full remap loop), which key apart, and assert the
+   two ``result`` objects are equal; then drive the
+   ``repro serve-load`` CLI against it, writing the
+   ``repro-serve-load/1`` report (default ``SERVE_load_smoke.json``,
    published as a CI artifact) and printing the requests/s headline.
 
 Zero dependencies beyond the standard library; exits non-zero on the
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -56,6 +62,18 @@ CSV_PAYLOAD = {
         f"t{i}," + ",".join(str(v) for v in row)
         for i, row in enumerate(MAP_PAYLOAD["etc"]["values"])
     )},
+}
+
+
+#: A 24×6 instance of 2-decimal values in [1, 2]: exact and
+#: rounding-level ties in almost every Min-Min decision window.
+_TIES = random.Random(0)
+TIE_RICH_ITERATE = {
+    "kind": "iterate",
+    "heuristic": "min-min",
+    "etc": {"values": [
+        [round(_TIES.uniform(1.0, 2.0), 2) for _ in range(6)] for _ in range(24)
+    ]},
 }
 
 
@@ -200,6 +218,16 @@ def session_load(tmp: Path) -> None:
         check(status == 200 and from_csv["cached"] is True
               and from_csv["key"] == json.loads(answers[0][1])["key"],
               "the same instance posted as CSV hits the values entry")
+        derived, full = (
+            post(port, "/v1/iterate", {**TIE_RICH_ITERATE, "backend": backend})
+            for backend in ("incremental", "reference")
+        )
+        check(derived[0] == full[0] == 200
+              and derived[1]["cached"] is full[1]["cached"] is False
+              and derived[1]["key"] != full[1]["key"],
+              "tie-rich iterate computed once per backend")
+        check(derived[1]["result"] == full[1]["result"],
+              "derived Min-Min iterations equal the reference full loop")
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO / "src") + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
