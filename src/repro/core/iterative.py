@@ -144,23 +144,16 @@ class IterationRecord:
     def _derived(self) -> bool:
         return self.__dict__.get("_original") is not None
 
-    def _input_order(self, etc: ETCMatrix) -> tuple[np.ndarray, np.ndarray]:
-        """This iteration's commit order as ``(task rows, machine
-        columns)`` of the run's input matrix ``etc``."""
-        if self._derived():
-            # The original's commit order without the machines frozen
-            # before this iteration.
-            tasks, machines = map(np.array, self._original.commit_order())
-            keep = np.isin(machines, self._cols)
-            return tasks[keep], machines[keep]
+    def _input_index(self, etc: ETCMatrix) -> tuple[np.ndarray, np.ndarray]:
+        """This iteration's task rows and machine columns in the run's
+        input matrix ``etc``."""
         rows = self.__dict__.get("_rows")
         if rows is None:  # a record built outside the driver
-            rows = np.array([etc.task_index(t) for t in self.etc.tasks], dtype=np.intp)
-            cols = [etc.machine_index(m) for m in self.etc.machines]
+            rows = list(map(etc.task_index, self.etc.tasks))
+            cols = list(map(etc.machine_index, self.etc.machines))
         else:
             cols = self._cols
-        tasks, machines = self.mapping.commit_order()
-        return rows[list(tasks)], np.array(cols, dtype=np.intp)[list(machines)]
+        return np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
 
 
 def _restriction(etc: ETCMatrix, rows: np.ndarray, cols: list[int]) -> ETCMatrix:
@@ -260,20 +253,24 @@ class IterativeResult:
         iteration order, then the last iteration's survivors.
         """
         etc = self.etc
-        ready = [self.initial_ready_times.get(m, 0.0) for m in etc.machines]
-        tasks: list[np.ndarray] = []
-        machines: list[np.ndarray] = []
+        tasks: list[int] = []
+        machines: list[int] = []
         for rec in self.iterations:
-            rows, cols = rec._input_order(etc)
-            frozen = cols == etc.machine_index(rec.frozen_machine)
-            tasks.append(rows[frozen])
-            machines.append(cols[frozen])
-        tasks.append(rows[~frozen])
-        machines.append(cols[~frozen])
-        mapping = Mapping(etc, ready)
-        mapping.assign_many(
-            np.concatenate(tasks).tolist(), np.concatenate(machines).tolist()
+            # ``frozen_tasks`` holds the machine's execution order.
+            tasks += map(etc.task_index, rec.frozen_tasks)
+            column = etc.machine_index(rec.frozen_machine)
+            machines += [column] * len(rec.frozen_tasks)
+        if len(tasks) < etc.num_tasks:  # survivors of a capped run
+            last = self.iterations[-1]
+            rows, cols = last._input_index(etc)
+            order, columns = map(np.array, last.mapping.commit_order())
+            keep = columns != last.etc.machine_index(last.frozen_machine)
+            tasks += rows[order[keep]].tolist()
+            machines += cols[columns[keep]].tolist()
+        mapping = Mapping(
+            etc, [self.initial_ready_times.get(m, 0.0) for m in etc.machines]
         )
+        mapping.assign_many(tasks, machines)
         return mapping
 
     def mapping_changed(self) -> bool:
@@ -286,14 +283,14 @@ class IterativeResult:
         by construction and are not re-read.
         """
         etc = self.etc
-        rows, cols = self.original._input_order(etc)
+        rows, cols = self.original._input_index(etc)
         original = np.full(etc.num_tasks, -1, dtype=np.intp)
-        original[rows] = cols
+        original[rows] = cols[self.original.mapping.assignment_vector()]
         for rec in self.iterations[1:]:
             if rec._derived():
                 continue
-            rows, cols = rec._input_order(etc)
-            if (original[rows] != cols).any():
+            rows, cols = rec._input_index(etc)
+            if (original[rows] != cols[rec.mapping.assignment_vector()]).any():
                 return True
         return False
 
@@ -404,7 +401,13 @@ class IterativeScheduler:
         rows = np.arange(etc.num_tasks)
         cols = list(range(etc.num_machines))
         alive = np.ones(etc.num_tasks, dtype=bool)
-        previous_mapping: Mapping | None = None
+        # The previous mapping restricted to the survivors, as a machine
+        # column per row of ``rows``, built only for a hook that may read
+        # it: a seeded heuristic or an override (the seeded variant).
+        incumbent: np.ndarray | None = None
+        carry = (
+            self.seed_across_iterations and self.heuristic.supports_seeding
+        ) or type(self)._map_iteration is not IterativeScheduler._map_iteration
         original: Mapping | None = None  # set when iterations are derived
 
         while True:
@@ -421,9 +424,7 @@ class IterativeScheduler:
                     "iterative.map", iteration=len(records), machines=len(cols)
                 ):
                     mapping = self._map_iteration(
-                        current_etc,
-                        [initial_ready[c] for c in cols],
-                        previous_mapping,
+                        current_etc, [initial_ready[c] for c in cols], incumbent
                     )
                 finish = mapping.ready_times_view().tolist()
                 record_fields = {
@@ -500,7 +501,13 @@ class IterativeScheduler:
                         survivors=tuple(unfrozen),
                     )
                 break
-            previous_mapping = mapping
+            if carry and original is None:
+                # The frozen column leaves with all of its tasks (under
+                # every freeze policy), so every surviving row keeps a
+                # surviving column: drop its entries, close the gap.
+                incumbent = mapping.assignment_vector()
+                incumbent = incumbent[incumbent != column]
+                incumbent[incumbent > column] -= 1
 
         return final_finish, removal_order, unfrozen, records
 
@@ -531,29 +538,26 @@ class IterativeScheduler:
         self,
         current_etc: ETCMatrix,
         ready_vec: Sequence[float],
-        previous_mapping: Mapping | None,
+        incumbent: np.ndarray | None,
     ) -> Mapping:
-        """Produce one iteration's mapping (hook for seeded variants)."""
-        seed = self._seed_for(previous_mapping, current_etc)
+        """Produce one iteration's mapping (hook for seeded variants).
+
+        ``incumbent`` is the previous iteration's mapping restricted to
+        the surviving tasks and machines: a machine column of
+        ``current_etc`` per task row, or ``None`` at the original
+        mapping and when no seeding reads it.
+        """
+        seed = self._seed_for(incumbent)
+        if seed is not None:
+            machines = current_etc.machines
+            seed = dict(zip(current_etc.tasks, [machines[j] for j in seed.tolist()]))
         return self.heuristic.map_tasks(
-            current_etc,
-            ready_vec,
-            self.tie_breaker,
-            seed_mapping=seed,
+            current_etc, ready_vec, self.tie_breaker, seed_mapping=seed
         )
 
-    def _seed_for(
-        self, previous: Mapping | None, current_etc: ETCMatrix
-    ) -> dict[str, str] | None:
-        """Previous mapping restricted to surviving tasks, if applicable."""
-        if (
-            previous is None
-            or not self.seed_across_iterations
-            or not self.heuristic.supports_seeding
-        ):
-            return None
-        return {
-            a.task: a.machine
-            for a in previous.assignments
-            if current_etc.has_task(a.task) and current_etc.has_machine(a.machine)
-        }
+    def _seed_for(self, incumbent: np.ndarray | None) -> np.ndarray | None:
+        """The heuristic's seed: ``incumbent``, or ``None`` unless
+        seeding is on and the heuristic accepts a seed."""
+        if self.seed_across_iterations and self.heuristic.supports_seeding:
+            return incumbent
+        return None

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.core.iterative import IterativeScheduler
 from repro.core.schedule import Mapping
 from repro.etc.matrix import ETCMatrix
@@ -38,7 +40,9 @@ def replay_mapping(
 
     Tasks are committed in ETC row order (per-machine finishing times do
     not depend on intra-machine order, so the restriction keeps the same
-    finishing-time vector as the mapping it was derived from).
+    finishing-time vector as the mapping it was derived from).  A utility
+    for callers holding labels: the schedulers carry their incumbent as
+    machine columns.
     """
     mapping = Mapping(etc, ready_times)
     mapping.assign_many(
@@ -63,23 +67,12 @@ class SeededIterativeScheduler(IterativeScheduler):
         self,
         current_etc: ETCMatrix,
         ready_vec: Sequence[float],
-        previous_mapping: Mapping | None,
+        incumbent: np.ndarray | None,
     ) -> Mapping:
-        fresh = super()._map_iteration(current_etc, ready_vec, previous_mapping)
-        if previous_mapping is None:
+        fresh = super()._map_iteration(current_etc, ready_vec, incumbent)
+        if incumbent is None:
             return fresh
-        incumbent_assignments = {
-            a.task: a.machine
-            for a in previous_mapping.assignments
-            if current_etc.has_task(a.task)
-        }
-        # The previous makespan machine is gone, so every surviving task
-        # still has its machine; replay the restriction as the incumbent.
-        if set(incumbent_assignments) != set(current_etc.tasks) or not all(
-            current_etc.has_machine(m) for m in incumbent_assignments.values()
-        ):
-            # Defensive: incumbent not replayable (should not occur in
-            # the standard protocol) — fall back to the fresh mapping.
-            return fresh
-        incumbent = replay_mapping(current_etc, ready_vec, incumbent_assignments)
-        return fresh if fresh.makespan() < incumbent.makespan() else incumbent
+        # Replay the incumbent in ETC row order, as replay_mapping would.
+        kept = Mapping(current_etc, ready_vec)
+        kept.assign_many(range(current_etc.num_tasks), incumbent.tolist())
+        return fresh if fresh.makespan() < kept.makespan() else kept

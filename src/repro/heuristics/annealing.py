@@ -61,18 +61,15 @@ class SimulatedAnnealing(Heuristic):
         self,
         mapping: Mapping,
         tie_breaker: TieBreaker,
-        seed_mapping: dict[str, str] | None,
+        seed: np.ndarray | None,
     ) -> None:
         etc = mapping.etc
         ready = mapping.initial_ready_times()
         rng = self._rng
         num_tasks, num_machines = etc.shape
 
-        if seed_mapping is not None:
-            state = np.array(
-                [etc.machine_index(seed_mapping[t]) for t in etc.tasks],
-                dtype=np.int64,
-            )
+        if seed is not None:
+            state = seed.copy()
         else:
             state = rng.integers(0, num_machines, size=num_tasks, dtype=np.int64)
 
@@ -108,8 +105,7 @@ class SimulatedAnnealing(Heuristic):
             if temperature < 1e-12:
                 break
 
-        for task_idx, machine_idx in enumerate(best_state):
-            mapping.assign(etc.tasks[task_idx], etc.machines[int(machine_idx)])
+        mapping.assign_many(range(num_tasks), best_state.tolist())
 
     def __repr__(self) -> str:
         return f"SimulatedAnnealing(steps={self.steps}, cooling={self.cooling})"

@@ -17,6 +17,7 @@ from __future__ import annotations
 import abc
 from collections.abc import Callable, Mapping as MappingABC, Sequence
 
+import numpy as np
 
 from repro.core.schedule import Mapping
 from repro.core.ties import DeterministicTieBreaker, TieBreaker
@@ -134,11 +135,14 @@ class Heuristic(abc.ABC):
             tasks=etc.num_tasks,
             machines=etc.num_machines,
         ):
+            seed = None
             if seed_mapping is not None and self.supports_seeding:
                 self._validate_seed(etc, seed_mapping)
-                self._run(mapping, breaker, seed_mapping=dict(seed_mapping))
-            else:
-                self._run(mapping, breaker, seed_mapping=None)
+                seed = np.array(
+                    [etc.machine_index(seed_mapping[t]) for t in etc.tasks],
+                    dtype=np.int64,
+                )
+            self._run(mapping, breaker, seed)
         validate_complete(mapping)
         return mapping
 
@@ -147,9 +151,10 @@ class Heuristic(abc.ABC):
         self,
         mapping: Mapping,
         tie_breaker: TieBreaker,
-        seed_mapping: dict[str, str] | None,
+        seed: np.ndarray | None,
     ) -> None:
-        """Fill ``mapping`` with one assignment per task."""
+        """Fill ``mapping`` with one assignment per task; ``seed`` is the
+        validated seed as an ``int64`` machine column per row, or ``None``."""
 
     @staticmethod
     def _validate_seed(etc: ETCMatrix, seed_mapping: MappingABC[str, str]) -> None:

@@ -42,8 +42,6 @@ is monotone non-increasing, which makes that guarantee structural.
 
 from __future__ import annotations
 
-from collections.abc import Mapping as MappingABC
-
 import numpy as np
 
 from repro.core.schedule import Mapping, finish_times_for_vector
@@ -102,19 +100,21 @@ class Genitor(Heuristic):
         self,
         mapping: Mapping,
         tie_breaker: TieBreaker,
-        seed_mapping: dict[str, str] | None,
+        seed: np.ndarray | None,
     ) -> None:
-        etc = mapping.etc
-        best = self.evolve(mapping, seed_mapping)
-        for task_idx, machine_idx in enumerate(best):
-            mapping.assign(etc.tasks[task_idx], etc.machines[int(machine_idx)])
+        best = self.evolve(mapping, seed)
+        mapping.assign_many(range(len(best)), best.tolist())
 
     def evolve(
         self,
         mapping: Mapping,
-        seed_mapping: MappingABC[str, str] | None = None,
+        seed: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Run the GA and return the best chromosome (machine per task row)."""
+        """Run the GA and return the best chromosome (machine per task row).
+
+        ``seed``, a machine column per task row, joins the initial
+        population as its first chromosome.
+        """
         etc = mapping.etc
         ready = mapping.initial_ready_times()
         num_tasks, num_machines = etc.shape
@@ -124,12 +124,8 @@ class Genitor(Heuristic):
         population = rng.integers(
             0, num_machines, size=(self.population_size, num_tasks), dtype=np.int64
         )
-        if seed_mapping is not None:
-            seed_vec = np.array(
-                [etc.machine_index(seed_mapping[t]) for t in etc.tasks],
-                dtype=np.int64,
-            )
-            population[0] = seed_vec
+        if seed is not None:
+            population[0] = seed
         fitness = np.array(
             [self._makespan(etc, chrom, ready) for chrom in population]
         )

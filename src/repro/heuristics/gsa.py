@@ -60,7 +60,7 @@ class GeneticSimulatedAnnealing(Heuristic):
         self,
         mapping: Mapping,
         tie_breaker: TieBreaker,
-        seed_mapping: dict[str, str] | None,
+        seed: np.ndarray | None,
     ) -> None:
         etc = mapping.etc
         ready = mapping.initial_ready_times()
@@ -70,11 +70,8 @@ class GeneticSimulatedAnnealing(Heuristic):
         population = rng.integers(
             0, num_machines, size=(self.population_size, num_tasks), dtype=np.int64
         )
-        if seed_mapping is not None:
-            population[0] = np.array(
-                [etc.machine_index(seed_mapping[t]) for t in etc.tasks],
-                dtype=np.int64,
-            )
+        if seed is not None:
+            population[0] = seed
         fitness = np.array(
             [self._makespan(etc, chrom, ready) for chrom in population]
         )
@@ -112,8 +109,7 @@ class GeneticSimulatedAnnealing(Heuristic):
                     best_state, best_energy = child.copy(), float(child_fit)
             temperature *= self.cooling
 
-        for task_idx, machine_idx in enumerate(best_state):
-            mapping.assign(etc.tasks[task_idx], etc.machines[int(machine_idx)])
+        mapping.assign_many(range(num_tasks), best_state.tolist())
 
     @staticmethod
     def _makespan(etc, chromosome: np.ndarray, ready: np.ndarray) -> float:

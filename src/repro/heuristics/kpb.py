@@ -133,7 +133,7 @@ class KPercentBest(Heuristic):
         self,
         mapping: Mapping,
         tie_breaker: TieBreaker,
-        seed_mapping: dict[str, str] | None,
+        seed: np.ndarray | None,
     ) -> None:
         etc = mapping.etc
         tracer = get_tracer()
@@ -184,7 +184,7 @@ class ReferenceKPercentBest(KPercentBest):
         self,
         mapping: Mapping,
         tie_breaker: TieBreaker,
-        seed_mapping: dict[str, str] | None,
+        seed: np.ndarray | None,
     ) -> None:
         etc = mapping.etc
         tracer = get_tracer()

@@ -19,6 +19,8 @@ shows by example that random tie-breaking can increase makespan.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.schedule import Mapping
 from repro.core.ties import (
     DeterministicTieBreaker,
@@ -44,7 +46,7 @@ class MCT(Heuristic):
         self,
         mapping: Mapping,
         tie_breaker: TieBreaker,
-        seed_mapping: dict[str, str] | None,
+        seed: np.ndarray | None,
     ) -> None:
         """Index-space kernel: no label lookups, live ready vector."""
         etc = mapping.etc
@@ -89,7 +91,7 @@ class ReferenceMCT(MCT):
         self,
         mapping: Mapping,
         tie_breaker: TieBreaker,
-        seed_mapping: dict[str, str] | None,
+        seed: np.ndarray | None,
     ) -> None:
         etc = mapping.etc
         tracer = get_tracer()

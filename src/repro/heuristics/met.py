@@ -58,7 +58,7 @@ class MET(Heuristic):
         self,
         mapping: Mapping,
         tie_breaker: TieBreaker,
-        seed_mapping: dict[str, str] | None,
+        seed: np.ndarray | None,
     ) -> None:
         """One vectorised argmin under the deterministic policy with no
         tracer; the transcription otherwise (random draws and decision
@@ -86,7 +86,7 @@ class ReferenceMET(MET):
         self,
         mapping: Mapping,
         tie_breaker: TieBreaker,
-        seed_mapping: dict[str, str] | None,
+        seed: np.ndarray | None,
     ) -> None:
         _map_in_task_order(mapping, tie_breaker)
 

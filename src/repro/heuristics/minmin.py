@@ -91,7 +91,7 @@ class _TwoPhaseReference(Heuristic):
         self,
         mapping: Mapping,
         tie_breaker: TieBreaker,
-        seed_mapping: dict[str, str] | None,
+        seed: np.ndarray | None,
     ) -> None:
         etc = mapping.etc
         tracer = get_tracer()
@@ -136,7 +136,7 @@ class MinMin(Heuristic):
         self,
         mapping: Mapping,
         tie_breaker: TieBreaker,
-        seed_mapping: dict[str, str] | None,
+        seed: np.ndarray | None,
     ) -> None:
         """Sorted-column kernel: merge presorted ETC columns by their heads."""
         etc = mapping.etc
@@ -357,7 +357,7 @@ class MaxMin(Heuristic):
         self,
         mapping: Mapping,
         tie_breaker: TieBreaker,
-        seed_mapping: dict[str, str] | None,
+        seed: np.ndarray | None,
     ) -> None:
         """Incremental kernel: one column refresh per committed pair."""
         etc = mapping.etc
@@ -409,7 +409,7 @@ class Duplex(Heuristic):
         self,
         mapping: Mapping,
         tie_breaker: TieBreaker,
-        seed_mapping: dict[str, str] | None,
+        seed: np.ndarray | None,
     ) -> None:
         etc = mapping.etc
         ready = mapping.initial_ready_times()

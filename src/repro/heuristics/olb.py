@@ -9,6 +9,8 @@ for the cross-heuristic study (DESIGN.md E24).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.schedule import Mapping
 from repro.core.ties import TieBreaker
 from repro.heuristics.base import Heuristic, register_heuristic
@@ -26,7 +28,7 @@ class OLB(Heuristic):
         self,
         mapping: Mapping,
         tie_breaker: TieBreaker,
-        seed_mapping: dict[str, str] | None,
+        seed: np.ndarray | None,
     ) -> None:
         etc = mapping.etc
         for task in etc.tasks:

@@ -31,7 +31,7 @@ class RandomMapper(Heuristic):
         self,
         mapping: Mapping,
         tie_breaker: TieBreaker,
-        seed_mapping: dict[str, str] | None,
+        seed: np.ndarray | None,
     ) -> None:
         etc = mapping.etc
         choices = self._rng.integers(0, etc.num_machines, size=etc.num_tasks)

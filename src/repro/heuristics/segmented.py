@@ -62,7 +62,7 @@ class SegmentedMinMin(Heuristic):
         self,
         mapping: Mapping,
         tie_breaker: TieBreaker,
-        seed_mapping: dict[str, str] | None,
+        seed: np.ndarray | None,
     ) -> None:
         etc = mapping.etc
         keys = self._sort_keys(etc.values)

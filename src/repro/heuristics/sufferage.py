@@ -122,7 +122,7 @@ class Sufferage(Heuristic):
         self,
         mapping: Mapping,
         tie_breaker: TieBreaker,
-        seed_mapping: dict[str, str] | None,
+        seed: np.ndarray | None,
     ) -> None:
         etc = mapping.etc
         # The deterministic policy picks machines in one vectorised tie
@@ -151,7 +151,7 @@ class ReferenceSufferage(Sufferage):
         self,
         mapping: Mapping,
         tie_breaker: TieBreaker,
-        seed_mapping: dict[str, str] | None,
+        seed: np.ndarray | None,
     ) -> None:
         etc = mapping.etc
         tracer = get_tracer()

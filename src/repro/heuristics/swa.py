@@ -37,6 +37,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.schedule import Mapping
 from repro.core.ties import TieBreaker, tied_argmin
 from repro.exceptions import ConfigurationError
@@ -95,7 +97,7 @@ class SwitchingAlgorithm(Heuristic):
         self,
         mapping: Mapping,
         tie_breaker: TieBreaker,
-        seed_mapping: dict[str, str] | None,
+        seed: np.ndarray | None,
     ) -> None:
         etc = mapping.etc
         tracer = get_tracer()

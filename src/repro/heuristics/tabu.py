@@ -56,18 +56,15 @@ class TabuSearch(Heuristic):
         self,
         mapping: Mapping,
         tie_breaker: TieBreaker,
-        seed_mapping: dict[str, str] | None,
+        seed: np.ndarray | None,
     ) -> None:
         etc = mapping.etc
         ready = mapping.initial_ready_times()
         rng = self._rng
         num_tasks, num_machines = etc.shape
 
-        if seed_mapping is not None:
-            state = np.array(
-                [etc.machine_index(seed_mapping[t]) for t in etc.tasks],
-                dtype=np.int64,
-            )
+        if seed is not None:
+            state = seed
         else:
             state = rng.integers(0, num_machines, size=num_tasks, dtype=np.int64)
 
@@ -93,8 +90,7 @@ class TabuSearch(Heuristic):
             if energy < best_energy:
                 best_state, best_energy = state.copy(), energy
 
-        for task_idx, machine_idx in enumerate(best_state):
-            mapping.assign(etc.tasks[task_idx], etc.machines[int(machine_idx)])
+        mapping.assign_many(range(num_tasks), best_state.tolist())
 
     # ------------------------------------------------------------------
     @staticmethod

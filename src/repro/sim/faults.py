@@ -120,10 +120,13 @@ class FaultEvent:
             raise ConfigurationError(
                 f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"
             )
-        if self.time < 0 or self.time != self.time:
+        # NaN fails both range checks.
+        if not 0 <= self.time < math.inf:
             raise ConfigurationError(f"invalid fault time {self.time!r}")
-        if self.factor <= 0:
-            raise ConfigurationError(f"fault factor must be positive, got {self.factor}")
+        if not 0 < self.factor < math.inf:
+            raise ConfigurationError(
+                f"fault factor must be positive and finite, got {self.factor}"
+            )
 
 
 @dataclass(frozen=True)

@@ -69,15 +69,24 @@ class TestSeededIterations:
         captured = []
 
         class Spy(Genitor):
-            def evolve(self, mapping, seed_mapping=None):
-                captured.append(seed_mapping)
-                return super().evolve(mapping, seed_mapping)
+            def evolve(self, mapping, seed=None):
+                captured.append(None if seed is None else seed.copy())
+                return super().evolve(mapping, seed)
 
         spy = Spy(iterations=30, population_size=10, rng=0)
         spy.name = "genitor"
         result = IterativeScheduler(spy, seed_across_iterations=True).run(etc)
         assert captured[0] is None  # original mapping is unseeded
-        for seed_map, rec in zip(captured[1:], result.iterations[1:]):
-            assert seed_map is not None
-            assert set(seed_map) == set(rec.etc.tasks)
-            assert all(rec.etc.has_machine(m) for m in seed_map.values())
+        assert len(captured) == result.num_iterations > 1
+        for seed, prev, rec in zip(
+            captured[1:], result.iterations, result.iterations[1:]
+        ):
+            # One machine column per surviving task row, every one a
+            # surviving machine ...
+            assert seed is not None and seed.shape == (rec.etc.num_tasks,)
+            assert ((seed >= 0) & (seed < rec.etc.num_machines)).all()
+            # ... and, read back through labels, the previous mapping
+            # restricted to the survivors.
+            assert dict(
+                zip(rec.etc.tasks, (rec.etc.machines[j] for j in seed))
+            ) == {t: prev.mapping.machine_of(t) for t in rec.etc.tasks}

@@ -111,6 +111,24 @@ class TestFaultPlan:
         with pytest.raises(ConfigurationError):
             FaultEvent(-1.0, "fail", "m0")
 
+    @pytest.mark.parametrize(
+        "time, kind, factor",
+        [
+            (math.nan, "fail", 1.0),
+            (math.inf, "fail", 1.0),
+            (math.inf, "recover", 1.0),
+            (1.0, "slow", math.nan),
+            (1.0, "slow", math.inf),
+            (1.0, "slow", -math.inf),
+            (1.0, "slow", 0.0),
+        ],
+        ids=["nan-time", "inf-fail", "inf-recover", "nan-factor", "inf-factor",
+             "neg-inf-factor", "zero-factor"],
+    )
+    def test_rejects_non_finite_time_and_factor(self, time, kind, factor):
+        with pytest.raises(ConfigurationError):
+            FaultEvent(time, kind, "m0", factor=factor)
+
     def test_rejects_nonpositive_horizon(self, etc):
         with pytest.raises(ConfigurationError):
             generate_fault_plan(etc.machines, FaultConfig(), 0.0, rng=0)

@@ -24,13 +24,18 @@ Two sessions against real ``repro serve`` subprocesses:
    instance with ``"backend": "incremental"`` (its certified iterations
    are derived from the original mapping) and with ``"backend":
    "reference"`` (the full remap loop), which key apart, and assert the
-   two ``result`` objects are equal; then drive the
+   two ``result`` objects are equal; post one 12×5 ``/v1/iterate``
+   Sufferage instance with ``"seeded": true`` and assert its makespans
+   never grow and that its removal order, makespans and final mapping
+   equal an in-process ``SeededIterativeScheduler`` run on the same
+   matrix; then drive the
    ``repro serve-load`` CLI against it, writing the
    ``repro-serve-load/1`` report (default ``SERVE_load_smoke.json``,
    published as a CI artifact) and printing the requests/s headline.
 
-Zero dependencies beyond the standard library; exits non-zero on the
-first failed assertion.
+Needs only the standard library and the package itself (imported from
+``src/`` for the in-process seeded run); exits non-zero on the first
+failed assertion.
 """
 
 from __future__ import annotations
@@ -75,6 +80,40 @@ TIE_RICH_ITERATE = {
         [round(_TIES.uniform(1.0, 2.0), 2) for _ in range(6)] for _ in range(24)
     ]},
 }
+
+
+#: A 12×5 2-decimal instance on which unseeded Sufferage's makespan
+#: grows from the original mapping to the first iterative one, so the
+#: seeded scheduler's incumbent decides iterations.
+_SEEDED = random.Random(50)
+SEEDED_ITERATE = {
+    "kind": "iterate",
+    "heuristic": "sufferage",
+    "seeded": True,
+    "etc": {"values": [
+        [round(_SEEDED.uniform(1.0, 100.0), 2) for _ in range(5)] for _ in range(12)
+    ]},
+}
+
+
+def seeded_in_process() -> dict:
+    """``SeededIterativeScheduler(Sufferage)`` on ``SEEDED_ITERATE``'s
+    matrix, in this process, projected like the service's answer."""
+    sys.path.insert(0, str(REPO / "src"))
+    from repro.core.seeding import SeededIterativeScheduler
+    from repro.etc.matrix import ETCMatrix
+    from repro.heuristics.backends import get_backend
+
+    etc = ETCMatrix(SEEDED_ITERATE["etc"]["values"])
+    result = SeededIterativeScheduler(
+        get_backend("incremental").make("sufferage")
+    ).run(etc)
+    final = result.final_mapping()
+    return {
+        "removal_order": list(result.removal_order),
+        "makespans": list(result.makespans()),
+        "final_mapping": {task: final.machine_of(task) for task in etc.tasks},
+    }
 
 
 def check(condition: bool, message: str) -> None:
@@ -228,6 +267,15 @@ def session_load(tmp: Path) -> None:
               "tie-rich iterate computed once per backend")
         check(derived[1]["result"] == full[1]["result"],
               "derived Min-Min iterations equal the reference full loop")
+        status, seeded = post(port, "/v1/iterate", SEEDED_ITERATE)
+        spans = seeded["result"]["makespans"] if status == 200 else []
+        check(status == 200 and seeded["result"]["seeded"] is True
+              and all(b <= a for a, b in zip(spans, spans[1:])),
+              "seeded Sufferage iterate answered with non-increasing makespans")
+        check({k: seeded["result"][k] for k in
+               ("removal_order", "makespans", "final_mapping")}
+              == seeded_in_process(),
+              "seeded iterate equals an in-process SeededIterativeScheduler run")
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO / "src") + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
