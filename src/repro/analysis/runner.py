@@ -79,9 +79,7 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import pickle
-import tempfile
 import time
 from collections.abc import Callable
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -102,6 +100,7 @@ from repro.analysis.parallel import split_into_cells
 from repro.etc.generation import DEFAULT_STREAM_WINDOW, generate_ensemble_into
 from repro.etc.store import ETCStore
 from repro.exceptions import ConfigurationError, ReproError
+from repro.obs.ledger import EntryStore, config_hash
 from repro.obs.metrics import BYTE_BUCKETS, TIME_BUCKETS
 from repro.obs.progress import NULL_PROGRESS
 from repro.obs.spans import SpanContext
@@ -153,8 +152,6 @@ def cell_key(config: ExperimentConfig) -> str:
     cache paths), so re-running the same science always
     hits the same entry.
     """
-    from repro.obs.ledger import config_hash
-
     return config_hash(config_to_dict(config))
 
 
@@ -176,8 +173,6 @@ def store_entry_key(config: ExperimentConfig, het, cons) -> str:
     configuration is deliberately excluded: grids that differ only in
     heuristics or iterative parameters share published instance stacks.
     """
-    from repro.obs.ledger import config_hash
-
     return config_hash(
         {
             "kind": "etc-ensemble/1",
@@ -276,7 +271,7 @@ class CellEntry:
     snapshot: ObsSnapshot | None
 
 
-class CellCache:
+class CellCache(EntryStore):
     """Content-addressed cell store under one directory.
 
     Entries are ``<key>.json`` (``repro-cell/1``); quarantined cells
@@ -285,29 +280,15 @@ class CellCache:
     never leave a torn entry for ``resume`` to trip over.
     """
 
-    def __init__(self, root: str | Path = DEFAULT_CACHE_DIR) -> None:
-        self.root = Path(root)
+    name = "cell cache"
+    schema = CELL_SCHEMA
+    body = "records"
 
-    def path_for(self, key: str) -> Path:
-        return self.root / f"{key}.json"
+    def __init__(self, root: str | Path = DEFAULT_CACHE_DIR) -> None:
+        super().__init__(root)
 
     def poison_path_for(self, key: str) -> Path:
         return self.root / f"{key}.poison.json"
-
-    def _atomic_write(self, path: Path, payload: dict) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
     def store(
         self,
@@ -334,9 +315,7 @@ class CellCache:
             "records": [run_record_to_dict(r) for r in records],
             "obs": _snapshot_to_records(snapshot) if snapshot is not None else None,
         }
-        path = self.path_for(key)
-        self._atomic_write(path, payload)
-        return path
+        return self._write(self.path_for(key), payload)
 
     def load(self, key: str, *, need_obs: bool = False) -> CellEntry | None:
         """The cached entry for ``key``, or ``None`` on a miss.
@@ -345,20 +324,9 @@ class CellCache:
         entries cached from an *untraced* run as misses, since they
         cannot replay the cell's event stream.
         """
-        path = self.path_for(key)
-        if not path.is_file():
+        payload = self._read(key)
+        if payload is None:
             return None
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, OSError) as exc:
-            raise ConfigurationError(
-                f"unreadable cell cache entry {path} ({exc}); delete it to recompute"
-            ) from None
-        if payload.get("schema") != CELL_SCHEMA or payload.get("key") != key:
-            raise ConfigurationError(
-                f"{path}: not a {CELL_SCHEMA} entry for key {key[:12]}…; "
-                "delete it to recompute"
-            )
         obs = payload.get("obs")
         if need_obs and obs is None:
             return None
@@ -370,9 +338,8 @@ class CellCache:
 
     def poison(self, key: str, config: ExperimentConfig, error: str, attempts: int) -> Path:
         """Mark a cell quarantined so ``resume`` skips it."""
-        path = self.poison_path_for(key)
-        self._atomic_write(
-            path,
+        return self._write(
+            self.poison_path_for(key),
             {
                 "schema": POISON_SCHEMA,
                 "key": key,
@@ -381,7 +348,6 @@ class CellCache:
                 "attempts": attempts,
             },
         )
-        return path
 
     def is_poisoned(self, key: str) -> bool:
         return self.poison_path_for(key).is_file()
@@ -401,9 +367,6 @@ class CellCache:
             for p in self.root.glob("*.json")
             if not p.name.endswith(".poison.json")
         )
-
-    def __repr__(self) -> str:
-        return f"CellCache({str(self.root)!r})"
 
 
 # ----------------------------------------------------------------------

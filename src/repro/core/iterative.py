@@ -126,7 +126,7 @@ class IterationRecord:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"
             )
-        etc = _restriction(original.etc, self._rows, self._cols)
+        etc = original.etc._restricted(self._rows, self._cols)
         self.__dict__.update(
             etc=etc, mapping=original._restricted(etc, self._rows.tolist(), self._cols)
         )
@@ -154,18 +154,6 @@ class IterationRecord:
         else:
             cols = self._cols
         return np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-
-
-def _restriction(etc: ETCMatrix, rows: np.ndarray, cols: list[int]) -> ETCMatrix:
-    """``etc`` restricted to the ascending ``rows`` x ``cols``: one
-    C-contiguous copy out of its validated buffer (a fancy column index
-    after the row ``take`` would give a Fortran-ordered array), with
-    labels from its tuples."""
-    return ETCMatrix._from_trusted(
-        etc.values.take(rows, axis=0).take(cols, axis=1),
-        tuple(map(etc.tasks.__getitem__, rows.tolist())),
-        tuple(map(etc.machines.__getitem__, cols)),
-    )
 
 
 @dataclass(frozen=True)
@@ -416,7 +404,7 @@ class IterativeScheduler:
                 finish = mapping.ready_times_view()[cols].tolist()
                 record_fields = {}  # the record builds etc and mapping
             else:
-                current_etc = _restriction(etc, rows, cols) if records else etc
+                current_etc = etc._restricted(rows, cols) if records else etc
                 # Span-only phase: one timeline row per freeze/remap
                 # pass, without adding events (the freeze event below is
                 # the byte-identity-tested record of this iteration).

@@ -29,21 +29,6 @@ def default_machine_labels(count: int) -> tuple[str, ...]:
     return tuple(f"m{i}" for i in range(count))
 
 
-def _contiguous_slice(indices: Sequence[int]) -> slice | None:
-    """The equivalent slice for an ascending step-1 index run, else ``None``."""
-    if isinstance(indices, range):
-        if indices.step == 1:
-            return slice(indices.start, indices.stop)
-        return None
-    first = indices[0]
-    if indices[-1] - first + 1 != len(indices):
-        return None
-    for offset, idx in enumerate(indices):
-        if idx != first + offset:
-            return None
-    return slice(first, first + len(indices))
-
-
 def _check_labels(labels: Sequence[str], kind: str, expected: int) -> tuple[str, ...]:
     labels = tuple(str(x) for x in labels)
     if len(labels) != expected:
@@ -126,32 +111,27 @@ class ETCMatrix:
         values: np.ndarray,
         tasks: tuple[str, ...],
         machines: tuple[str, ...],
-        *,
-        allow_strided: bool = False,
     ) -> "ETCMatrix":
-        """Fast-path constructor for restrictions of a validated matrix.
+        """Fast-path constructor for values of a validated matrix.
 
         Skips the finiteness/positivity scan and label checks (every
         value and label comes from an already-validated parent) and
         defers the label→index dictionaries until a label lookup needs
         them — hot iterative loops that work in index space never pay
-        for them.  ``values`` may be a read-only *view* of the parent
-        buffer (zero-copy restriction); callers must never pass a
-        writable array they intend to mutate.
+        for them.  ``values`` may be a read-only *view* of a parent
+        buffer (an instance of a stacked batch); callers must never
+        pass a writable array they intend to mutate.
 
-        The array must be 2-D and, unless ``allow_strided`` is set,
-        C-contiguous: an arbitrary strided slice of a stacked batch
-        could silently alias the wrong elements once kernels start
-        assuming row-major layout, so such input is copied to C order
-        instead of adopted.  ``allow_strided`` is reserved for
-        :meth:`_restricted`, whose basic-slicing views carry audited
-        strides derived from the validated parent.
+        The array must be 2-D and is adopted only when C-contiguous: an
+        arbitrary strided slice of a stacked batch could silently alias
+        the wrong elements once kernels assume row-major layout, so
+        such input is copied to C order instead.
         """
         if values.ndim != 2:
             raise ETCShapeError(
                 f"trusted ETC values must be 2-D, got ndim={values.ndim}"
             )
-        if not allow_strided and not values.flags.c_contiguous:
+        if not values.flags.c_contiguous:
             values = np.ascontiguousarray(values)
         self = object.__new__(cls)
         if values.flags.writeable:
@@ -276,39 +256,21 @@ class ETCMatrix:
     def _restricted(
         self, rows: Sequence[int], cols: Sequence[int]
     ) -> "ETCMatrix":
-        """Build the restriction to ``rows`` × ``cols`` (trusted indices).
+        """The restriction to ``rows`` x ``cols`` (trusted indices).
 
-        Indices must already be validated (in range); labels are taken
-        from the parent so the result shares its canonical label
-        objects.  When a selection is a contiguous run the backing
-        array is a read-only *view* of the parent buffer (no copy); the
-        general case performs exactly one fancy-index copy and never
-        re-validates values.
+        Nothing is validated: indices must be in range, distinct and
+        non-empty.  The values are one C-contiguous copy out of the
+        validated buffer — a row ``take`` then a column ``take``, since
+        a fancy column index after the row ``take`` would give a
+        Fortran-ordered array — and the labels are the parent's own
+        objects.
         """
-        if not rows or not cols:
-            raise ETCShapeError("submatrix must keep at least one task and machine")
-        task_labels = tuple(map(self._tasks.__getitem__, rows))
-        machine_labels = tuple(map(self._machines.__getitem__, cols))
-        if len(set(rows)) != len(rows):
-            raise ETCShapeError(f"task labels contain duplicates: {task_labels!r}")
-        if len(set(cols)) != len(cols):
-            raise ETCShapeError(
-                f"machine labels contain duplicates: {machine_labels!r}"
-            )
-        if task_labels == self._tasks and machine_labels == self._machines:
-            return self
-        row_slice = _contiguous_slice(rows)
-        col_slice = _contiguous_slice(cols)
-        if row_slice is not None and col_slice is not None:
-            sub = self._values[row_slice, col_slice]  # pure view, zero-copy
-        elif row_slice is not None:
-            sub = self._values[row_slice][:, list(cols)]
-        elif col_slice is not None:
-            sub = self._values[:, col_slice][list(rows)]
-        else:
-            sub = self._values[np.ix_(list(rows), list(cols))]
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
         return ETCMatrix._from_trusted(
-            sub, task_labels, machine_labels, allow_strided=True
+            self._values.take(rows, axis=0).take(cols, axis=1),
+            tuple(map(self._tasks.__getitem__, rows.tolist())),
+            tuple(map(self._machines.__getitem__, cols.tolist())),
         )
 
     def submatrix(
@@ -320,10 +282,9 @@ class ETCMatrix:
 
         ``None`` keeps the full axis.  Order follows the order given by
         the caller, enabling deterministic "arbitrary but fixed" task
-        lists across iterations (paper Section 3.3).  The result reuses
-        the parent's validated buffer: contiguous selections are
-        read-only views, anything else is a single fancy-index copy,
-        and values are never re-checked.
+        lists across iterations (paper Section 3.3).  The result is one
+        copy out of the parent's validated buffer; values are never
+        re-checked.
         """
         if tasks is None and machines is None:
             return self
@@ -337,6 +298,14 @@ class ETCMatrix:
             if machines is None
             else [self.machine_index(m) for m in machines]
         )
+        if not rows or not cols:
+            raise ETCShapeError("submatrix must keep at least one task and machine")
+        if len(set(rows)) != len(rows):
+            raise ETCShapeError(f"task labels contain duplicates: {tuple(tasks)!r}")
+        if len(set(cols)) != len(cols):
+            raise ETCShapeError(
+                f"machine labels contain duplicates: {tuple(machines)!r}"
+            )
         return self._restricted(rows, cols)
 
     def without_machine(self, machine: str, dropped_tasks: Iterable[str]) -> "ETCMatrix":
@@ -351,6 +320,8 @@ class ETCMatrix:
         mj = self.machine_index(machine)
         rows = [i for i, t in enumerate(self._tasks) if t not in dropped]
         cols = [j for j in range(self.num_machines) if j != mj]
+        if not rows or not cols:
+            raise ETCShapeError("submatrix must keep at least one task and machine")
         return self._restricted(rows, cols)
 
     # ------------------------------------------------------------------

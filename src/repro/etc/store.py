@@ -406,17 +406,25 @@ class ETCStore:
             return
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, OSError) as exc:
+        except (ValueError, OSError) as exc:
             raise ETCStoreError(f"unreadable store manifest {path} ({exc})") from None
+        if not isinstance(payload, dict):
+            raise ETCStoreError(f"unreadable store manifest {path} (not an object)")
         if payload.get("schema") != STORE_SCHEMA:
             raise ETCStoreError(
                 f"{path}: not a {STORE_SCHEMA} manifest "
                 f"(schema={payload.get('schema')!r})"
             )
-        self._entries = {
-            key: StoreEntry.from_dict(key, entry)
-            for key, entry in payload.get("entries", {}).items()
-        }
+        try:
+            entries = {
+                key: StoreEntry.from_dict(key, entry)
+                for key, entry in payload.get("entries", {}).items()
+            }
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ETCStoreError(
+                f"unreadable store manifest {path} (bad entry: {exc!r})"
+            ) from None
+        self._entries = entries
         self._manifest_mtime_ns = stat.st_mtime_ns
 
     def reload(self) -> None:

@@ -30,14 +30,20 @@ Schema ``repro-ledger/1`` — one JSON object per line:
 Append-only by construction: :meth:`RunLedger.append` opens the file in
 ``"a"`` mode and writes exactly one line; nothing in this module ever
 rewrites or truncates an existing ledger.
+
+:class:`EntryStore` is the durable store of the two caches keyed by
+:func:`config_hash` digests, the runner's cell cache and the service's
+response cache: one atomically written ``<key>.json`` per key.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import platform
 import subprocess
+import tempfile
 import time
 from collections.abc import Iterable, Sequence
 from datetime import datetime, timezone
@@ -51,6 +57,7 @@ __all__ = [
     "RunLedger",
     "fingerprint",
     "config_hash",
+    "EntryStore",
     "build_record",
     "headline_metrics",
     "format_record_line",
@@ -105,6 +112,77 @@ def config_hash(config) -> str:
     """SHA-256 hex digest of a config's canonical JSON serialisation."""
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+class EntryStore:
+    """Content-addressed ``<key>.json`` entries under one directory.
+
+    The persistence layer of the runner's cell cache and the service's
+    response cache, whose keys are :func:`config_hash` digests.  Writes
+    are atomic (temp file + ``os.replace`` in the same directory), so a
+    killed writer never leaves a torn entry and concurrent writers of
+    one key race benignly: the key addresses the content, so the last
+    replace wins with an identical payload.  A read fails loudly on
+    anything but a JSON object of this store's :attr:`schema` for the
+    requested key that carries the :attr:`body` field.
+    """
+
+    #: The store's name in error messages.
+    name = "entry store"
+    #: Entry format identifier, carried by every entry as ``schema``.
+    schema = ""
+    #: The field every entry of this store must carry.
+    body = ""
+
+    def __init__(self, root: str | Path) -> None:
+        self.root = Path(root)
+
+    def path_for(self, key: str) -> Path:
+        return self.root / f"{key}.json"
+
+    def _write(self, path: Path, payload: dict) -> Path:
+        """Atomically write ``payload`` as one canonical JSON line."""
+        self.root.mkdir(parents=True, exist_ok=True)
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+        return path
+
+    def _read(self, key: str) -> dict | None:
+        """The checked entry for ``key``, or ``None`` when there is none."""
+        path = self.path_for(key)
+        if not path.is_file():
+            return None
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+        except (ValueError, OSError) as exc:
+            raise ConfigurationError(
+                f"unreadable {self.name} entry {path} ({exc}); "
+                "delete it to recompute"
+            ) from None
+        if (
+            not isinstance(payload, dict)
+            or payload.get("schema") != self.schema
+            or payload.get("key") != key
+            or self.body not in payload
+        ):
+            raise ConfigurationError(
+                f"{path}: not a {self.schema} {self.name} entry for key "
+                f"{key[:12]}…; delete it to recompute"
+            )
+        return payload
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({str(self.root)!r})"
 
 
 def _derive_run_id(record: dict) -> str:
@@ -207,10 +285,11 @@ class RunLedger:
                 raise ConfigurationError(
                     f"{self.path}:{lineno}: unparseable ledger line ({exc})"
                 ) from None
-            if record.get("schema") != LEDGER_SCHEMA:
+            schema = record.get("schema") if isinstance(record, dict) else None
+            if schema != LEDGER_SCHEMA:
                 raise ConfigurationError(
                     f"{self.path}:{lineno}: not a {LEDGER_SCHEMA} record "
-                    f"(schema={record.get('schema')!r})"
+                    f"(schema={schema!r})"
                 )
             records.append(record)
         return records

@@ -40,6 +40,7 @@ __all__ = [
     "TimeSeriesLog",
     "read_timeseries",
     "rss_bytes",
+    "TimeSeriesSampler",
     "GridSampler",
 ]
 
@@ -147,7 +148,7 @@ def read_timeseries(path: str | Path) -> tuple[dict, list[dict]]:
             raise ConfigurationError(
                 f"{path}:{number}: not valid JSON: {exc}"
             ) from exc
-        kind = record.get("type")
+        kind = record.get("type") if isinstance(record, dict) else None
         if kind == "header":
             if record.get("schema") != TIMESERIES_SCHEMA:
                 raise ConfigurationError(
@@ -168,21 +169,20 @@ def read_timeseries(path: str | Path) -> tuple[dict, list[dict]]:
     return header, samples
 
 
-class GridSampler:
-    """Throttled per-run sampler the grid runner feeds as cells finish.
+class TimeSeriesSampler:
+    """Throttled ``repro-timeseries/1`` sampler of one run.
 
-    Call :meth:`note_cell` once per completed cell and
-    :meth:`set_queue_depth` as pool occupancy changes; a sample line is
-    written at most every ``interval_s`` seconds (plus one forced final
-    sample on :meth:`close`, so short runs still record their totals).
+    Subclasses supply :meth:`metrics` (which must report
+    ``tasks_scheduled`` and ``tasks_per_s``) and may add headline keys
+    in :meth:`_summary_extra`.  :meth:`note` writes a sample line at
+    most every ``interval_s`` seconds; :meth:`close` forces one final
+    sample, so short runs still record their totals.
     """
 
     def __init__(
         self,
         path: str | Path,
         *,
-        total_cells: int,
-        tasks_per_record: int,
         label: str = "",
         interval_s: float = 0.5,
         clock=time.perf_counter,
@@ -193,13 +193,68 @@ class GridSampler:
                 f"sample interval must be >= 0, got {interval_s}"
             )
         self.log = TimeSeriesLog(path, label=label, clock=clock)
-        self.total_cells = total_cells
-        self.tasks_per_record = tasks_per_record
         self.interval_s = interval_s
         self._clock = clock
         self._rss_fn = rss_fn
         self._last_sample: float | None = None
         self.tasks_scheduled = 0
+
+    def metrics(self) -> dict:
+        raise NotImplementedError
+
+    def note(self, *, force: bool = False) -> None:
+        """Write a sample unless one landed less than ``interval_s`` ago."""
+        now = self._clock()
+        if (
+            not force
+            and self._last_sample is not None
+            and now - self._last_sample < self.interval_s
+        ):
+            return
+        self._last_sample = now
+        self.log.sample(self.metrics())
+
+    def _summary_extra(self, metrics: dict) -> dict:
+        return {}
+
+    def summary(self) -> dict:
+        """Headline numbers for the run ledger entry."""
+        metrics = self.metrics()
+        return {
+            "schema": TIMESERIES_SCHEMA,
+            "path": str(self.log.path),
+            "samples": self.log.samples_written,
+            "duration_s": self.log.elapsed(),
+            "tasks_scheduled": metrics["tasks_scheduled"],
+            "tasks_per_s": metrics["tasks_per_s"],
+            **self._summary_extra(metrics),
+        }
+
+    def close(self) -> None:
+        """Force a final sample and close the file (idempotent)."""
+        if self.log._handle is not None:
+            self.note(force=True)
+            self.log.close()
+
+
+class GridSampler(TimeSeriesSampler):
+    """Throttled per-run sampler the grid runner feeds as cells finish.
+
+    Call :meth:`note_cell` once per completed cell and
+    :meth:`set_queue_depth` as pool occupancy changes.
+    """
+
+    def __init__(
+        self,
+        path: str | Path,
+        *,
+        total_cells: int,
+        tasks_per_record: int,
+        **options,
+    ) -> None:
+        super().__init__(path, **options)
+        self.total_cells = total_cells
+        self.tasks_per_record = tasks_per_record
         self.cells_done = 0
         self.cells_cached = 0
         self.cells_quarantined = 0
@@ -217,16 +272,16 @@ class GridSampler:
         if quarantined:
             self.cells_quarantined += 1
         self.tasks_scheduled += records * self.tasks_per_record
-        self._maybe_sample()
+        self.note()
 
     def note_store(self, *, published: int = 0, reused: int = 0) -> None:
         self.store_published += published
         self.store_reused += reused
-        self._maybe_sample()
+        self.note()
 
     def set_queue_depth(self, depth: int) -> None:
         self.queue_depth = depth
-        self._maybe_sample()
+        self.note()
 
     def metrics(self) -> dict:
         elapsed = self.log.elapsed()
@@ -246,33 +301,8 @@ class GridSampler:
             "queue_depth": self.queue_depth,
         }
 
-    def _maybe_sample(self, force: bool = False) -> None:
-        now = self._clock()
-        if (
-            not force
-            and self._last_sample is not None
-            and now - self._last_sample < self.interval_s
-        ):
-            return
-        self._last_sample = now
-        self.log.sample(self.metrics())
-
-    def summary(self) -> dict:
-        """Headline numbers for the run ledger entry."""
-        metrics = self.metrics()
+    def _summary_extra(self, metrics: dict) -> dict:
         return {
-            "schema": TIMESERIES_SCHEMA,
-            "path": str(self.log.path),
-            "samples": self.log.samples_written,
-            "duration_s": self.log.elapsed(),
-            "tasks_scheduled": metrics["tasks_scheduled"],
-            "tasks_per_s": metrics["tasks_per_s"],
             "cells_per_s": metrics["cells_per_s"],
             "cache_hit_rate": metrics["cache_hit_rate"],
         }
-
-    def close(self) -> None:
-        """Force a final sample and close the file (idempotent)."""
-        if self.log._handle is not None:
-            self._maybe_sample(force=True)
-            self.log.close()

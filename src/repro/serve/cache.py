@@ -1,13 +1,11 @@
 """Content-addressed response cache for the scheduling service.
 
-Mirrors the runner's cell cache (:class:`repro.analysis.runner.CellCache`)
-byte for byte in its guarantees: one ``<key>.json`` entry per request
-identity under a single directory (default ``.repro/responses/``),
-written atomically (temp file + ``os.replace`` in the same directory),
-so a killed service never leaves a torn entry and concurrent writers of
-the *same* key race benignly — last replace wins with an identical
-payload, since the key is a content address of everything that
-determines the result.
+One ``<key>.json`` entry per request identity under a single directory
+(default ``.repro/responses/``), kept by the same
+:class:`~repro.obs.ledger.EntryStore` as the runner's cell cache: atomic
+writes, so a killed service never leaves a torn entry and concurrent
+writers of the *same* key race benignly, and loud failures on a corrupt
+or foreign entry.
 
 Entries store the **full** computed result regardless of the request's
 ``trace`` verbosity; the service strips presentation-only sections at
@@ -17,12 +15,9 @@ same scheduling problem.
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from pathlib import Path
 
-from repro.exceptions import ConfigurationError
+from repro.obs.ledger import EntryStore
 
 __all__ = [
     "RESPONSE_CACHE_SCHEMA",
@@ -37,29 +32,15 @@ RESPONSE_CACHE_SCHEMA = "repro-serve-cache/2"
 DEFAULT_RESPONSE_CACHE_DIR = ".repro/responses"
 
 
-class ResponseCache:
+class ResponseCache(EntryStore):
     """Content-addressed response store under one directory."""
 
+    name = "response cache"
+    schema = RESPONSE_CACHE_SCHEMA
+    body = "result"
+
     def __init__(self, root: str | Path = DEFAULT_RESPONSE_CACHE_DIR) -> None:
-        self.root = Path(root)
-
-    def path_for(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
-    def _atomic_write(self, path: Path, payload: dict) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        super().__init__(root)
 
     def store(self, key: str, identity: dict, result: dict) -> Path:
         """Persist one computed response; returns the entry path.
@@ -76,37 +57,15 @@ class ResponseCache:
             "identity": identity,
             "result": result,
         }
-        path = self.path_for(key)
-        self._atomic_write(path, payload)
-        return path
+        return self._write(self.path_for(key), payload)
 
     def load(self, key: str) -> dict | None:
         """The cached result for ``key``, or ``None`` on a miss."""
-        path = self.path_for(key)
-        if not path.is_file():
-            return None
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, OSError) as exc:
-            raise ConfigurationError(
-                f"unreadable response cache entry {path} ({exc}); "
-                "delete it to recompute"
-            ) from None
-        if (
-            payload.get("schema") != RESPONSE_CACHE_SCHEMA
-            or payload.get("key") != key
-        ):
-            raise ConfigurationError(
-                f"{path}: not a {RESPONSE_CACHE_SCHEMA} entry for key "
-                f"{key[:12]}…; delete it to recompute"
-            )
-        return payload["result"]
+        payload = self._read(key)
+        return None if payload is None else payload["result"]
 
     def __contains__(self, key: str) -> bool:
         return self.path_for(key).is_file()
 
     def __len__(self) -> int:
         return len(list(self.root.glob("*.json"))) if self.root.is_dir() else 0
-
-    def __repr__(self) -> str:
-        return f"ResponseCache({str(self.root)!r})"

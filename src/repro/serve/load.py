@@ -10,9 +10,9 @@ than under its own back-pressure.
 
 The report (schema ``repro-serve-load/1``) carries the requests/s
 headline plus p50/p95/max latency and the server-observed cache-hit
-split; ``repro serve-load`` (and the ``serve-load`` bench workload)
-write it next to the bench reports so CI can publish it as an
-artifact.
+split; ``repro serve-load --output FILE`` writes it as JSON, which
+``make smoke-serve`` does to ``SERVE_load_smoke.json`` so CI can
+publish it as an artifact.
 """
 
 from __future__ import annotations

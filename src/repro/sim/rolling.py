@@ -26,7 +26,6 @@ throughput log (``repro-timeseries/1``).  See docs/rolling.md.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -43,7 +42,7 @@ from repro.etc.generation import (
 from repro.etc.matrix import ETCMatrix
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.heuristics.base import Heuristic
-from repro.obs.timeseries import TIMESERIES_SCHEMA, TimeSeriesLog, rss_bytes
+from repro.obs.timeseries import TimeSeriesSampler
 from repro.obs.tracer import get_tracer
 from repro.sim.arrivals import ArrivalProcess, PoissonArrivals
 from repro.sim.engine import Simulator
@@ -250,39 +249,19 @@ class RollingResult:
         return self.dispatches / self.horizons if self.horizons else 0.0
 
 
-class RollingSampler:
+class RollingSampler(TimeSeriesSampler):
     """Throttled throughput sampler for rolling runs.
 
-    Mirrors :class:`~repro.obs.timeseries.GridSampler`: fed from the
-    simulation's event handlers, writes a ``repro-timeseries/1`` line
-    at most every ``interval_s`` wall-clock seconds plus one forced
-    final sample on :meth:`close`.  ``tasks_scheduled`` counts
-    *dispatches* (tasks handed to a machine queue, the serving-loop
-    headline) and ``tasks_per_s`` is its wall-clock rate.
+    Fed from the simulation's event handlers, which set the counters
+    and call :meth:`note`.  ``tasks_scheduled`` counts *dispatches*
+    (tasks handed to a machine queue, the serving-loop headline) and
+    ``tasks_per_s`` is its wall-clock rate.
     """
 
-    def __init__(
-        self,
-        path,
-        *,
-        total_tasks: int,
-        label: str = "",
-        interval_s: float = 0.5,
-        clock=time.perf_counter,
-        rss_fn=rss_bytes,
-    ) -> None:
-        if interval_s < 0:
-            raise ConfigurationError(
-                f"sample interval must be >= 0, got {interval_s}"
-            )
-        self.log = TimeSeriesLog(path, label=label, clock=clock)
+    def __init__(self, path, *, total_tasks: int, **options) -> None:
+        super().__init__(path, **options)
         self.total_tasks = total_tasks
-        self.interval_s = interval_s
-        self._clock = clock
-        self._rss_fn = rss_fn
-        self._last_sample: float | None = None
         self.tasks_arrived = 0
-        self.tasks_scheduled = 0
         self.tasks_completed = 0
         self.tasks_dropped = 0
         self.failures = 0
@@ -307,36 +286,8 @@ class RollingSampler:
             "sim_time": self.sim_time,
         }
 
-    def note(self) -> None:
-        """Consider writing a sample (throttled by ``interval_s``)."""
-        now = self._clock()
-        if (
-            self._last_sample is not None
-            and now - self._last_sample < self.interval_s
-        ):
-            return
-        self._last_sample = now
-        self.log.sample(self.metrics())
-
-    def summary(self) -> dict:
-        """Headline numbers for the run ledger entry."""
-        metrics = self.metrics()
-        return {
-            "schema": TIMESERIES_SCHEMA,
-            "path": str(self.log.path),
-            "samples": self.log.samples_written,
-            "duration_s": self.log.elapsed(),
-            "tasks_scheduled": metrics["tasks_scheduled"],
-            "tasks_per_s": metrics["tasks_per_s"],
-            "peak_rss_bytes": metrics["rss_bytes"],
-        }
-
-    def close(self) -> None:
-        """Force a final sample and close the file (idempotent)."""
-        if self.log._handle is not None:
-            self._last_sample = None
-            self.note()
-            self.log.close()
+    def _summary_extra(self, metrics: dict) -> dict:
+        return {"peak_rss_bytes": metrics["rss_bytes"]}
 
 
 # ----------------------------------------------------------------------

@@ -94,13 +94,3 @@ class TestFromTrustedStrides:
         block = np.ones((2, 3, 4))
         with pytest.raises(ETCShapeError):
             ETCMatrix._from_trusted(block, ("a", "b"), ("x", "y"))
-
-    def test_allow_strided_escape_hatch_adopts_view(self):
-        # _restricted's audited basic-slicing views keep zero-copy.
-        parent = ETCMatrix(
-            [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]
-        )
-        # Contiguous index runs slice to a strided (but audited) view.
-        sub = parent._restricted((0, 1), (1, 2))
-        assert not sub.values.flags.c_contiguous
-        assert np.shares_memory(sub.values, parent.values)

@@ -188,6 +188,23 @@ class TestStoreErrors:
         with pytest.raises(ETCStoreError, match="unreadable"):
             ETCStore(root)
 
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            [],
+            "manifest",
+            {"schema": "repro-etc-store/1", "entries": []},
+            {"schema": "repro-etc-store/1", "entries": {"k": {}}},
+            {"schema": "repro-etc-store/1", "entries": {"k": []}},
+        ],
+    )
+    def test_malformed_manifest_raises(self, tmp_path, manifest):
+        root = tmp_path / "s"
+        root.mkdir()
+        (root / MANIFEST_NAME).write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(ETCStoreError, match="unreadable store manifest"):
+            ETCStore(root)
+
     def test_wrong_schema_raises(self, tmp_path):
         root = tmp_path / "s"
         root.mkdir()

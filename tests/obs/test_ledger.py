@@ -116,6 +116,15 @@ class TestRunLedger:
         with pytest.raises(ConfigurationError):
             RunLedger(path).read()
 
+    @pytest.mark.parametrize("line", ["[1, 2]", '"record"', "7", "null"])
+    def test_read_rejects_non_object_line(self, tmp_path, line):
+        path = tmp_path / "ledger.jsonl"
+        ledger = RunLedger(path)
+        ledger.append(build_record("bench"))
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(ConfigurationError, match=rf"ledger\.jsonl:2: not a "):
+            ledger.read()
+
     def test_tail(self, tmp_path):
         ledger = RunLedger(tmp_path / "ledger.jsonl")
         for day in range(1, 6):

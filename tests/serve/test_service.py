@@ -184,6 +184,30 @@ def test_unexpected_compute_exception_is_500(tmp_path, monkeypatch):
     assert len(service.cache) == 0
 
 
+def _not_an_object(entry: dict) -> list:
+    return [entry]
+
+
+def _without_result(entry: dict) -> dict:
+    return {k: v for k, v in entry.items() if k != "result"}
+
+
+@pytest.mark.parametrize("spoil", [_not_an_object, _without_result])
+def test_malformed_cache_entry_is_500(tmp_path, spoil):
+    service = make_service(tmp_path)
+    try:
+        status, first = run(service.handle(MAP_PAYLOAD))
+        path = service.cache.path_for(first["key"])
+        path.write_text(json.dumps(spoil(json.loads(path.read_text()))))
+        status, body = run(service.handle(MAP_PAYLOAD))
+    finally:
+        service.close()
+    assert status == 500
+    assert body["error"]["type"] == "execution"
+    assert "delete it to recompute" in body["error"]["message"]
+    assert service.counts["execution_errors"] == 1
+
+
 def test_overload_sheds_with_503(tmp_path, monkeypatch):
     def slow(request):
         time.sleep(0.05)

@@ -64,6 +64,17 @@ class TestModuleReferences:
         assert files  # docs/ exists and is covered
         assert check_docs.check_module_references(REPO_ROOT, files) == []
 
+    def test_class_references_checked_via_import(self):
+        # A doc naming a deleted or renamed class fails the check.
+        assert check_docs._resolve_module(REPO_ROOT, "serve.cache.ResponseCache")
+        assert check_docs._resolve_module(REPO_ROOT, "obs.ledger.EntryStore.path_for")
+        assert not check_docs._resolve_module(
+            REPO_ROOT, "serve.cache.ResponseStore"
+        )
+        assert check_docs._MODULE_RE.search(
+            "see `repro.serve.cache.ResponseStore`."
+        ).group(1) == ".serve.cache.ResponseStore"
+
     def test_attribute_references_checked_via_import(self):
         assert check_docs._resolve_module(REPO_ROOT, "analysis.runner.run_grid")
         assert not check_docs._resolve_module(

@@ -362,6 +362,14 @@ class TestLedgerEndToEnd:
                      str(tmp_path / "none.jsonl")]) == 0
         assert "empty" in capsys.readouterr().out
 
+    def test_obs_tail_non_object_line_is_a_clean_error(self, tmp_path, capsys):
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text("[1, 2]\n")
+        assert main(["obs", "tail", "--ledger", str(ledger)]) == 1
+        assert "ledger.jsonl:1: not a repro-ledger/1 record" in (
+            capsys.readouterr().err
+        )
+
     def test_obs_diff_regression_exits_1(self, tmp_path, capsys):
         from repro.obs.ledger import RunLedger, build_record
 

@@ -10,9 +10,10 @@ and CI so the docs cannot silently rot as the code moves:
    and pure in-page anchors (``#section``) are skipped.
 2. **Stale module references** — every dotted ``repro.<module>``
    mention must resolve: first against the source tree layout under
-   ``src/repro`` (packages and ``.py`` modules; trailing lowercase
-   segments past a module are treated as attributes and verified by
-   import), so a doc can never name a module that was renamed away.
+   ``src/repro`` (packages and ``.py`` modules; trailing segments past
+   a module, class names included, are treated as attributes and
+   verified by import), so a doc can never name a module, function or
+   class that was renamed away.
 3. **Index reachability** — every page under ``docs/`` must be
    reachable from ``docs/index.md`` by following relative links, so
    the index stays the complete map of the documentation.
@@ -44,10 +45,9 @@ from pathlib import Path
 #: Markdown inline link: [text](target), ignoring images' leading ``!``.
 _LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 
-#: Dotted repro module path: lowercase/underscore segments only, so
-#: class references like ``repro.obs.CollectingTracer`` contribute just
-#: their module prefix.
-_MODULE_RE = re.compile(r"\brepro((?:\.[a-z_][a-z0-9_]*)+)")
+#: Dotted repro reference: module segments and any attribute segments
+#: after them, class names included (``repro.serve.cache.ResponseCache``).
+_MODULE_RE = re.compile(r"\brepro((?:\.[A-Za-z_][A-Za-z0-9_]*)+)")
 
 #: ``repro <subcommand>`` invocation in one of the command contexts the
 #: docs use: ``python -m repro X``, an opening-backtick `` `repro X`` or
