@@ -448,6 +448,13 @@ class IterativeScheduler:
             final_finish[frozen_machine] = finish[column]
             removal_order.append(frozen_machine)
             if tracer.enabled:
+                if not record_fields:
+                    # Derived: under the certificate a re-map commits the
+                    # restricted mapping's pairs in its order.
+                    with tracer.phase(
+                        "iterative.map", iteration=record.index, machines=len(cols)
+                    ):
+                        self.heuristic.emit_decisions(record.mapping)
                 tracer.event(
                     "iterative.freeze",
                     iteration=record.index,
@@ -506,19 +513,18 @@ class IterativeScheduler:
         True only when the kernel certified it (:attr:`Mapping.certified`:
         every decision kept the tie-cluster certificate of
         :mod:`repro.core.ties`, so the paper's invariance theorems hold
-        under the tolerance ties), both
-        tie breakers are exactly :class:`DeterministicTieBreaker`, the
-        paper's makespan-machine freeze rule is in force, no tracer is
-        listening (a traced run must emit every decision), and
-        :meth:`_map_iteration` is not overridden (seeded variants remap
-        on purpose).
+        under the tolerance ties), both tie breakers are exactly
+        :class:`DeterministicTieBreaker`, the paper's makespan-machine
+        freeze rule is in force, and :meth:`_map_iteration` is not
+        overridden (seeded variants remap on purpose).  A listening
+        tracer does not matter: a derived iteration emits its decisions
+        from its restricted mapping (:meth:`Heuristic.emit_decisions`).
         """
         return (
             mapping.certified
             and type(self.tie_breaker) is DeterministicTieBreaker
             and type(self.makespan_tie_breaker) is DeterministicTieBreaker
             and self.freeze_policy is None
-            and not get_tracer().enabled
             and type(self)._map_iteration is IterativeScheduler._map_iteration
         )
 

@@ -161,8 +161,8 @@ def first_tied_min_index(row: np.ndarray | list[float]) -> int:
 
     Exactly what ``DeterministicTieBreaker.choose(tied_min_indices(row))``
     returns (the candidate list ascends, so its minimum is its first
-    element); used on the deterministic fast paths when no tracer needs
-    the full candidate set.  Early-exits at the first tied element.
+    element); used on the deterministic fast paths, which never need the
+    full candidate set.  Early-exits at the first tied element.
     """
     lst = row if type(row) is list else row.tolist()
     target = min(lst)

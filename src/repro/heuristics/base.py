@@ -20,7 +20,12 @@ from collections.abc import Callable, Mapping as MappingABC, Sequence
 import numpy as np
 
 from repro.core.schedule import Mapping
-from repro.core.ties import DeterministicTieBreaker, TieBreaker
+from repro.core.ties import (
+    DEFAULT_ABS_TOL,
+    DEFAULT_REL_TOL,
+    DeterministicTieBreaker,
+    TieBreaker,
+)
 from repro.etc.matrix import ETCMatrix
 from repro.exceptions import MappingError, UnknownHeuristicError
 from repro.obs.tracer import get_tracer
@@ -31,6 +36,7 @@ __all__ = [
     "get_heuristic",
     "heuristic_names",
     "validate_complete",
+    "emit_commit_decisions",
     "LazyTrace",
 ]
 
@@ -93,7 +99,11 @@ class Heuristic(abc.ABC):
 
     Subclasses set :attr:`name` and implement :meth:`_run`.  The public
     entry point :meth:`map_tasks` normalises arguments, runs the
-    heuristic and verifies that the result maps every task.
+    heuristic and verifies that the result maps every task.  Kernels
+    never read the tracer: when one is listening, :meth:`map_tasks`
+    emits the heuristic's decision events through :meth:`_emit` after
+    :meth:`_run` returns, so a fast kernel and its reference share one
+    emitter and one code path with or without a tracer.
     """
 
     #: Registry key and display name (e.g. ``"min-min"``).
@@ -129,12 +139,8 @@ class Heuristic(abc.ABC):
         """
         breaker = tie_breaker or DeterministicTieBreaker()
         mapping = Mapping(etc, ready_times)
-        with get_tracer().span(
-            "heuristic.map",
-            heuristic=self.name,
-            tasks=etc.num_tasks,
-            machines=etc.num_machines,
-        ):
+        tracer = get_tracer()
+        with self._map_span(tracer, etc):
             seed = None
             if seed_mapping is not None and self.supports_seeding:
                 self._validate_seed(etc, seed_mapping)
@@ -143,8 +149,31 @@ class Heuristic(abc.ABC):
                     dtype=np.int64,
                 )
             self._run(mapping, breaker, seed)
+            if tracer.enabled:
+                self._emit(tracer, mapping)
         validate_complete(mapping)
         return mapping
+
+    def emit_decisions(self, mapping: Mapping) -> None:
+        """Trace a finished ``mapping`` of this heuristic as
+        :meth:`map_tasks` traced the run that made it, with no kernel
+        call (how a derived iteration's restricted mapping is traced)."""
+        tracer = get_tracer()
+        with self._map_span(tracer, mapping.etc):
+            self._emit(tracer, mapping)
+
+    def _map_span(self, tracer, etc: ETCMatrix):
+        return tracer.span(
+            "heuristic.map",
+            heuristic=self.name,
+            tasks=etc.num_tasks,
+            machines=etc.num_machines,
+        )
+
+    def _emit(self, tracer, mapping: Mapping) -> None:
+        """Emit the decision events of ``mapping``, just filled by
+        :meth:`_run` (or restricted from such a mapping).  The default
+        emits none."""
 
     @abc.abstractmethod
     def _run(
@@ -172,6 +201,58 @@ class Heuristic(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
+
+
+def emit_commit_decisions(
+    tracer, mapping: Mapping, kind: str, *, execution: bool = False
+) -> None:
+    """One ``kind`` event per commit of ``mapping``, in commit order.
+
+    Replays the commits from the initial ready times: ``completion`` is
+    the commit's finish time and ``tied`` lists the machines that
+    :func:`~repro.core.ties.tied_min_indices` returns for the task's
+    completion-time row at that point (with ``execution``, for its ETC
+    row, and the event also carries the chosen ``execution`` time).
+    The tie rule runs vectorised over all commits at once.  The emitter
+    of Min-Min, Max-Min, MCT and MET, whose kernels pick a machine from
+    exactly that candidate set.
+    """
+    etc = mapping.etc
+    tasks, machines = etc.tasks, etc.machines
+    rows, columns = mapping.commit_order()
+    scores = etc.values[list(rows)]
+    chosen = scores[np.arange(len(rows)), list(columns)].tolist()
+    ready = mapping.initial_ready_times()
+    before = np.empty_like(scores)  # the ready times each commit saw
+    finishes = []
+    for k, (column, cost) in enumerate(zip(columns, chosen)):
+        before[k] = ready
+        # Mapping's commit arithmetic, so the finish times are its own.
+        ready[column] = finish = float(ready[column]) + cost
+        finishes.append(finish)
+    if not execution:
+        scores += before
+    # tied_min_indices' rule: v - min <= max(rel_tol * v, abs_tol).
+    tied = scores - scores.min(axis=1, initial=np.inf)[:, None] <= np.maximum(
+        DEFAULT_REL_TOL * scores, DEFAULT_ABS_TOL
+    )
+    labels = [machines[j] for j in tied.nonzero()[1].tolist()]
+    end = 0
+    for row, column, cost, finish, count in zip(
+        rows, columns, chosen, finishes, tied.sum(axis=1).tolist()
+    ):
+        extra = {"execution": cost} if execution else {}
+        tracer.event(
+            kind,
+            task=tasks[row],
+            machine=machines[column],
+            **extra,
+            completion=finish,
+            tied=tuple(labels[end : end + count]),
+        )
+        tracer.count("decisions")
+        tracer.observe("decision.tie_candidates", count)
+        end += count
 
 
 def validate_complete(mapping: Mapping) -> None:

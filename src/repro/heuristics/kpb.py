@@ -56,7 +56,6 @@ from repro.core.ties import (
 from repro.etc.matrix import ETCMatrix
 from repro.exceptions import ConfigurationError
 from repro.heuristics.base import Heuristic, LazyTrace, register_heuristic
-from repro.obs.tracer import get_tracer
 
 __all__ = [
     "KPercentBest",
@@ -136,8 +135,6 @@ class KPercentBest(Heuristic):
         seed: np.ndarray | None,
     ) -> None:
         etc = mapping.etc
-        tracer = get_tracer()
-        machines = etc.machines
         size = kpb_subset_size(etc.num_machines, self.percent)
         subsets = np.sort(
             np.argsort(etc.values, axis=1, kind="stable")[:, :size], axis=1
@@ -147,7 +144,7 @@ class KPercentBest(Heuristic):
         fast_ties = type(tie_breaker) is DeterministicTieBreaker
         picks: list[int] = []
         completions: list[float] = []
-        for ti, (subset, cost) in enumerate(zip(subsets.tolist(), costs)):
+        for subset, cost in zip(subsets.tolist(), costs):
             completion = [c + ready[j] for c, j in zip(cost, subset)]
             if fast_ties:
                 pick = first_tied_min_index(completion)
@@ -157,21 +154,24 @@ class KPercentBest(Heuristic):
             ready[machine_idx] = finish = completion[pick]
             picks.append(machine_idx)
             completions.append(finish)
-            if tracer.enabled:
-                tracer.event(
-                    "k-percent-best.decision",
-                    task=etc.tasks[ti],
-                    subset=tuple(machines[j] for j in subset),
-                    subset_size=size,
-                    machine=machines[machine_idx],
-                    completion=finish,
-                )
-                tracer.count("decisions")
-                tracer.observe("kpb.subset_size", size)
         mapping.assign_many(range(len(picks)), picks)
         self.last_trace = KPBTrace(
-            etc.tasks, machines, subsets, np.array(picks), np.array(completions)
+            etc.tasks, etc.machines, subsets, np.array(picks), np.array(completions)
         )
+
+    def _emit(self, tracer, mapping: Mapping) -> None:
+        """One event per step of :attr:`last_trace`."""
+        for step in self.last_trace:
+            tracer.event(
+                "k-percent-best.decision",
+                task=step.task,
+                subset=step.subset,
+                subset_size=len(step.subset),
+                machine=step.machine,
+                completion=step.completion,
+            )
+            tracer.count("decisions")
+            tracer.observe("kpb.subset_size", len(step.subset))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(percent={self.percent})"
@@ -187,7 +187,6 @@ class ReferenceKPercentBest(KPercentBest):
         seed: np.ndarray | None,
     ) -> None:
         etc = mapping.etc
-        tracer = get_tracer()
         size = kpb_subset_size(etc.num_machines, self.percent)
         trace: list[KPBStep] = []
         for task in etc.tasks:
@@ -197,22 +196,10 @@ class ReferenceKPercentBest(KPercentBest):
             pick = tie_breaker.choose(tied_argmin(completion))
             machine_idx = int(subset_idx[pick])
             assignment = mapping.assign(task, etc.machines[machine_idx])
-            subset = tuple(etc.machines[int(j)] for j in subset_idx)
-            if tracer.enabled:
-                tracer.event(
-                    "k-percent-best.decision",
-                    task=task,
-                    subset=subset,
-                    subset_size=size,
-                    machine=assignment.machine,
-                    completion=assignment.completion,
-                )
-                tracer.count("decisions")
-                tracer.observe("kpb.subset_size", size)
             trace.append(
                 KPBStep(
                     task=task,
-                    subset=subset,
+                    subset=tuple(etc.machines[int(j)] for j in subset_idx),
                     machine=assignment.machine,
                     completion=assignment.completion,
                 )

@@ -30,8 +30,7 @@ from repro.core.ties import (
     tied_argmin,
     tied_min_indices,
 )
-from repro.heuristics.base import Heuristic, register_heuristic
-from repro.obs.tracer import get_tracer
+from repro.heuristics.base import Heuristic, emit_commit_decisions, register_heuristic
 
 __all__ = ["MCT", "ReferenceMCT"]
 
@@ -49,18 +48,13 @@ class MCT(Heuristic):
         seed: np.ndarray | None,
     ) -> None:
         """Index-space kernel: no label lookups, live ready vector."""
-        etc = mapping.etc
-        tracer = get_tracer()
-        values = etc.values
-        machines = etc.machines
+        values = mapping.etc.values
         ready = mapping.ready_times_view()
-        fast_ties = (
-            type(tie_breaker) is DeterministicTieBreaker and not tracer.enabled
-        )
+        fast_ties = type(tie_breaker) is DeterministicTieBreaker
         # Certified while every row is separated (the rule in
         # repro.core.ties; see Mapping.certified).
         certified = fast_ties
-        for ti, task in enumerate(etc.tasks):
+        for ti in range(len(values)):
             completion = values[ti] + ready
             if fast_ties:
                 machine_idx = separated_min_index(completion)
@@ -68,20 +62,12 @@ class MCT(Heuristic):
                     certified = False
                     machine_idx = first_tied_min_index(completion)
             else:
-                candidates = tied_min_indices(completion)
-                machine_idx = tie_breaker.choose(candidates)
-            finish = mapping.assign_index(ti, machine_idx)
-            if tracer.enabled:
-                tracer.event(
-                    "mct.decision",
-                    task=task,
-                    machine=machines[machine_idx],
-                    completion=finish,
-                    tied=tuple(machines[int(j)] for j in candidates),
-                )
-                tracer.count("decisions")
-                tracer.observe("decision.tie_candidates", len(candidates))
+                machine_idx = tie_breaker.choose(tied_min_indices(completion))
+            mapping.assign_index(ti, machine_idx)
         mapping.certified = certified
+
+    def _emit(self, tracer, mapping: Mapping) -> None:
+        emit_commit_decisions(tracer, mapping, "mct.decision")
 
 
 class ReferenceMCT(MCT):
@@ -94,19 +80,7 @@ class ReferenceMCT(MCT):
         seed: np.ndarray | None,
     ) -> None:
         etc = mapping.etc
-        tracer = get_tracer()
         for task in etc.tasks:
             completion = mapping.completion_times_if(task)
-            candidates = tied_argmin(completion)
-            machine_idx = tie_breaker.choose(candidates)
-            assignment = mapping.assign(task, etc.machines[machine_idx])
-            if tracer.enabled:
-                tracer.event(
-                    "mct.decision",
-                    task=task,
-                    machine=assignment.machine,
-                    completion=assignment.completion,
-                    tied=tuple(etc.machines[int(j)] for j in candidates),
-                )
-                tracer.count("decisions")
-                tracer.observe("decision.tie_candidates", len(candidates))
+            machine_idx = tie_breaker.choose(tied_argmin(completion))
+            mapping.assign(task, etc.machines[machine_idx])

@@ -17,15 +17,16 @@ increase makespan.
 
 Kernels.  :class:`ReferenceMET` is the label-space transcription above
 and serves as the test oracle.  :class:`MET` never reads ready times to
-decide, so under the deterministic policy with no tracer it takes one
-row argmin over the whole ETC matrix, re-deciding only rows with a
-near tie (a second value within two tolerances of the row minimum)
-through the tolerance rule, since inside a tie cluster ``argmin`` can
-differ from the first tied index.  The mapping is certified for
-iteration by restriction when every such row passes MCT's per-row
-check, ``separated_min_index``: its near ties lie within half a
-tolerance of its minimum (the rule in :mod:`repro.core.ties`).  Other
-policies and traced runs take the transcription's per-task loop.
+decide, so under the deterministic policy it takes one row argmin over
+the whole ETC matrix, re-deciding only rows with a near tie (a second
+value within two tolerances of the row minimum) through the tolerance
+rule, since inside a tie cluster ``argmin`` can differ from the first
+tied index.  The mapping is certified for iteration by restriction
+when every such row passes MCT's per-row check, ``separated_min_index``:
+its near ties lie within half a tolerance of its minimum (the rule in
+:mod:`repro.core.ties`).  Other policies take the transcription's
+per-task loop.  Both kernels share one decision-event emitter, run
+after the mapping is complete, so a tracer never changes the path.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ from repro.core.ties import (
     separated_min_index,
     tied_argmin,
 )
-from repro.heuristics.base import Heuristic, register_heuristic
-from repro.obs.tracer import get_tracer
+from repro.heuristics.base import Heuristic, emit_commit_decisions, register_heuristic
 
 __all__ = ["MET", "ReferenceMET"]
 
@@ -60,10 +60,9 @@ class MET(Heuristic):
         tie_breaker: TieBreaker,
         seed: np.ndarray | None,
     ) -> None:
-        """One vectorised argmin under the deterministic policy with no
-        tracer; the transcription otherwise (random draws and decision
-        events are per task anyway)."""
-        if type(tie_breaker) is not DeterministicTieBreaker or get_tracer().enabled:
+        """One vectorised argmin under the deterministic policy; the
+        transcription otherwise (random draws are per task anyway)."""
+        if type(tie_breaker) is not DeterministicTieBreaker:
             _map_in_task_order(mapping, tie_breaker)
             return
         values = mapping.etc.values
@@ -77,6 +76,9 @@ class MET(Heuristic):
             certified = certified and separated_min_index(values[ti]) >= 0
         mapping.assign_many(range(len(choice)), choice.tolist())
         mapping.certified = certified
+
+    def _emit(self, tracer, mapping: Mapping) -> None:
+        emit_commit_decisions(tracer, mapping, "met.decision", execution=True)
 
 
 class ReferenceMET(MET):
@@ -94,20 +96,6 @@ class ReferenceMET(MET):
 def _map_in_task_order(mapping: Mapping, tie_breaker: TieBreaker) -> None:
     """The paper's procedure, one label-space decision per task."""
     etc = mapping.etc
-    tracer = get_tracer()
     for task in etc.tasks:
-        row = etc.task_row(task)
-        candidates = tied_argmin(row)
-        machine_idx = tie_breaker.choose(candidates)
-        assignment = mapping.assign(task, etc.machines[machine_idx])
-        if tracer.enabled:
-            tracer.event(
-                "met.decision",
-                task=task,
-                machine=assignment.machine,
-                execution=float(row[machine_idx]),
-                completion=assignment.completion,
-                tied=tuple(etc.machines[int(j)] for j in candidates),
-            )
-            tracer.count("decisions")
-            tracer.observe("decision.tie_candidates", len(candidates))
+        machine_idx = tie_breaker.choose(tied_argmin(etc.task_row(task)))
+        mapping.assign(task, etc.machines[machine_idx])

@@ -40,8 +40,10 @@ rule in :mod:`repro.core.ties`): a single pair, an equal-ETC run, or a
 scan whose largest CT stays inside the cluster.
 :class:`MaxMin` keeps an :class:`IncrementalCompletionTable` (one
 column refresh per committed pair).  Both kernels are
-decision-for-decision identical to the oracle (tie-candidate sets,
-tie-breaker draw order, obs events).
+decision-for-decision identical to the oracle (tie-candidate sets and
+tie-breaker draw order).  No kernel reads the tracer: kernels and
+oracles share :func:`~repro.heuristics.base.emit_commit_decisions`,
+which replays a finished mapping as decision events.
 """
 
 from __future__ import annotations
@@ -61,8 +63,7 @@ from repro.core.ties import (
     tied_argmin,
     tied_min_indices,
 )
-from repro.heuristics.base import Heuristic, register_heuristic
-from repro.obs.tracer import get_tracer
+from repro.heuristics.base import Heuristic, emit_commit_decisions, register_heuristic
 
 __all__ = [
     "MinMin",
@@ -94,7 +95,6 @@ class _TwoPhaseReference(Heuristic):
         seed: np.ndarray | None,
     ) -> None:
         etc = mapping.etc
-        tracer = get_tracer()
         unmapped = list(range(etc.num_tasks))  # row indices, oldest first
         values = etc.values
         while unmapped:
@@ -113,16 +113,6 @@ class _TwoPhaseReference(Heuristic):
             candidates = tied_argmin(completion[task_pos])
             machine_idx = tie_breaker.choose(candidates)
             mapping.assign(etc.tasks[task_idx], etc.machines[machine_idx])
-            if tracer.enabled:
-                tracer.event(
-                    f"{self.name}.decision",
-                    task=etc.tasks[task_idx],
-                    machine=etc.machines[machine_idx],
-                    completion=float(completion[task_pos, machine_idx]),
-                    tied=tuple(etc.machines[int(j)] for j in candidates),
-                )
-                tracer.count("decisions")
-                tracer.observe("decision.tie_candidates", len(candidates))
             unmapped.pop(task_pos)
 
 
@@ -144,13 +134,10 @@ class MinMin(Heuristic):
         if not num_tasks:
             return
         values = etc.values
-        tracer = get_tracer()
-        # With the deterministic policy and no tracer listening, the
-        # machine choice is just the first tolerance-tied index — no
-        # candidate list, no policy dispatch (identical decision).
-        fast_ties = (
-            type(tie_breaker) is DeterministicTieBreaker and not tracer.enabled
-        )
+        # With the deterministic policy the machine choice is just the
+        # first tolerance-tied index — no candidate list, no policy
+        # dispatch (identical decision).
+        fast_ties = type(tie_breaker) is DeterministicTieBreaker
         # Certified while every decision's tie window holds one tie
         # cluster (the rule in repro.core.ties; see Mapping.certified);
         # only under fast_ties.
@@ -196,11 +183,7 @@ class MinMin(Heuristic):
             ):
                 # The only pair inside the window: no task or machine tie.
                 task_idx = heads[m]
-                machine_idx = m
-                completion = g
-                if not fast_ties:
-                    candidates = [m]
-                    machine_idx = tie_breaker.choose(candidates)
+                machine_idx = m if fast_ties else tie_breaker.choose([m])
             else:
                 inside = [c for c in machines if hv[c] <= window]
                 task_idx = -1
@@ -216,30 +199,17 @@ class MinMin(Heuristic):
                     # the task's tied machines are the inside columns
                     # it heads.
                     candidates = [c for c in inside if heads[c] == task_idx]
-                    row = None
                 else:
                     task_idx, top = _oldest_tied_task(
                         inside, g, window, cols, svals, ready, pos, mapped
                     )
                     if top > g + CERTIFIED_SPREAD * tol:
                         certified = False
-                    row = values[task_idx] + live_ready
-                    candidates = tied_min_indices(row)
+                    candidates = tied_min_indices(values[task_idx] + live_ready)
                 machine_idx = (
                     candidates[0] if fast_ties else tie_breaker.choose(candidates)
                 )
-                completion = g if row is None else float(row[machine_idx])
             ready[machine_idx] = r = mapping.assign_index(task_idx, machine_idx)
-            if tracer.enabled:
-                tracer.event(
-                    "min-min.decision",
-                    task=etc.tasks[task_idx],
-                    machine=etc.machines[machine_idx],
-                    completion=completion,
-                    tied=tuple(etc.machines[j] for j in candidates),
-                )
-                tracer.count("decisions")
-                tracer.observe("decision.tie_candidates", len(candidates))
             mapped[task_idx] = 1
             if (
                 machine_idx == m
@@ -274,6 +244,9 @@ class MinMin(Heuristic):
                     heads[c] = -1
                     hv[c] = inf
         mapping.certified = certified
+
+    def _emit(self, tracer, mapping: Mapping) -> None:
+        emit_commit_decisions(tracer, mapping, f"{self.name}.decision")
 
 
 def _run_ends(sorted_values: np.ndarray) -> list[list[int]]:
@@ -361,14 +334,10 @@ class MaxMin(Heuristic):
     ) -> None:
         """Incremental kernel: one column refresh per committed pair."""
         etc = mapping.etc
-        tracer = get_tracer()
-        tasks, machines = etc.tasks, etc.machines
         table = IncrementalCompletionTable(etc.values, mapping.ready_times_view())
-        # With the deterministic policy and no tracer listening, the
-        # machine choice is just the first tolerance-tied index.
-        fast_ties = (
-            type(tie_breaker) is DeterministicTieBreaker and not tracer.enabled
-        )
+        # With the deterministic policy the machine choice is just the
+        # first tolerance-tied index.
+        fast_ties = type(tie_breaker) is DeterministicTieBreaker
         for _ in range(etc.num_tasks):
             task_idx = oldest_extremal_row(table)
             row = table.table[task_idx]
@@ -378,18 +347,10 @@ class MaxMin(Heuristic):
                 candidates = tied_min_indices(row)
                 machine_idx = tie_breaker.choose(candidates)
             finish = mapping.assign_index(task_idx, machine_idx)
-            if tracer.enabled:
-                tracer.event(
-                    f"{self.name}.decision",
-                    task=tasks[task_idx],
-                    machine=machines[machine_idx],
-                    completion=float(row[machine_idx]),
-                    tied=tuple(machines[int(j)] for j in candidates),
-                )
-                tracer.count("decisions")
-                tracer.observe("decision.tie_candidates", len(candidates))
             table.deactivate(task_idx)
             table.refresh_column(machine_idx, finish)
+
+    _emit = MinMin._emit
 
 
 @register_heuristic

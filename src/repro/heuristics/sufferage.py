@@ -72,7 +72,6 @@ from repro.core.ties import (
     tied_argmin,
 )
 from repro.heuristics.base import Heuristic, LazyTrace, register_heuristic
-from repro.obs.tracer import get_tracer
 
 __all__ = [
     "Sufferage",
@@ -134,14 +133,15 @@ class Sufferage(Heuristic):
         )
         mapping.assign_many(tasks, machines)
         self.last_trace = SufferageTrace(etc.tasks, etc.machines, records)
-        tracer = get_tracer()
-        if tracer.enabled:
-            for p in self.last_trace:
-                for d in p.decisions:
-                    # vars() keeps field order: the reference's kwargs.
-                    tracer.event("sufferage.decision", pass_index=p.index, **vars(d))
-                    tracer.count("decisions")
-                tracer.event("sufferage.pass", index=p.index, committed=p.committed)
+
+    def _emit(self, tracer, mapping: Mapping) -> None:
+        """One event per decision of :attr:`last_trace`, then one per pass."""
+        for p in self.last_trace:
+            for d in p.decisions:
+                # vars() keeps the dataclass field order.
+                tracer.event("sufferage.decision", pass_index=p.index, **vars(d))
+                tracer.count("decisions")
+            tracer.event("sufferage.pass", index=p.index, committed=p.committed)
 
 
 class ReferenceSufferage(Sufferage):
@@ -154,7 +154,6 @@ class ReferenceSufferage(Sufferage):
         seed: np.ndarray | None,
     ) -> None:
         etc = mapping.etc
-        tracer = get_tracer()
         order = {t: i for i, t in enumerate(etc.tasks)}
         pending: list[str] = list(etc.tasks)
         passes: list[SufferagePass] = []
@@ -218,24 +217,6 @@ class ReferenceSufferage(Sufferage):
             )
             for task, machine in commits:
                 mapping.assign(task, machine)
-            if tracer.enabled:
-                for d in decisions:
-                    tracer.event(
-                        "sufferage.decision",
-                        pass_index=pass_index,
-                        task=d.task,
-                        machine=d.machine,
-                        earliest_ct=d.earliest_ct,
-                        sufferage=d.sufferage,
-                        outcome=d.outcome,
-                        displaced_task=d.displaced_task,
-                    )
-                    tracer.count("decisions")
-                tracer.event(
-                    "sufferage.pass",
-                    index=pass_index,
-                    committed=tuple(commits),
-                )
             passes.append(
                 SufferagePass(pass_index, tuple(decisions), tuple(commits))
             )

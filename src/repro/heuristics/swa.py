@@ -43,7 +43,6 @@ from repro.core.schedule import Mapping
 from repro.core.ties import TieBreaker, tied_argmin
 from repro.exceptions import ConfigurationError
 from repro.heuristics.base import Heuristic, register_heuristic
-from repro.obs.tracer import get_tracer
 
 __all__ = ["SwitchingAlgorithm", "SWAStep", "balance_index"]
 
@@ -100,11 +99,9 @@ class SwitchingAlgorithm(Heuristic):
         seed: np.ndarray | None,
     ) -> None:
         etc = mapping.etc
-        tracer = get_tracer()
         current = "mct"  # step 2: the first task is mapped using MCT
         trace: list[SWAStep] = []
         for i, task in enumerate(etc.tasks):
-            previous = current
             if i == 0:
                 bi = math.nan
             else:
@@ -120,23 +117,6 @@ class SwitchingAlgorithm(Heuristic):
                 scores = etc.task_row(task)
             machine_idx = tie_breaker.choose(tied_argmin(scores))
             assignment = mapping.assign(task, etc.machines[machine_idx])
-            if tracer.enabled:
-                if current != previous:
-                    tracer.event(
-                        "switching-algorithm.switch",
-                        task=task,
-                        bi=bi,
-                        selected=current,
-                    )
-                tracer.event(
-                    "switching-algorithm.decision",
-                    task=task,
-                    bi=bi,
-                    heuristic=current,
-                    machine=assignment.machine,
-                    completion=assignment.completion,
-                )
-                tracer.count("decisions")
             trace.append(
                 SWAStep(
                     task=task,
@@ -147,6 +127,29 @@ class SwitchingAlgorithm(Heuristic):
                 )
             )
         self.last_trace = tuple(trace)
+
+    def _emit(self, tracer, mapping: Mapping) -> None:
+        """One event per step of :attr:`last_trace`, after a ``switch``
+        event when its heuristic differs from the last one (first: MCT)."""
+        previous = "mct"
+        for step in self.last_trace:
+            if step.heuristic != previous:
+                tracer.event(
+                    "switching-algorithm.switch",
+                    task=step.task,
+                    bi=step.bi,
+                    selected=step.heuristic,
+                )
+            tracer.event(
+                "switching-algorithm.decision",
+                task=step.task,
+                bi=step.bi,
+                heuristic=step.heuristic,
+                machine=step.machine,
+                completion=step.completion,
+            )
+            tracer.count("decisions")
+            previous = step.heuristic
 
     def __repr__(self) -> str:
         return f"SwitchingAlgorithm(low={self.low}, high={self.high})"

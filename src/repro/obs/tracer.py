@@ -2,13 +2,16 @@
 
 The paper's argument is carried by *decisions* — which pair wins a
 Min-Min round, which way a tie breaks, which machine an iteration
-freezes — so the instrumented hot paths emit one structured
-:class:`TraceEvent` per decision.  Instrumentation follows one idiom::
+freezes — so the instrumented paths emit one structured
+:class:`TraceEvent` per decision.  Heuristic kernels never read the
+tracer: :meth:`repro.heuristics.base.Heuristic.map_tasks` emits a
+mapping's decision events after its kernel returns.  Instrumentation
+follows one idiom::
 
     tracer = get_tracer()
     ...
     if tracer.enabled:              # single attribute test when disabled
-        tracer.event("min-min.decision", task=task, machine=machine, ...)
+        tracer.event("iterative.freeze", iteration=index, ...)
 
 The module-level current tracer defaults to the :data:`NULL_TRACER`
 singleton (``enabled`` is ``False``), so uninstrumented callers pay one

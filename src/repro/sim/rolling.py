@@ -255,7 +255,8 @@ class RollingSampler(TimeSeriesSampler):
     Fed from the simulation's event handlers, which set the counters
     and call :meth:`note`.  ``tasks_scheduled`` counts *dispatches*
     (tasks handed to a machine queue, the serving-loop headline) and
-    ``tasks_per_s`` is its wall-clock rate.
+    ``tasks_per_s`` is its wall-clock rate.  The summary's
+    ``peak_rss_bytes`` is the largest RSS any sample read.
     """
 
     def __init__(self, path, *, total_tasks: int, **options) -> None:
@@ -268,10 +269,13 @@ class RollingSampler(TimeSeriesSampler):
         self.pending = 0
         self.backlog = 0
         self.sim_time = 0.0
+        self.peak_rss_bytes = 0
 
     def metrics(self) -> dict:
         elapsed = self.log.elapsed()
         rate = 1.0 / elapsed if elapsed > 0 else 0.0
+        rss = self._rss_fn()
+        self.peak_rss_bytes = max(self.peak_rss_bytes, rss)
         return {
             "tasks_arrived": self.tasks_arrived,
             "tasks_scheduled": self.tasks_scheduled,
@@ -282,12 +286,12 @@ class RollingSampler(TimeSeriesSampler):
             "pending": self.pending,
             "backlog": self.backlog,
             "failures": self.failures,
-            "rss_bytes": self._rss_fn(),
+            "rss_bytes": rss,
             "sim_time": self.sim_time,
         }
 
     def _summary_extra(self, metrics: dict) -> dict:
-        return {"peak_rss_bytes": metrics["rss_bytes"]}
+        return {"peak_rss_bytes": self.peak_rss_bytes}
 
 
 # ----------------------------------------------------------------------

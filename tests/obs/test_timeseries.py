@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -262,3 +263,15 @@ class TestRollingSampler(_SamplerContracts):
             "sim_time": 7.5,
         }
         assert sampler.summary()["peak_rss_bytes"] == 4096
+
+    def test_peak_rss_outlives_a_freed_array(self, tmp_path):
+        """The summary reports the largest RSS a sample read, not the
+        RSS left when the run is summarised."""
+        sampler = _rolling_sampler(
+            tmp_path, FakeClock(), rss_fn=rss_bytes, interval_s=0.0
+        )
+        block = np.ones(40 * 2**20 // 8)  # 40 MiB, every page touched
+        sampler.note()
+        alive = rss_bytes()
+        del block
+        assert sampler.summary()["peak_rss_bytes"] >= alive - 2**20

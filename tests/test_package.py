@@ -82,3 +82,23 @@ class TestTopLevelAPI:
 
         assert "matplotlib" not in sys.modules
         assert "scipy" not in sys.modules
+
+    def test_only_the_heuristic_base_reads_the_tracer(self):
+        """Kernels take one path with or without a tracer: only
+        ``heuristics/base.py`` fetches the tracer or tests whether it is
+        enabled (decision events are emitted after the kernel returns)."""
+        from pathlib import Path
+
+        import repro.heuristics
+
+        package = Path(repro.heuristics.__file__).parent
+        readers = [
+            path.name
+            for path in sorted(package.glob("*.py"))
+            if path.name != "base.py"
+            and any(
+                needle in path.read_text(encoding="utf-8")
+                for needle in ("get_tracer", ".enabled")
+            )
+        ]
+        assert readers == []
