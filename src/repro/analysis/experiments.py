@@ -338,9 +338,6 @@ def _run_one(
         )
         tracer.count("experiment.runs")
         tracer.observe("experiment.iterations", result.num_iterations)
-        # Last-writer-wins gauge: merged value equals the serial run's
-        # because snapshots merge in cell order.
-        tracer.gauge("experiment.last_original_makespan", result.original.makespan)
     return RunRecord(
         heuristic=name,
         heterogeneity=het,

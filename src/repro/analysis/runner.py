@@ -100,6 +100,7 @@ from repro.analysis.parallel import split_into_cells
 from repro.etc.generation import DEFAULT_STREAM_WINDOW, generate_ensemble_into
 from repro.etc.store import ETCStore
 from repro.exceptions import ConfigurationError, ReproError
+from repro.obs.export import records_to_snapshot, snapshot_to_jsonl
 from repro.obs.ledger import EntryStore, config_hash
 from repro.obs.metrics import BYTE_BUCKETS, TIME_BUCKETS
 from repro.obs.progress import NULL_PROGRESS
@@ -247,19 +248,11 @@ def _run_cell_from_store(
 # ----------------------------------------------------------------------
 def _snapshot_to_records(snapshot: ObsSnapshot) -> list[dict]:
     """Snapshot → parsed JSONL-export records (the cacheable form)."""
-    from repro.obs.export import snapshot_to_jsonl
-
     return [
         json.loads(line)
         for line in snapshot_to_jsonl(snapshot).splitlines()
         if line
     ]
-
-
-def _records_to_snapshot(records: list[dict]) -> ObsSnapshot:
-    from repro.obs.export import records_to_snapshot
-
-    return records_to_snapshot(records)
 
 
 @dataclass(frozen=True)
@@ -300,11 +293,13 @@ class CellCache(EntryStore):
         """Persist one completed cell; returns the entry path.
 
         Spans are stripped from the persisted snapshot: they carry
-        wall-clock values and run-local trace ids, and cache entries
-        must stay byte-identical across runs (the transport suite
-        compares entry files from independent invocations).  A resumed
-        run re-roots cached cells with a synthetic
-        ``runner.cell.cached`` span instead.
+        wall-clock values and run-local trace ids.  Without them the
+        entries of two traced runs differ only in ``*_s`` histogram
+        values (the convention documented beside ``TIME_BUCKETS``),
+        and untraced entries are byte-identical across runs (the
+        transport suite compares entry files from independent
+        invocations).  A resumed run re-roots cached cells with a
+        synthetic ``runner.cell.cached`` span instead.
         """
         if snapshot is not None and snapshot.spans:
             snapshot = replace(snapshot, spans=())
@@ -333,7 +328,7 @@ class CellCache(EntryStore):
         return CellEntry(
             key=key,
             records=tuple(run_record_from_dict(d) for d in payload["records"]),
-            snapshot=_records_to_snapshot(obs) if obs is not None else None,
+            snapshot=records_to_snapshot(obs) if obs is not None else None,
         )
 
     def poison(self, key: str, config: ExperimentConfig, error: str, attempts: int) -> Path:

@@ -46,7 +46,6 @@ import errno
 import hashlib
 import json
 import os
-import tempfile
 import time
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -61,6 +60,7 @@ from repro.etc.matrix import (
     default_task_labels,
 )
 from repro.exceptions import ETCShapeError, ETCStoreError, ETCValueError
+from repro.obs.ledger import write_json_atomic
 
 __all__ = [
     "STORE_SCHEMA",
@@ -441,20 +441,8 @@ class ETCStore:
             "schema": STORE_SCHEMA,
             "entries": {key: e.to_dict() for key, e in sorted(entries.items())},
         }
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.manifest_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        # fsync: the manifest is the only record of the committed bytes.
+        write_json_atomic(self.manifest_path, payload, fsync=True)
         self._entries = entries
         self._manifest_mtime_ns = self.manifest_path.stat().st_mtime_ns
 

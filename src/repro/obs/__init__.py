@@ -12,8 +12,8 @@ iteration freezes) into first-class, assertable data:
   ships its :class:`SpanContext` to workers, the merged snapshots form
   one trace tree, and ``repro obs timeline`` renders it
   (:func:`render_timeline` / :func:`render_timeline_html`);
-* :class:`Counters` / :class:`Timers` / :class:`Histograms` /
-  :class:`Gauges` — monotonic / aggregatable / merge-deterministic;
+* :class:`Counters` / :class:`Histograms` — monotonic,
+  merge-deterministic metrics (durations live in spans);
 * :class:`ObsSnapshot` + JSONL export — picklable state that the
   parallel experiment runner merges deterministically across workers
   (and :func:`records_to_snapshot` reads back);
@@ -58,11 +58,8 @@ from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     TIME_BUCKETS,
     Counters,
-    Gauges,
     HistogramStat,
     Histograms,
-    TimerStat,
-    Timers,
 )
 from repro.obs.progress import (
     NULL_PROGRESS,
@@ -123,11 +120,8 @@ __all__ = [
     "span_to_dict",
     "span_from_dict",
     "Counters",
-    "Timers",
-    "TimerStat",
     "Histograms",
     "HistogramStat",
-    "Gauges",
     "DEFAULT_BUCKETS",
     "TIME_BUCKETS",
     "event_to_dict",

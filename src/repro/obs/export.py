@@ -7,21 +7,18 @@ JSONL schema (one JSON object per line, stable key order):
   str | null, "trace_id": str, "kind": str, "fields": {...},
   "start_unix": float, "duration_s": float}``
 * ``{"type": "counter", "name": str, "value": int}``
-* ``{"type": "gauge", "name": str, "value": float}``
 * ``{"type": "histogram", "name": str, "buckets": [...], "counts":
   [...], "count": int, "sum": float, "min": float, "max": float}``
-* ``{"type": "timer", "name": str, "count": int, "total": float,
-  "min": float, "max": float}``
 
 Events come first (in sequence order), then spans (in span-seq
-order), then counters, gauges, histograms and timers, each metric
-section in sorted-name order, so exporting the same snapshot twice
-yields byte-identical files.  Field values must
-be JSON-encodable; the instrumentation emits only strings, numbers,
-booleans, ``None`` and lists/tuples of those (tuples serialise as JSON
-arrays).  :func:`records_to_snapshot` inverts the export: events,
-counters, gauges, histograms and timers all round-trip exactly
-(property-tested in ``tests/properties/test_obs_properties.py``).
+order), then counters and histograms, each metric section in
+sorted-name order, so exporting the same snapshot twice yields
+byte-identical files.  Field values must be JSON-encodable; the
+instrumentation emits only strings, numbers, booleans, ``None`` and
+lists/tuples of those (tuples serialise as JSON arrays).
+:func:`records_to_snapshot` inverts the export: events, counters
+and histograms all round-trip exactly (property-tested in
+``tests/properties/test_obs_properties.py``).
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ import math
 from collections.abc import Iterable
 from pathlib import Path
 
-from repro.obs.metrics import HistogramStat, TimerStat
+from repro.obs.metrics import HistogramStat
 from repro.obs.spans import SpanRecord, span_from_dict, span_to_dict
 from repro.obs.tracer import CollectingTracer, ObsSnapshot, TraceEvent
 
@@ -45,6 +42,12 @@ __all__ = [
     "format_event",
     "render_events",
 ]
+
+
+#: Record types older exports carry for metric kinds that no longer
+#: exist; :func:`records_to_snapshot` skips them so those files and
+#: cell-cache entries still load.
+_RETIRED_TYPES = frozenset({"timer", "gauge"})
 
 
 def _jsonable(value):
@@ -90,12 +93,6 @@ def snapshot_to_jsonl(snapshot: ObsSnapshot | CollectingTracer) -> str:
                 {"type": "counter", "name": name, "value": value}, sort_keys=True
             )
         )
-    for name, value in snapshot.gauges.items():
-        lines.append(
-            json.dumps(
-                {"type": "gauge", "name": name, "value": value}, sort_keys=True
-            )
-        )
     for name, stat in snapshot.histograms.items():
         lines.append(
             json.dumps(
@@ -106,20 +103,6 @@ def snapshot_to_jsonl(snapshot: ObsSnapshot | CollectingTracer) -> str:
                     "counts": list(stat.counts),
                     "count": stat.count,
                     "sum": stat.sum,
-                    "min": stat.min,
-                    "max": stat.max,
-                },
-                sort_keys=True,
-            )
-        )
-    for name, stat in snapshot.timers.items():
-        lines.append(
-            json.dumps(
-                {
-                    "type": "timer",
-                    "name": name,
-                    "count": stat.count,
-                    "total": stat.total,
                     "min": stat.min,
                     "max": stat.max,
                 },
@@ -151,14 +134,14 @@ def records_to_snapshot(records: Iterable[dict]) -> ObsSnapshot:
 
     The inverse of :func:`snapshot_to_jsonl` (modulo JSON's tuple/list
     conflation: event fields that were tuples come back as lists, which
-    matches how :func:`event_to_dict` compares streams).
+    matches how :func:`event_to_dict` compares streams).  Records of a
+    retired type (``timer``, ``gauge``) are skipped; any other unknown
+    type raises :class:`ValueError`.
     """
     events: list[TraceEvent] = []
     spans: list[SpanRecord] = []
     counters: dict[str, int] = {}
-    gauges: dict[str, float] = {}
     histograms: dict[str, HistogramStat] = {}
-    timers: dict[str, TimerStat] = {}
     for record in records:
         kind = record.get("type")
         if kind == "event":
@@ -169,8 +152,6 @@ def records_to_snapshot(records: Iterable[dict]) -> ObsSnapshot:
             spans.append(span_from_dict(record))
         elif kind == "counter":
             counters[record["name"]] = record["value"]
-        elif kind == "gauge":
-            gauges[record["name"]] = record["value"]
         elif kind == "histogram":
             histograms[record["name"]] = HistogramStat(
                 buckets=tuple(record["buckets"]),
@@ -180,23 +161,14 @@ def records_to_snapshot(records: Iterable[dict]) -> ObsSnapshot:
                 min=record["min"],
                 max=record["max"],
             )
-        elif kind == "timer":
-            timers[record["name"]] = TimerStat(
-                count=record["count"],
-                total=record["total"],
-                min=record["min"],
-                max=record["max"],
-            )
-        else:
+        elif kind not in _RETIRED_TYPES:
             raise ValueError(f"unknown obs JSONL record type {kind!r}")
     events.sort(key=lambda e: e.seq)
     spans.sort(key=lambda s: s.seq)
     return ObsSnapshot(
         events=tuple(events),
         counters=counters,
-        timers=timers,
         histograms=histograms,
-        gauges=gauges,
         spans=tuple(spans),
     )
 

@@ -34,6 +34,8 @@ rewrites or truncates an existing ledger.
 :class:`EntryStore` is the durable store of the two caches keyed by
 :func:`config_hash` digests, the runner's cell cache and the service's
 response cache: one atomically written ``<key>.json`` per key.
+:func:`write_json_atomic` is the one atomic write behind those entries
+and the ETC store's manifest.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ __all__ = [
     "RunLedger",
     "fingerprint",
     "config_hash",
+    "write_json_atomic",
     "EntryStore",
     "build_record",
     "headline_metrics",
@@ -114,6 +117,32 @@ def config_hash(config) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def write_json_atomic(path: Path, payload: dict, *, fsync: bool = False) -> Path:
+    """Atomically write ``payload`` to ``path`` as one canonical JSON line.
+
+    The line goes to a temp file in ``path``'s directory that
+    ``os.replace`` then renames over ``path``, so a killed writer never
+    leaves a torn file.  ``fsync=True`` also makes the data durable
+    before the rename.
+    """
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+            if fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    return path
+
+
 class EntryStore:
     """Content-addressed ``<key>.json`` entries under one directory.
 
@@ -141,21 +170,13 @@ class EntryStore:
         return self.root / f"{key}.json"
 
     def _write(self, path: Path, payload: dict) -> Path:
-        """Atomically write ``payload`` as one canonical JSON line."""
+        """Atomically write ``payload`` as one canonical JSON line.
+
+        No ``fsync``: entries hold recomputable results, and a flush
+        would add to every cache miss's latency.
+        """
         self.root.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
+        return write_json_atomic(path, payload)
 
     def _read(self, key: str) -> dict | None:
         """The checked entry for ``key``, or ``None`` when there is none."""

@@ -1,32 +1,29 @@
-"""Monotonic, aggregatable counters and timers.
+"""Monotonic counters and fixed-bucket histograms.
 
 Both containers are plain-dict wrappers designed for the observability
 pipeline's two constraints:
 
 * **merge determinism** — worker processes return snapshots that the
-  parent merges; counter merges are commutative sums, so the merged
-  totals are independent of worker scheduling (the event *stream* is
-  kept deterministic separately, by merging in cell order);
-* **zero dependencies** — timing uses :func:`time.perf_counter`, the
-  stdlib's monotonic high-resolution clock, so wall-clock adjustments
-  can never produce negative durations.
+  parent merges; counter and histogram merges are commutative sums, so
+  the merged totals are independent of worker scheduling (the event
+  *stream* is kept deterministic separately, by merging in cell order);
+* **zero dependencies** — stdlib only.
+
+Durations are not a metric kind: they live in the tracer's spans
+(:mod:`repro.obs.spans`), which keep the nesting that per-layer self
+time needs, and in histograms whose names end in ``_s``.
 """
 
 from __future__ import annotations
 
 import bisect
-import time
 from collections.abc import Iterator, Mapping as MappingABC
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 __all__ = [
     "Counters",
-    "TimerStat",
-    "Timers",
     "HistogramStat",
     "Histograms",
-    "Gauges",
     "DEFAULT_BUCKETS",
     "TIME_BUCKETS",
     "BYTE_BUCKETS",
@@ -116,81 +113,6 @@ class Counters:
 
     def __repr__(self) -> str:
         return f"Counters({self.as_dict()!r})"
-
-
-@dataclass(frozen=True)
-class TimerStat:
-    """Aggregate of one named timer: call count and total/min/max seconds."""
-
-    count: int = 0
-    total: float = 0.0
-    min: float = float("inf")
-    max: float = 0.0
-
-    def observe(self, seconds: float) -> "TimerStat":
-        """Stat with one more observation folded in."""
-        return TimerStat(
-            count=self.count + 1,
-            total=self.total + seconds,
-            min=seconds if seconds < self.min else self.min,
-            max=seconds if seconds > self.max else self.max,
-        )
-
-    def combine(self, other: "TimerStat") -> "TimerStat":
-        return TimerStat(
-            count=self.count + other.count,
-            total=self.total + other.total,
-            min=min(self.min, other.min),
-            max=max(self.max, other.max),
-        )
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-
-class Timers:
-    """Named duration aggregates fed by a monotonic clock."""
-
-    __slots__ = ("_stats",)
-
-    def __init__(self) -> None:
-        self._stats: dict[str, TimerStat] = {}
-
-    def record(self, name: str, seconds: float) -> None:
-        """Fold one measured duration (``>= 0``) into ``name``."""
-        if seconds < 0:
-            raise ValueError(f"duration must be >= 0, got {seconds}")
-        self._stats[name] = self._stats.get(name, TimerStat()).observe(seconds)
-
-    @contextmanager
-    def time(self, name: str):
-        """Context manager measuring its block with ``perf_counter``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.record(name, time.perf_counter() - start)
-
-    def get(self, name: str) -> TimerStat:
-        return self._stats.get(name, TimerStat())
-
-    def merge(self, other: "Timers | MappingABC[str, TimerStat]") -> None:
-        items = other._stats if isinstance(other, Timers) else other
-        for name, stat in items.items():
-            self._stats[name] = self._stats.get(name, TimerStat()).combine(stat)
-
-    def as_dict(self) -> dict[str, TimerStat]:
-        return {name: self._stats[name] for name in sorted(self._stats)}
-
-    def __len__(self) -> int:
-        return len(self._stats)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self._stats))
-
-    def __repr__(self) -> str:
-        return f"Timers({self.as_dict()!r})"
 
 
 @dataclass(frozen=True)
@@ -383,65 +305,3 @@ class Histograms:
     def __repr__(self) -> str:
         return f"Histograms({self.as_dict()!r})"
 
-
-class Gauges:
-    """Named last-value gauges.
-
-    A gauge records the most recent value of something that can go up
-    *or* down (queue depth, cells remaining, current makespan).  Merge
-    semantics are last-writer-wins in merge order; because the parallel
-    runner merges snapshots in deterministic cell order, merged gauge
-    values equal the serial run's (the final cell's write wins in both).
-    """
-
-    __slots__ = ("_values", "_updates")
-
-    def __init__(self, values: MappingABC[str, float] | None = None) -> None:
-        self._values: dict[str, float] = {}
-        self._updates: dict[str, int] = {}
-        if values is not None:
-            for name, value in values.items():
-                self.set(name, value)
-
-    def set(self, name: str, value: float) -> None:
-        """Record the current value of ``name``."""
-        self._values[name] = float(value)
-        self._updates[name] = self._updates.get(name, 0) + 1
-
-    def get(self, name: str, default: float | None = None) -> float | None:
-        return self._values.get(name, default)
-
-    def updates(self, name: str) -> int:
-        """How many times ``name`` has been set (0 if never)."""
-        return self._updates.get(name, 0)
-
-    def merge(self, other: "Gauges | MappingABC[str, float]") -> None:
-        """Fold another gauge set in: its values overwrite ours."""
-        if isinstance(other, Gauges):
-            for name, value in other._values.items():
-                self._values[name] = value
-                self._updates[name] = (
-                    self._updates.get(name, 0) + other._updates.get(name, 1)
-                )
-        else:
-            for name, value in other.items():
-                self.set(name, value)
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: self._values[name] for name in sorted(self._values)}
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self._values))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Gauges):
-            return self._values == other._values
-        if isinstance(other, MappingABC):
-            return self._values == dict(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"Gauges({self.as_dict()!r})"

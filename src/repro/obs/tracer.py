@@ -41,14 +41,7 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from repro.obs.metrics import (
-    Counters,
-    Gauges,
-    HistogramStat,
-    Histograms,
-    TimerStat,
-    Timers,
-)
+from repro.obs.metrics import Counters, HistogramStat, Histograms
 from repro.obs.spans import SpanContext, SpanRecord
 
 __all__ = [
@@ -103,23 +96,20 @@ class Tracer:
     ) -> None:
         """Fold one value into a named histogram (no-op when disabled)."""
 
-    def gauge(self, name: str, value: float) -> None:
-        """Record the current value of a named gauge (no-op when disabled)."""
-
     def span(self, kind: str, /, **fields):
-        """Context manager timing its block under ``kind``; on exit the
-        duration lands in the timers, one ``kind`` event is emitted
-        (without the duration, keeping event streams deterministic) and
-        one :class:`~repro.obs.spans.SpanRecord` is recorded."""
+        """:meth:`phase` plus one event: on exit the block's
+        :class:`~repro.obs.spans.SpanRecord` is recorded and one
+        ``kind`` event is emitted (without the duration, keeping event
+        streams deterministic)."""
         return _NULL_SPAN
 
     def phase(self, kind: str, /, **fields):
         """Context manager recording a *span-only* region under ``kind``.
 
-        Unlike :meth:`span` it emits **no** event, no counter and no
-        timer — only a :class:`~repro.obs.spans.SpanRecord` — so phase
-        boundaries can be adopted inside code whose event stream is
-        byte-compared across runs and processes."""
+        Unlike :meth:`span` it emits **no** event and no counter — only
+        a :class:`~repro.obs.spans.SpanRecord` — so phase boundaries can
+        be adopted inside code whose event stream is byte-compared
+        across runs and processes."""
         return _NULL_SPAN
 
 
@@ -162,9 +152,7 @@ class ObsSnapshot:
 
     events: tuple[TraceEvent, ...]
     counters: dict[str, int]
-    timers: dict[str, TimerStat]
     histograms: dict[str, HistogramStat] = field(default_factory=dict)
-    gauges: dict[str, float] = field(default_factory=dict)
     spans: tuple[SpanRecord, ...] = ()
 
 
@@ -222,13 +210,12 @@ class _Span:
             )
         )
         if self._emit:
-            tracer.timers.record(self._kind, duration)
             tracer.event(self._kind, **self._fields)
         return False
 
 
 class CollectingTracer(Tracer):
-    """In-memory tracer: ordered events plus counters, timers and spans.
+    """In-memory tracer: ordered events plus counters, histograms and spans.
 
     Pass ``context=``\\ :class:`~repro.obs.spans.SpanContext` to adopt a
     cross-process identity: the tracer reuses the context's trace id
@@ -241,9 +228,7 @@ class CollectingTracer(Tracer):
     def __init__(self, *, context: SpanContext | None = None) -> None:
         self._events: list[TraceEvent] = []
         self.counters = Counters()
-        self.timers = Timers()
         self.histograms = Histograms()
-        self.gauges = Gauges()
         if context is not None:
             self.trace_id = context.trace_id
             self._adopted_parent = context.span_id
@@ -281,9 +266,6 @@ class CollectingTracer(Tracer):
     ) -> None:
         self.histograms.observe(name, value, buckets=buckets)
 
-    def gauge(self, name: str, value: float) -> None:
-        self.gauges.set(name, value)
-
     def span(self, kind: str, /, **fields):
         return _Span(self, kind, fields)
 
@@ -306,9 +288,7 @@ class CollectingTracer(Tracer):
         return ObsSnapshot(
             events=tuple(self._events),
             counters=self.counters.as_dict(),
-            timers=self.timers.as_dict(),
             histograms=self.histograms.as_dict(),
-            gauges=self.gauges.as_dict(),
             spans=self.spans,
         )
 
@@ -329,9 +309,7 @@ class CollectingTracer(Tracer):
                 TraceEvent(len(self._events), event.kind, dict(event.fields))
             )
         self.counters.merge(snapshot.counters)
-        self.timers.merge(snapshot.timers)
         self.histograms.merge(snapshot.histograms)
-        self.gauges.merge(snapshot.gauges)
         if snapshot.spans:
             incoming = {span.span_id for span in snapshot.spans}
             stack = self._span_stack
@@ -359,9 +337,7 @@ class CollectingTracer(Tracer):
     def clear(self) -> None:
         self._events.clear()
         self.counters = Counters()
-        self.timers = Timers()
         self.histograms = Histograms()
-        self.gauges = Gauges()
         self._spans.clear()
         self._span_ids.clear()
         del self._span_stack[:]
@@ -376,7 +352,7 @@ class CollectingTracer(Tracer):
     def __repr__(self) -> str:
         return (
             f"CollectingTracer(events={len(self._events)}, "
-            f"counters={len(self.counters)}, timers={len(self.timers)})"
+            f"counters={len(self.counters)}, spans={len(self._spans)})"
         )
 
 

@@ -1,12 +1,13 @@
 """Synthetic-traffic load harness for the scheduling service.
 
 Drives a running service over plain :mod:`urllib.request` from a small
-thread pool — the client side deliberately shares no code with the
-server, so a harness bug cannot mask a server bug.  Traffic is
-open-loop paced: request *i* is released at ``i / rate`` seconds after
-the start (``rate=None`` = as fast as the workers can go), the standard
-way to measure a service's latency under a target arrival rate rather
-than under its own back-pressure.
+thread pool — the client side deliberately shares no request-path code
+with the server, so a harness bug cannot mask a server bug.  Only the
+latency percentile rule is shared, so client and server p50/p95 mean
+the same thing.  Traffic is open-loop paced: request *i* is released
+at ``i / rate`` seconds after the start (``rate=None`` = as fast as
+the workers can go), the standard way to measure a service's latency
+under a target arrival rate rather than under its own back-pressure.
 
 The report (schema ``repro-serve-load/1``) carries the requests/s
 headline plus p50/p95/max latency and the server-observed cache-hit
@@ -24,6 +25,7 @@ from urllib.error import HTTPError, URLError
 from urllib.request import Request, urlopen
 
 from repro.exceptions import ConfigurationError
+from repro.serve.service import _percentile
 
 __all__ = [
     "LOAD_SCHEMA",
@@ -61,13 +63,6 @@ def get_json(url: str, *, timeout: float = 30.0):
             return response.status, json.loads(response.read().decode("utf-8"))
     except HTTPError as exc:
         return exc.code, json.loads(exc.read().decode("utf-8"))
-
-
-def _percentile(sorted_samples: list[float], q: float) -> float:
-    if not sorted_samples:
-        return 0.0
-    index = min(len(sorted_samples) - 1, int(q * len(sorted_samples)))
-    return sorted_samples[index]
 
 
 def run_load(

@@ -234,6 +234,8 @@ def execute_request(request: ScheduleRequest) -> dict:
 
 
 def _percentile(sorted_samples: list[float], q: float) -> float:
+    """The ``q``-quantile of ascending samples by nearest rank (0.0 when
+    empty); the service's stats and the load harness both report it."""
     if not sorted_samples:
         return 0.0
     index = min(len(sorted_samples) - 1, int(q * len(sorted_samples)))

@@ -17,7 +17,12 @@ from repro.analysis.parallel import split_into_cells
 from repro.analysis.runner import CellCache, cell_key, run_grid
 from repro.etc.generation import Consistency, Heterogeneity
 from repro.exceptions import ConfigurationError
-from repro.obs import ProgressReporter, build_span_tree, read_timeseries
+from repro.obs import (
+    ProgressReporter,
+    build_span_tree,
+    event_to_dict,
+    read_timeseries,
+)
 from repro.obs.tracer import CollectingTracer, use_tracer
 
 
@@ -285,6 +290,63 @@ class TestRunGridTraced:
             if not k.startswith("runner.")
         }
         assert resumed_counters == fresh_counters
+
+    def test_traced_entries_differ_only_in_wall_clock_histograms(
+        self, grid_config, tmp_path
+    ):
+        """Two traced runs write cell entries whose obs lines differ
+        only in ``*_s`` histograms, the convention documented beside
+        ``TIME_BUCKETS``: no other obs line carries a wall-clock value."""
+        for name in ("a", "b"):
+            with use_tracer(CollectingTracer()):
+                run_grid(grid_config, cache_dir=tmp_path / name, max_workers=1)
+        a, b = CellCache(tmp_path / "a"), CellCache(tmp_path / "b")
+        assert a.keys() == b.keys() != []
+
+        def without_wall_clock(cache, key):
+            payload = json.loads(cache.path_for(key).read_text())
+            assert payload["obs"]
+            payload["obs"] = [
+                r for r in payload["obs"]
+                if not (r["type"] == "histogram" and r["name"].endswith("_s"))
+            ]
+            return payload
+
+        for key in a.keys():
+            assert without_wall_clock(a, key) == without_wall_clock(b, key)
+
+    def test_entries_with_retired_metric_lines_resume(self, grid_config, tmp_path):
+        """Entries written while the tracer also kept timers and gauges
+        carry ``timer``/``gauge`` obs lines; a traced resume skips them
+        and replays exactly what a fresh traced run collects."""
+        with use_tracer(CollectingTracer()) as fresh:
+            first = run_grid(grid_config, cache_dir=tmp_path, max_workers=1)
+        cache = CellCache(tmp_path)
+        for key in cache.keys():
+            path = cache.path_for(key)
+            payload = json.loads(path.read_text())
+            payload["obs"] += [
+                {"type": "gauge", "name": "experiment.last_original_makespan",
+                 "value": 1.0},
+                {"type": "timer", "name": "heuristic.map", "count": 1,
+                 "total": 0.5, "min": 0.5, "max": 0.5},
+            ]
+            path.write_text(json.dumps(payload, sort_keys=True) + "\n")
+        with use_tracer(CollectingTracer()) as resumed:
+            result = run_grid(
+                grid_config, cache_dir=tmp_path, resume=True, max_workers=1
+            )
+        assert result.records == first.records
+        assert result.cached_cells == result.total_cells == 4
+
+        def cell_events(tracer):
+            return [
+                (d["kind"], d["fields"])
+                for d in map(event_to_dict, tracer.events)
+                if not d["kind"].startswith("runner")
+            ]
+
+        assert cell_events(resumed) == cell_events(fresh)
 
     def test_sharded_run_builds_single_span_tree(self, grid_config, tmp_path):
         with use_tracer(CollectingTracer()) as tracer:

@@ -1,4 +1,4 @@
-"""Unit tests for the histogram and gauge metric types (PR 3)."""
+"""Unit tests for the histogram metric type and its tracer integration."""
 
 import pickle
 
@@ -8,7 +8,6 @@ from repro.obs import (
     DEFAULT_BUCKETS,
     TIME_BUCKETS,
     CollectingTracer,
-    Gauges,
     HistogramStat,
     Histograms,
     NullTracer,
@@ -152,76 +151,37 @@ class TestHistograms:
         assert h == other.as_dict()
 
 
-class TestGauges:
-    def test_set_get_updates(self):
-        g = Gauges()
-        g.set("queue", 3)
-        g.set("queue", 1)
-        assert g.get("queue") == 1.0
-        assert g.updates("queue") == 2
-        assert g.get("missing") is None
-        assert g.get("missing", -1.0) == -1.0
-        assert g.updates("missing") == 0
-
-    def test_merge_last_writer_wins(self):
-        a = Gauges({"x": 1.0, "only_a": 9.0})
-        b = Gauges({"x": 2.0})
-        a.merge(b)
-        assert a.get("x") == 2.0
-        assert a.get("only_a") == 9.0
-        assert a.updates("x") == 2  # one local set + one merged set
-
-    def test_merge_plain_mapping(self):
-        a = Gauges()
-        a.merge({"x": 4.0})
-        assert a.get("x") == 4.0
-
-    def test_as_dict_sorted_and_eq(self):
-        g = Gauges({"b": 2.0, "a": 1.0})
-        assert list(g.as_dict()) == ["a", "b"]
-        assert g == Gauges({"a": 1.0, "b": 2.0})
-        assert g == {"a": 1.0, "b": 2.0}
-        assert len(g) == 2
-
-
 class TestTracerIntegration:
     def test_null_tracer_observe_gauge_inert(self):
         t = NullTracer()
-        t.observe("x", 1)
-        t.gauge("y", 2.0)  # no-ops, no state anywhere
+        t.observe("x", 1)  # a no-op, no state anywhere
+        assert not hasattr(t, "gauge")
 
     def test_collecting_tracer_records_both(self):
         t = CollectingTracer()
         t.observe("depth", 3)
-        t.gauge("makespan", 17.5)
+        t.count("decisions")
         assert t.histograms.get("depth").count == 1
-        assert t.gauges.get("makespan") == 17.5
+        assert t.counters.get("decisions") == 1
 
     def test_snapshot_carries_and_merges(self):
         a, b = CollectingTracer(), CollectingTracer()
         a.observe("depth", 1)
-        a.gauge("g", 1.0)
         b.observe("depth", 2)
-        b.gauge("g", 2.0)
         a.merge_snapshot(b.snapshot())
         assert a.histograms.get("depth").count == 2
-        assert a.gauges.get("g") == 2.0  # b merged after a's own write
 
     def test_snapshot_is_picklable(self):
         t = CollectingTracer()
         t.observe("depth", 2)
-        t.gauge("g", 3.0)
         snap = pickle.loads(pickle.dumps(t.snapshot()))
         assert snap.histograms["depth"].count == 1
-        assert snap.gauges["g"] == 3.0
 
     def test_clear_resets(self):
         t = CollectingTracer()
         t.observe("depth", 1)
-        t.gauge("g", 1.0)
         t.clear()
         assert len(t.histograms) == 0
-        assert len(t.gauges) == 0
 
 
 class TestExportRoundTrip:
@@ -231,7 +191,6 @@ class TestExportRoundTrip:
         t.count("decisions")
         t.observe("depth", 2, buckets=(1.0, 2.0, 4.0))
         t.observe("depth", 9, buckets=(1.0, 2.0, 4.0))
-        t.gauge("makespan", 12.25)
         with t.span("phase"):
             pass
         return t
@@ -241,10 +200,10 @@ class TestExportRoundTrip:
         path = tmp_path / "trace.jsonl"
         write_jsonl(t, path)
         records = read_jsonl(path)
-        gauges = [r for r in records if r["type"] == "gauge"]
-        histograms = [r for r in records if r["type"] == "histogram"]
-        assert gauges == [{"type": "gauge", "name": "makespan", "value": 12.25}]
-        (h,) = histograms
+        assert {r["type"] for r in records} == {
+            "event", "span", "counter", "histogram",
+        }
+        (h,) = [r for r in records if r["type"] == "histogram"]
         assert h["name"] == "depth"
         assert h["buckets"] == [1.0, 2.0, 4.0]
         assert h["counts"] == [0, 1, 0, 1]
@@ -257,14 +216,27 @@ class TestExportRoundTrip:
         snap = records_to_snapshot(read_jsonl(path))
         original = t.snapshot()
         assert snap.counters == original.counters
-        assert snap.gauges == original.gauges
         assert snap.histograms == original.histograms
-        assert snap.timers == original.timers
         assert [e.kind for e in snap.events] == [e.kind for e in original.events]
 
     def test_records_to_snapshot_rejects_unknown_type(self):
         with pytest.raises(ValueError):
             records_to_snapshot([{"type": "mystery"}])
+
+    def test_records_to_snapshot_skips_retired_types(self):
+        """Exports and cell-cache entries written while timers and
+        gauges existed still load; their records are dropped."""
+        retired = [
+            {"type": "gauge", "name": "g", "value": 1.0},
+            {"type": "timer", "name": "t", "count": 1, "total": 0.5,
+             "min": 0.5, "max": 0.5},
+        ]
+        snap = records_to_snapshot(
+            [{"type": "counter", "name": "decisions", "value": 2}, *retired]
+        )
+        assert snap.counters == {"decisions": 2}
+        assert snap.events == () and snap.spans == ()
+        assert snap.histograms == {}
 
     def test_export_deterministic_with_new_types(self):
         t = self._tracer()

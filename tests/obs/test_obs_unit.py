@@ -1,4 +1,4 @@
-"""Unit tests for repro.obs: tracer, counters, timers, JSONL export."""
+"""Unit tests for repro.obs: tracer, counters, spans, JSONL export."""
 
 import pickle
 
@@ -9,8 +9,6 @@ from repro.obs import (
     CollectingTracer,
     Counters,
     NullTracer,
-    TimerStat,
-    Timers,
     event_to_dict,
     format_event,
     get_tracer,
@@ -86,9 +84,9 @@ class TestCollectingTracer:
         with t.span("work", label="w"):
             pass
         assert t.counters.get("events.work") == 1
-        stat = t.timers.get("work")
-        assert stat.count == 1
-        assert stat.total >= 0.0
+        (span,) = t.spans
+        assert span.kind == "work"
+        assert span.duration_s >= 0.0
         assert t.events_of("work")[0].get("label") == "w"
 
     def test_merge_snapshot_resequences(self):
@@ -96,13 +94,13 @@ class TestCollectingTracer:
         a.event("x")
         b.event("y")
         b.count("custom", 3)
-        with b.timers.time("t"):
+        with b.phase("t"):
             pass
         a.merge_snapshot(b.snapshot())
         assert [e.seq for e in a.events] == [0, 1]
         assert [e.kind for e in a.events] == ["x", "y"]
         assert a.counters.get("custom") == 3
-        assert a.timers.get("t").count == 1
+        assert [s.kind for s in a.spans] == ["t"]
 
     def test_snapshot_is_picklable(self):
         t = CollectingTracer()
@@ -112,7 +110,7 @@ class TestCollectingTracer:
         snap = pickle.loads(pickle.dumps(t.snapshot()))
         assert snap.events[0].fields["task"] == "t1"
         assert snap.counters["events.a.x"] == 1
-        assert snap.timers["s"].count == 1
+        assert [s.kind for s in snap.spans] == ["s"]
 
     def test_clear(self):
         t = CollectingTracer()
@@ -151,42 +149,6 @@ class TestCounters:
         assert list(c.as_dict()) == ["aa", "zz"]
 
 
-class TestTimers:
-    def test_record_and_stats(self):
-        t = Timers()
-        t.record("op", 2.0)
-        t.record("op", 4.0)
-        stat = t.get("op")
-        assert stat.count == 2
-        assert stat.total == 6.0
-        assert stat.min == 2.0
-        assert stat.max == 4.0
-        assert stat.mean == 3.0
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
-            Timers().record("op", -0.1)
-
-    def test_time_context_manager_monotonic(self):
-        t = Timers()
-        with t.time("op"):
-            sum(range(100))
-        assert t.get("op").count == 1
-        assert t.get("op").total >= 0.0
-
-    def test_merge(self):
-        a, b = Timers(), Timers()
-        a.record("op", 1.0)
-        b.record("op", 3.0)
-        b.record("other", 2.0)
-        a.merge(b)
-        assert a.get("op") == TimerStat(count=2, total=4.0, min=1.0, max=3.0)
-        assert a.get("other").count == 1
-
-    def test_empty_stat_mean(self):
-        assert TimerStat().mean == 0.0
-
-
 class TestExport:
     def _tracer(self):
         t = CollectingTracer()
@@ -218,12 +180,12 @@ class TestExport:
         assert lines == len(records)
         events = [r for r in records if r["type"] == "event"]
         counters = {r["name"]: r["value"] for r in records if r["type"] == "counter"}
-        timers = [r for r in records if r["type"] == "timer"]
+        spans = [r for r in records if r["type"] == "span"]
         assert len(events) == len(t.events)
         assert counters["decisions"] == 1
         assert counters["events.a.decision"] == 1
-        assert timers[0]["name"] == "phase"
-        assert timers[0]["count"] == 1
+        assert [s["kind"] for s in spans] == ["phase"]
+        assert {r["type"] for r in records} == {"event", "span", "counter"}
 
     def test_export_is_deterministic(self):
         t = self._tracer()

@@ -69,7 +69,6 @@ class TestSpanRecording:
             pass
         assert [s.kind for s in t.spans] == ["runner.publish"]
         assert list(t.events) == []
-        assert len(t.timers) == 0
         assert len(t.counters) == 0
 
     def test_span_still_times_and_emits_events(self):
@@ -77,7 +76,8 @@ class TestSpanRecording:
         with t.span("phase"):
             pass
         assert [e.kind for e in t.events] == ["phase"]
-        assert t.timers.get("phase").count == 1
+        (span,) = t.spans
+        assert span.duration_s >= 0.0
 
     def test_phase_nests_with_span(self):
         t = CollectingTracer()

@@ -179,7 +179,7 @@ EXPECTED = {
         "extra": [
             "histograms",
         ],
-        "trace_records": 234,
+        "trace_records": 230,
     },
     "run-rolling": {
         "command": "run-rolling",
@@ -251,7 +251,7 @@ EXPECTED = {
             "plan_signature",
             "timeseries",
         ],
-        "trace_records": 718,
+        "trace_records": 716,
     },
     "simulate-faults": {
         "command": "simulate-faults",
