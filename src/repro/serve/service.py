@@ -143,7 +143,11 @@ def _execute_iterate(request: ScheduleRequest) -> dict:
         etc, max_iterations=request.max_iterations
     )
     comparison = compare_iterative(result)
-    final_machine = result.final_mapping().assignment_vector().tolist()
+    rows, columns = result.commit_order()
+    # The technique maps every task, so every row gets a machine.
+    final_machine = [0] * etc.num_tasks
+    for row, column in zip(rows, columns):
+        final_machine[row] = column
     return {
         "kind": "iterate",
         "heuristic": request.heuristic,
@@ -165,8 +169,7 @@ def _execute_iterate(request: ScheduleRequest) -> dict:
             }
             for m in comparison.machines
         ],
-        # ETC row order (the mapping itself commits frozen machines first);
-        # the technique maps every task, so no entry is -1.
+        # ETC row order (the technique commits frozen machines first).
         "final_mapping": {
             task: etc.machines[j] for task, j in zip(etc.tasks, final_machine)
         },

@@ -19,7 +19,9 @@ A cadence supplies two callables: ``on_complete(idx, j, start)``, called
 at each finish instant, and ``remap(idx)`` for the ``remap`` recovery
 policy, which places a displaced task and returns ``False`` when no
 machine can take it now.  ``requeue`` recovery is shared: the task goes
-back to the head of its mapped machine's queue.
+back to the head of its mapped machine's queue.  An optional
+``on_drop(idx)`` is called once a task is dropped, so a cadence can free
+the task's state as it does on completion.
 """
 
 from __future__ import annotations
@@ -98,6 +100,7 @@ class MachineExecutor:
         task_name: Callable[[int], str],
         on_complete: Callable[[int, int, float], None],
         remap: Callable[[int], bool] | None = None,
+        on_drop: Callable[[int], None] | None = None,
         plan: FaultPlan | None = None,
         recovery: Recovery | None = None,
         ready_at: Sequence[float] | None = None,
@@ -109,6 +112,7 @@ class MachineExecutor:
         self.plan = plan
         self.recovery = recovery or Recovery()
         self._remap = remap
+        self._on_drop = on_drop
         self.queues: list[deque[int]] = [deque() for _ in range(count)]
         #: (task, start, end) of the task each machine runs, else None.
         self.running: list[tuple[int, float, float] | None] = [None] * count
@@ -218,7 +222,11 @@ class MachineExecutor:
         if attempt > self.recovery.retry_budget:
             self.dropped.append(idx)
             self._last_failure.pop(idx, None)
+            del self.attempts[idx]
+            self.mapped.pop(idx, None)
             self.count("dropped", "drop", task=self.task_name(idx), time=now)
+            if self._on_drop is not None:
+                self._on_drop(idx)
             return
         self._last_failure[idx] = now
         delay = self.recovery.backoff_delay(attempt)

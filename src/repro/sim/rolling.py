@@ -40,7 +40,12 @@ from repro.etc.generation import (
     stream_ensemble,
 )
 from repro.etc.matrix import ETCMatrix
-from repro.exceptions import ConfigurationError, SimulationError
+from repro.exceptions import (
+    ConfigurationError,
+    ETCShapeError,
+    ETCValueError,
+    SimulationError,
+)
 from repro.heuristics.base import Heuristic
 from repro.obs.timeseries import TimeSeriesSampler
 from repro.obs.tracer import get_tracer
@@ -187,6 +192,24 @@ class StoreTaskSource(TaskSource):
             np.array(values[start : start + self.window], dtype=np.float64)
             for start in range(0, values.shape[0], self.window)
         )
+
+
+def _checked_chunks(
+    chunks: Iterable[np.ndarray], num_machines: int
+) -> Iterator[np.ndarray]:
+    """``chunks`` after the checks the :class:`ETCMatrix` constructor
+    makes, once per window: 2-D rows of ``num_machines`` finite,
+    strictly positive ETCs (so horizon batches can skip them)."""
+    for chunk in chunks:
+        if chunk.ndim != 2 or chunk.shape[1] != num_machines:
+            raise ETCShapeError(
+                f"task source chunk has shape {chunk.shape}, expected "
+                f"(rows, {num_machines})"
+            )
+        # NaN fails both comparisons.
+        if not ((chunk > 0.0).all() and (chunk < np.inf).all()):
+            raise ETCValueError("task ETCs must be finite and strictly positive")
+        yield chunk
 
 
 def calibrate_rate(
@@ -399,7 +422,7 @@ class RollingSimulation:
         scheduler = IterativeScheduler(self.heuristic, tie_breaker=self.tie_breaker)
 
         sim = Simulator()
-        chunk_iter = source.chunks()
+        chunk_iter = _checked_chunks(source.chunks(), num_machines)
         try:
             first_chunk = next(chunk_iter)
         except StopIteration:  # pragma: no cover - sources forbid 0 tasks
@@ -407,7 +430,8 @@ class RollingSimulation:
         process, arrival_rate = self._make_process(first_chunk)
         process.reset()
 
-        # Task idx -> ETC row as a list of floats (alive until done).
+        # Task idx -> ETC row as a list of floats (alive until it
+        # completes or is dropped).
         rows: dict[int, list[float]] = {}
         arrival_time: dict[int, float] = {}
         pending: list[int] = []  # awaiting the next mapping event
@@ -428,6 +452,9 @@ class RollingSimulation:
             del rows[idx]
             sample()
 
+        def on_drop(idx: int) -> None:
+            del rows[idx], arrival_time[idx]
+
         def remap(idx: int) -> bool:
             # Interrupted and stranded tasks wait for the next horizon.
             pending.append(idx)
@@ -436,7 +463,7 @@ class RollingSimulation:
 
         executor = MachineExecutor(
             sim, rows, machines, task_name="t{}".format, on_complete=on_complete,
-            remap=remap, plan=self.plan, recovery=self._recovery,
+            remap=remap, on_drop=on_drop, plan=self.plan, recovery=self._recovery,
         )
         stats = executor.stats
         up, factor = executor.up, executor.factor
@@ -501,18 +528,23 @@ class RollingSimulation:
                 if len(live) < num_machines:
                     values = values[:, live]
                 values *= np.array([factor[j] for j in live], dtype=np.float64)
-                labels = [f"t{idx}" for idx in batch]
-                sub = ETCMatrix(
-                    values, tasks=labels, machines=[machines[j] for j in live]
+                # Trusted: the rows come from chunks checked on arrival
+                # (_checked_chunks), scaled by the finite positive
+                # factors FaultEvent validates; task and machine labels
+                # are distinct by construction.
+                sub = ETCMatrix._from_trusted(
+                    values,
+                    tuple([f"t{idx}" for idx in batch]),
+                    tuple([machines[j] for j in live]),
                 )
                 now = sim.now
                 ready = [max(expected_free[j], now) for j in live]
                 result = scheduler.run(
                     sub, ready_times=ready, max_iterations=self.refine_iterations
                 )
-                # Commit-order columns index the batch's rows and the
-                # live machines, so no label is parsed back.
-                tasks, machine_idx = result.final_mapping().commit_order()
+                # The technique's commit order indexes the batch's rows
+                # and the live machines, so no label is parsed back.
+                tasks, machine_idx = result.commit_order()
                 agg["dispatches"] += len(tasks)
                 for t, m in zip(tasks, machine_idx):
                     idx = batch[t]

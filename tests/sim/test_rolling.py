@@ -5,7 +5,12 @@ import pytest
 
 from repro.etc.generation import generate_ensemble, generate_ensemble_into
 from repro.etc.store import ETCStore
-from repro.exceptions import ConfigurationError, SimulationError
+from repro.exceptions import (
+    ConfigurationError,
+    ETCShapeError,
+    ETCValueError,
+    SimulationError,
+)
 from repro.heuristics import get_heuristic
 from repro.obs import CollectingTracer, use_tracer
 from repro.obs.timeseries import read_timeseries
@@ -17,6 +22,8 @@ from repro.sim.arrivals import (
     make_arrival_process,
 )
 from repro.sim.faults import FaultConfig, FaultEvent, FaultPlan, generate_fault_plan
+from repro.sim import rolling
+from repro.sim.executor import MachineExecutor
 from repro.sim.rolling import (
     EnsembleTaskSource,
     RollingSampler,
@@ -323,6 +330,53 @@ class TestRollingSimulation:
         assert result.completed + len(result.dropped) == 300
         assert result.failures == 5
         assert len(result.dropped) == result.aborted  # budget 0: every abort drops
+
+    def test_dropped_tasks_free_their_rows(self, monkeypatch):
+        """A dropped task's ETC row is freed as a completed task's is:
+        the rows handed to the executor are empty once the run ends."""
+        handed = []
+
+        class CapturingExecutor(MachineExecutor):
+            def __init__(self, sim, rows, *args, **kwargs):
+                handed.append(rows)
+                super().__init__(sim, rows, *args, **kwargs)
+
+        monkeypatch.setattr(rolling, "MachineExecutor", CapturingExecutor)
+        machines = [f"m{j}" for j in range(5)]
+        plan = all_down_plan(machines, fail_at=60_000.0, recover_at=120_000.0)
+        result = make_sim(
+            arrival=PoissonArrivals(rate=0.001), horizon=20_000.0,
+            plan=plan, recovery="remap", retry_budget=0,
+        ).run()
+        assert result.dropped
+        assert len(handed) == 1 and handed[0] == {}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 0.0])
+    def test_invalid_task_rows_are_rejected(self, monkeypatch, bad):
+        """Every window is checked on arrival, not only the first (the
+        horizon batches skip the ETC constructor's checks)."""
+        sim = make_sim(tasks=200)
+        original = sim.source.chunks
+
+        def bad_chunks():
+            for k, chunk in enumerate(original()):
+                if k == 1:
+                    chunk = chunk.copy()
+                    chunk[-1, 0] = bad
+                yield chunk
+
+        monkeypatch.setattr(sim.source, "chunks", bad_chunks)
+        with pytest.raises(ETCValueError):
+            sim.run()
+
+    def test_chunks_of_the_wrong_width_are_rejected(self, monkeypatch):
+        sim = make_sim(tasks=50)
+        original = sim.source.chunks
+        monkeypatch.setattr(
+            sim.source, "chunks", lambda: (chunk[:, :-1] for chunk in original())
+        )
+        with pytest.raises(ETCShapeError):
+            sim.run()
 
     @pytest.mark.parametrize("recovery", ["requeue", "remap"])
     def test_fault_counters_flow_through_tracer(self, recovery):
