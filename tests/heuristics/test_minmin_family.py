@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.ties import ScriptedTieBreaker
+from repro.core.ties import RandomTieBreaker, ScriptedTieBreaker
 from repro.etc.generation import generate_range_based
 from repro.etc.matrix import ETCMatrix
 from repro.heuristics import Duplex, MaxMin, MinMin, minmin_round_table
+from repro.heuristics.minmin import ReferenceMinMin
 from repro.core.schedule import Mapping
 
 
@@ -50,6 +51,38 @@ class TestMinMin:
             "t3": "m3",
             "t4": "m1",
         }
+
+    @pytest.mark.parametrize(
+        "values,certified,breaker",
+        [
+            (generate_range_based(24, 5, rng=3).values, True, None),
+            # Near ties wider than the certificate: the scan path.
+            ([[1 + 1.5e-9, 1 + 0.9e-9, 1.0], [100.0, 100.0, 50.0]], False, None),
+            # Exact ties under a random policy: the candidate path.
+            ([[2.0, 2.0, 3.0], [2.0, 2.0, 3.0], [5.0, 1.0, 1.0]], False, 3),
+        ],
+        ids=["certified", "near-tie", "random-ties"],
+    )
+    def test_commits_once(self, monkeypatch, values, certified, breaker):
+        """The kernel makes no per-task commit: one assign_many call
+        with the whole decided order, times equal to the reference's."""
+        etc = ETCMatrix(values)
+        calls = dict.fromkeys(("assign_index", "assign_many"), 0)
+        for name in calls:
+            method = getattr(Mapping, name)
+
+            def counted(self, *args, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(Mapping, name, counted)
+        ties = None if breaker is None else RandomTieBreaker(breaker)
+        mapping = MinMin().map_tasks(etc, tie_breaker=ties)
+        assert calls == {"assign_index": 0, "assign_many": 1}
+        assert mapping.certified is certified
+        ties = None if breaker is None else RandomTieBreaker(breaker)
+        reference = ReferenceMinMin().map_tasks(etc, tie_breaker=ties)
+        assert mapping.assignments == reference.assignments
 
     def test_round_table_diagnostics(self, square_etc):
         m = Mapping(square_etc)
