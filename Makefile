@@ -91,14 +91,17 @@ smoke-timeline:
 # Rolling-horizon smoke: the arrival/rolling/dynamic-batch test
 # batteries, the engine's queue-order units and its decision-identity
 # goldens (so a change to event order fails here, not only in the full
-# suite), the executor differential tests, plus one small fault-injected CLI serving run that must
+# suite), the executor differential tests, the differential test of the
+# technique's index-space commit order that each horizon dispatches from,
+# plus one small fault-injected CLI serving run that must
 # account for every task (completed + dropped == total) and publish a
 # tasks_scheduled_per_s metric in the run ledger (see docs/rolling.md).
 smoke-rolling:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q \
 		tests/sim/test_rolling.py tests/sim/test_dynamic_batch.py \
 		tests/sim/test_events_engine.py tests/sim/test_engine_golden.py \
-		tests/sim/test_executor_differential.py
+		tests/sim/test_executor_differential.py \
+		tests/properties/test_iterative_commit_order.py
 	rm -rf .smoke-rolling
 	mkdir -p .smoke-rolling
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro run-rolling \
