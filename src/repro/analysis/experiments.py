@@ -39,10 +39,6 @@ __all__ = [
     "run_record_from_dict",
 ]
 
-#: Heuristics that accept an ``rng`` constructor argument.
-_STOCHASTIC = {"genitor", "random", "simulated-annealing", "tabu-search", "gsa"}
-
-
 def stable_key(*parts: str) -> int:
     """Process-stable 32-bit key for SeedSequence spawn keys.
 
@@ -310,9 +306,8 @@ def _run_one(
     h_rng: np.random.Generator,
     t_rng: np.random.Generator,
 ) -> RunRecord:
-    kwargs = dict(config.heuristic_kwargs.get(name, {}))
-    if name in _STOCHASTIC and "rng" not in kwargs:
-        kwargs["rng"] = h_rng
+    # A configured ``rng`` wins over the cell's stream.
+    kwargs = {"rng": h_rng, **config.heuristic_kwargs.get(name, {})}
     heuristic = get_backend(config.backend).make(name, **kwargs)
     breaker = (
         DeterministicTieBreaker()

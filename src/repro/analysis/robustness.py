@@ -239,8 +239,9 @@ def fault_degradation_study(
     are not noise from different fault draws.  The fault horizon is the
     instance's fault-free original makespan and ``mean_downtime`` is
     ``downtime_frac`` of it, which keeps rate sweeps comparable across
-    ETC magnitudes.  Everything is derived from ``seed``: the same call
-    always returns the identical rows.
+    ETC magnitudes.  Everything is derived from ``seed`` (instances,
+    a stochastic heuristic's stream, fault plans): the same call always
+    returns the identical rows.
     """
     from repro.analysis.experiments import stable_key
     from repro.core.iterative import IterativeScheduler
@@ -268,7 +269,6 @@ def fault_degradation_study(
     heterogeneity = heterogeneity or Heterogeneity.HIHI
     consistency = consistency or Consistency.INCONSISTENT
 
-    heur = get_heuristic(heuristic)
     root = np.random.SeedSequence(seed)
 
     # One shared instance set across rates (paired in both directions).
@@ -284,9 +284,14 @@ def fault_degradation_study(
             consistency,
             rng=np.random.default_rng(etc_seed),
         )
-        original = heur.map_tasks(etc)
-        iterative = IterativeScheduler(get_heuristic(heuristic)).run(etc)
-        cases.append((etc, {"original": original, "iterative": iterative.final_mapping()}))
+        heuristic_seed = np.random.SeedSequence(
+            entropy=root.entropy, spawn_key=(stable_key("heuristic", str(idx)),)
+        )
+        # Iteration 0 is the heuristic's original mapping: one draw makes both.
+        heur = get_heuristic(heuristic, rng=heuristic_seed)
+        result = IterativeScheduler(heur).run(etc)
+        original, iterative = result.original.mapping, result.final_mapping()
+        cases.append((etc, {"original": original, "iterative": iterative}))
 
     rows: list[FaultStudyRow] = []
     for rate in failure_rates:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.experiments import (
-    _STOCHASTIC,
     ExperimentConfig,
     RunRecord,
     run_experiment,
@@ -224,9 +223,10 @@ def heuristic_comparison(
             )
             means: dict[str, float] = {}
             for name in heuristics:
-                kwargs = dict(heuristic_kwargs.get(name, {}))
-                if name in _STOCHASTIC and "rng" not in kwargs:
-                    kwargs["rng"] = np.random.default_rng(h_seed)
+                kwargs = {
+                    "rng": np.random.default_rng(h_seed),
+                    **heuristic_kwargs.get(name, {}),
+                }
                 spans = []
                 for etc in ensemble:
                     heuristic = get_heuristic(name, **kwargs)

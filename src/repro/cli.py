@@ -120,17 +120,18 @@ def _positive_rate(value: str) -> float:
     return rate
 
 
+def _seed(value: str) -> int:
+    """argparse type: a non-negative integer seed (numpy's rule)."""
+    seed = int(value)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value!r}")
+    return seed
+
+
 def _load_etc(path: str):
     if path.endswith(".json"):
         return etc_io.load_json(path)
     return etc_io.load_csv(path)
-
-
-def _make_heuristic(name: str, seed: int):
-    kwargs = {}
-    if name in ("genitor", "random", "simulated-annealing", "tabu-search"):
-        kwargs["rng"] = seed
-    return get_heuristic(name, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -311,7 +312,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_map(args: argparse.Namespace) -> int:
     etc = _load_etc(args.etc)
-    heuristic = _make_heuristic(args.heuristic, args.seed)
+    heuristic = get_heuristic(args.heuristic, rng=args.seed)
     breaker = make_tie_breaker(args.ties, rng=args.seed)
     mapping = heuristic.map_tasks(etc, tie_breaker=breaker)
     if args.show_etc:
@@ -328,7 +329,7 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 def cmd_iterate(args: argparse.Namespace) -> int:
     etc = _load_etc(args.etc)
-    heuristic = _make_heuristic(args.heuristic, args.seed)
+    heuristic = get_heuristic(args.heuristic, rng=args.seed)
     breaker = make_tie_breaker(args.ties, rng=args.seed)
     scheduler_cls = SeededIterativeScheduler if args.seeded else IterativeScheduler
     result = scheduler_cls(heuristic, tie_breaker=breaker).run(etc)
@@ -489,7 +490,7 @@ def _cmd_simulate_faults(args: argparse.Namespace) -> int:
         args.tasks, args.machines, args.heterogeneity, args.consistency,
         rng=args.seed,
     )
-    heuristic = _make_heuristic(args.heuristic, args.seed)
+    heuristic = get_heuristic(args.heuristic, rng=args.seed)
     mapping = heuristic.map_tasks(etc)
     horizon = mapping.makespan()
     plan, backoff = _fault_plan(args, etc.machines, horizon)
@@ -602,7 +603,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
         shared_rng = np.random.default_rng(args.seed + 1)
         tie_factory = lambda: RandomTieBreaker(shared_rng)  # noqa: E731
     witness = find_makespan_increase(
-        _make_heuristic(args.heuristic, args.seed),
+        get_heuristic(args.heuristic, rng=args.seed),
         num_tasks=args.tasks,
         num_machines=args.machines,
         trials=args.trials,
@@ -815,7 +816,7 @@ def cmd_run_rolling(args: argparse.Namespace) -> int:
     # tracer holds every per-decision event in memory, which would
     # break the bounded-RSS guarantee on million-task serving runs.
     run = _Run(args, "run-rolling")
-    heuristic = _make_heuristic(args.heuristic, args.seed)
+    heuristic = get_heuristic(args.heuristic, rng=args.seed)
     refine = None if args.refine_iterations == 0 else args.refine_iterations
 
     # Estimate the arrival rate up front (one sample instance from the
@@ -1132,7 +1133,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         label = f"paper example {args.example!r}"
     else:
         etc = _load_etc(args.etc)
-        heuristic = _make_heuristic(args.heuristic, args.seed)
+        heuristic = get_heuristic(args.heuristic, rng=args.seed)
         label = f"{args.heuristic} on {args.etc}"
     breaker = make_tie_breaker(args.ties, rng=args.seed)
     with use_tracer(CollectingTracer()) as tracer:
@@ -1378,7 +1379,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, etc_classes=True):
-        p.add_argument("--seed", type=int, default=0, help="master RNG seed")
+        p.add_argument("--seed", type=_seed, default=0, help="master RNG seed")
         if etc_classes:
             p.add_argument("--heterogeneity", type=_heterogeneity,
                            default=Heterogeneity.HIHI,
@@ -1600,7 +1601,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "RAM at a time (requires --store)")
     rg.add_argument("-o", "--output",
                     help="write per-run records to CSV/JSON")
-    rg.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    rg.add_argument("--seed", type=_seed, default=0, help="master RNG seed")
     add_progress(rg)
     add_trace_out(rg)
     add_timeseries(rg)
@@ -1740,7 +1741,7 @@ def build_parser() -> argparse.ArgumentParser:
     sl.add_argument("--heuristic", choices=heuristic_names(),
                     default="min-min",
                     help="built-in payload heuristic (default: %(default)s)")
-    sl.add_argument("--seed", type=int, default=0,
+    sl.add_argument("--seed", type=_seed, default=0,
                     help="built-in payload seed (default: %(default)s)")
     sl.add_argument("--errors-fatal", action="store_true",
                     help="exit 1 when any request fails")

@@ -10,16 +10,14 @@ from repro.heuristics.base import (
     get_heuristic,
     heuristic_names,
     register_heuristic,
+    seeded_heuristic_names,
 )
 from repro.heuristics.annealing import SimulatedAnnealing
 from repro.heuristics.backends import (
     DEFAULT_BACKEND,
-    IncrementalBackend,
-    KernelBackend,
-    ReferenceBackend,
+    Backend,
     backend_names,
     get_backend,
-    register_backend,
 )
 from repro.heuristics.genitor import Genitor
 from repro.heuristics.gsa import GeneticSimulatedAnnealing
@@ -45,10 +43,8 @@ __all__ = [
     "register_heuristic",
     "get_heuristic",
     "heuristic_names",
-    "KernelBackend",
-    "ReferenceBackend",
-    "IncrementalBackend",
-    "register_backend",
+    "seeded_heuristic_names",
+    "Backend",
     "get_backend",
     "backend_names",
     "DEFAULT_BACKEND",

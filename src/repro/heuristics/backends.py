@@ -1,28 +1,30 @@
-"""Pluggable kernel backends for the heuristic family.
+"""Kernel backends for the heuristic family.
 
 Two kernel generations coexist in this codebase: the *reference*
 implementations that transcribe the paper's figures line by line (the
 ``Reference*`` classes beside each heuristic, kept as test oracles),
 and the *incremental* single-instance kernels that the registered
-heuristics run by default.  This module gives them one seam: a
-:class:`KernelBackend` builds single-instance heuristics
-(:meth:`KernelBackend.make`), and a registry resolves backends by name
-— ``reference | incremental``, with ``batched`` kept as an accepted
-alias of ``incremental`` so stored configs and cache keys that name it
-keep working — so call sites (experiment runner, study pipeline, CLI,
-serve) select kernels without touching heuristic code.
+heuristics run by default.  A :class:`Backend` names one of them, and
+:func:`get_backend` resolves it by name — ``reference | incremental``,
+with ``batched`` kept as an accepted alias of ``incremental`` so stored
+configs and cache keys that name it keep working — so call sites
+(experiment runner, study pipeline, CLI, serve) select kernels without
+touching heuristic code.  Both build through
+:func:`~repro.heuristics.base.build_heuristic`, so ``rng`` reaches a
+heuristic exactly when its constructor takes one.
 
-All backends are *decision-identical*: they differ only in how fast
+The backends are *decision-identical*: they differ only in how fast
 they arrive at the same mappings, which the equivalence battery in
 ``tests/properties/test_kernel_equivalence.py`` enforces.
 """
 
 from __future__ import annotations
 
-import abc
+from collections.abc import Mapping as MappingABC
+from dataclasses import dataclass, field
 
 from repro.exceptions import UnknownBackendError
-from repro.heuristics.base import Heuristic, get_heuristic
+from repro.heuristics.base import Heuristic, build_heuristic, get_heuristic
 from repro.heuristics.kpb import ReferenceKPercentBest
 from repro.heuristics.mct import ReferenceMCT
 from repro.heuristics.met import ReferenceMET
@@ -32,10 +34,7 @@ from repro.heuristics.sufferage import ReferenceSufferage
 __all__ = [
     "DEFAULT_BACKEND",
     "REFERENCE_HEURISTICS",
-    "KernelBackend",
-    "ReferenceBackend",
-    "IncrementalBackend",
-    "register_backend",
+    "Backend",
     "get_backend",
     "backend_names",
 ]
@@ -57,55 +56,34 @@ REFERENCE_HEURISTICS: dict[str, type[Heuristic]] = {
 }
 
 
-class KernelBackend(abc.ABC):
-    """One kernel generation: builds single-instance heuristics."""
+@dataclass(frozen=True, eq=False)
+class Backend:
+    """One kernel generation: the registered heuristics, with
+    ``oracles`` (name -> class) built in their place."""
 
-    #: Registry name; set by concrete backends.
-    name: str = ""
+    name: str
+    oracles: MappingABC[str, type[Heuristic]] = field(repr=False)
 
-    @abc.abstractmethod
-    def make(self, heuristic: str, **kwargs) -> Heuristic:
-        """Build a single-instance heuristic wired to this backend."""
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(name={self.name!r})"
-
-
-class ReferenceBackend(KernelBackend):
-    """The paper-transcription kernels (the test oracles)."""
-
-    name = "reference"
-
-    def make(self, heuristic: str, **kwargs) -> Heuristic:
-        reference = REFERENCE_HEURISTICS.get(heuristic)
-        if reference is None:
-            return get_heuristic(heuristic, **kwargs)
-        return reference(**kwargs)
+    def make(self, heuristic: str, *, rng=None, **kwargs) -> Heuristic:
+        """Build ``heuristic``; ``rng`` follows the registry's seeding rule."""
+        oracle = self.oracles.get(heuristic)
+        if oracle is None:
+            return get_heuristic(heuristic, rng=rng, **kwargs)
+        return build_heuristic(oracle, rng=rng, **kwargs)
 
 
-class IncrementalBackend(KernelBackend):
-    """The default single-instance kernels (the registered heuristics)."""
-
-    name = "incremental"
-
-    def make(self, heuristic: str, **kwargs) -> Heuristic:
-        return get_heuristic(heuristic, **kwargs)
-
-
-_BACKENDS: dict[str, KernelBackend] = {}
+_INCREMENTAL = Backend("incremental", {})
+_BACKENDS: dict[str, Backend] = {
+    "reference": Backend("reference", REFERENCE_HEURISTICS),
+    "incremental": _INCREMENTAL,
+    # The retired stacked-batch backend's name stays valid as an alias.
+    "batched": _INCREMENTAL,
+}
 
 
-def register_backend(backend: KernelBackend) -> KernelBackend:
-    """Register ``backend`` under ``backend.name`` (latest wins)."""
-    if not backend.name:
-        raise UnknownBackendError("backend must define a non-empty name")
-    _BACKENDS[backend.name] = backend
-    return backend
-
-
-def get_backend(name: str | KernelBackend) -> KernelBackend:
+def get_backend(name: str | Backend) -> Backend:
     """Resolve a backend by name; instances pass through unchanged."""
-    if isinstance(name, KernelBackend):
+    if isinstance(name, Backend):
         return name
     try:
         return _BACKENDS[name]
@@ -117,11 +95,5 @@ def get_backend(name: str | KernelBackend) -> KernelBackend:
 
 
 def backend_names() -> tuple[str, ...]:
-    """Registered backend names (aliases included), sorted."""
+    """Backend names (aliases included), sorted."""
     return tuple(sorted(_BACKENDS))
-
-
-register_backend(ReferenceBackend())
-register_backend(IncrementalBackend())
-# The retired stacked-batch backend's name stays valid as an alias.
-_BACKENDS["batched"] = _BACKENDS["incremental"]

@@ -15,6 +15,8 @@ the paper's proofs require (Section 3.3).
 from __future__ import annotations
 
 import abc
+import functools
+import inspect
 from collections.abc import Callable, Mapping as MappingABC, Sequence
 
 import numpy as np
@@ -34,7 +36,9 @@ __all__ = [
     "Heuristic",
     "register_heuristic",
     "get_heuristic",
+    "build_heuristic",
     "heuristic_names",
+    "seeded_heuristic_names",
     "validate_complete",
     "emit_commit_decisions",
     "LazyTrace",
@@ -264,23 +268,45 @@ def validate_complete(mapping: Mapping) -> None:
         )
 
 
-_REGISTRY: dict[str, Callable[[], Heuristic]] = {}
+_REGISTRY: dict[str, Callable[..., Heuristic]] = {}
+
+
+@functools.cache
+def _takes_rng(factory: Callable[..., Heuristic]) -> bool:
+    """Whether ``factory`` accepts an ``rng`` keyword: the one rule that
+    decides which heuristics receive a seed, read from the constructor."""
+    return "rng" in inspect.signature(factory).parameters
+
+
+def build_heuristic(
+    factory: Callable[..., Heuristic], *, rng=None, **kwargs
+) -> Heuristic:
+    """Call ``factory(**kwargs)``, adding ``rng`` when it is given and
+    the factory accepts one (a deterministic heuristic ignores it)."""
+    if rng is not None and _takes_rng(factory):
+        kwargs["rng"] = rng
+    return factory(**kwargs)
 
 
 def register_heuristic(factory: Callable[[], Heuristic] | type[Heuristic]):
-    """Class decorator/registrar adding a heuristic factory by its name."""
+    """Class decorator/registrar adding a heuristic factory by its name,
+    recording whether it takes ``rng`` (see :func:`get_heuristic`)."""
     probe = factory()
     if not probe.name:
         raise ValueError(f"heuristic {factory!r} does not define a name")
+    _takes_rng(factory)
     _REGISTRY[probe.name] = factory
     return factory
 
 
-def get_heuristic(name: str, **kwargs) -> Heuristic:
+def get_heuristic(name: str, *, rng=None, **kwargs) -> Heuristic:
     """Instantiate a registered heuristic by name.
 
     ``kwargs`` are forwarded to the factory, enabling e.g.
-    ``get_heuristic("k-percent-best", percent=70.0)``.
+    ``get_heuristic("k-percent-best", percent=70.0)``.  ``rng`` (a seed
+    or generator) is forwarded exactly when the factory accepts one, so
+    a caller seeds by name without knowing which heuristics are
+    stochastic (:func:`seeded_heuristic_names`).
     """
     try:
         factory = _REGISTRY[name]
@@ -288,9 +314,14 @@ def get_heuristic(name: str, **kwargs) -> Heuristic:
         raise UnknownHeuristicError(
             f"unknown heuristic {name!r}; known: {sorted(_REGISTRY)}"
         ) from None
-    return factory(**kwargs) if kwargs else factory()
+    return build_heuristic(factory, rng=rng, **kwargs)
 
 
 def heuristic_names() -> tuple[str, ...]:
     """All registered heuristic names, sorted."""
     return tuple(sorted(_REGISTRY))
+
+
+def seeded_heuristic_names() -> tuple[str, ...]:
+    """The registered heuristics whose factory takes ``rng``, sorted."""
+    return tuple(sorted(n for n, f in _REGISTRY.items() if _takes_rng(f)))

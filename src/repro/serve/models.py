@@ -348,6 +348,7 @@ def parse_request(payload) -> ScheduleRequest:
         "unknown backend {!r}; known: {}", backend, list(backends),
     )
     seed = _parse_int(payload, "seed", 0)
+    _require(seed >= 0, "'seed' must be >= 0, got {}", seed)
     seeded = _parse_bool(payload, "seeded", False)
     trace = _parse_bool(payload, "trace", False)
 

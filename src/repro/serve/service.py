@@ -90,17 +90,6 @@ def _entry_signature(path: str) -> tuple[int, int, int] | None:
     return stat.st_ino, stat.st_size, stat.st_mtime_ns
 
 
-def _make_heuristic(request: ScheduleRequest):
-    """Backend-routed heuristic for one request (mirrors the CLI)."""
-    from repro.heuristics.backends import get_backend
-
-    kwargs = {}
-    if request.heuristic in ("genitor", "random", "simulated-annealing",
-                             "tabu-search"):
-        kwargs["rng"] = request.seed
-    return get_backend(request.backend).make(request.heuristic, **kwargs)
-
-
 def _mapping_payload(mapping) -> dict:
     return {
         "assignments": mapping.to_dict(),
@@ -113,9 +102,10 @@ def _mapping_payload(mapping) -> dict:
 
 def _execute_map(request: ScheduleRequest) -> dict:
     from repro.core.ties import make_tie_breaker
+    from repro.heuristics.backends import get_backend
 
     etc = request.etc_matrix()
-    heuristic = _make_heuristic(request)
+    heuristic = get_backend(request.backend).make(request.heuristic, rng=request.seed)
     breaker = make_tie_breaker(request.ties, rng=request.seed)
     mapping = heuristic.map_tasks(etc, tie_breaker=breaker)
     return {
@@ -132,9 +122,10 @@ def _execute_iterate(request: ScheduleRequest) -> dict:
     from repro.core.metrics import compare_iterative
     from repro.core.seeding import SeededIterativeScheduler
     from repro.core.ties import make_tie_breaker
+    from repro.heuristics.backends import get_backend
 
     etc = request.etc_matrix()
-    heuristic = _make_heuristic(request)
+    heuristic = get_backend(request.backend).make(request.heuristic, rng=request.seed)
     breaker = make_tie_breaker(request.ties, rng=request.seed)
     scheduler_cls = (
         SeededIterativeScheduler if request.seeded else IterativeScheduler

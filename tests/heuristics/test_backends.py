@@ -9,13 +9,8 @@ from repro.exceptions import UnknownBackendError
 from repro.heuristics.backends import (
     DEFAULT_BACKEND,
     REFERENCE_HEURISTICS,
-    IncrementalBackend,
-    KernelBackend,
-    ReferenceBackend,
-    _BACKENDS,
     backend_names,
     get_backend,
-    register_backend,
 )
 from repro.heuristics.base import get_heuristic, heuristic_names
 from repro.heuristics.kpb import KPercentBest, ReferenceKPercentBest
@@ -55,8 +50,8 @@ class TestRegistry:
         assert DEFAULT_BACKEND in backend_names()
 
     def test_get_backend_resolves_each_name(self):
-        assert isinstance(get_backend("reference"), ReferenceBackend)
-        assert isinstance(get_backend("incremental"), IncrementalBackend)
+        assert get_backend("reference").name == "reference"
+        assert get_backend("incremental").name == "incremental"
         assert get_backend("batched") is get_backend("incremental")
 
     def test_unknown_backend_raises_with_known_names(self):
@@ -73,26 +68,6 @@ class TestRegistry:
     def test_backend_instances_pass_through(self):
         backend = get_backend("reference")
         assert get_backend(backend) is backend
-
-    def test_register_backend_requires_name(self):
-        class Nameless(IncrementalBackend):
-            name = ""
-
-        with pytest.raises(UnknownBackendError):
-            register_backend(Nameless())
-
-    def test_register_backend_latest_wins(self):
-        class Custom(IncrementalBackend):
-            name = "custom-test-backend"
-
-        try:
-            first, second = Custom(), Custom()
-            assert register_backend(first) is first
-            register_backend(second)
-            assert get_backend("custom-test-backend") is second
-            assert "custom-test-backend" in backend_names()
-        finally:
-            _BACKENDS.pop("custom-test-backend", None)
 
     def test_repr_names_the_backend(self):
         assert "reference" in repr(get_backend("reference"))
@@ -119,10 +94,6 @@ class TestMake:
         # builds the registered heuristic.
         assert "olb" not in REFERENCE_HEURISTICS
         assert type(get_backend("reference").make("olb")) is OLB
-
-    def test_kernel_backend_is_abstract(self):
-        with pytest.raises(TypeError):
-            KernelBackend()
 
 
 class TestReferenceHeuristics:

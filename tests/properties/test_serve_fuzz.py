@@ -8,6 +8,7 @@ paths, Content-Length headers and bodies.  Whatever comes in:
 
 * the answer carries a documented status code (200/400/404/405/413/
   500/503) — never an unhandled exception;
+* a request with a negative integer ``seed`` is a 400;
 * a well-formed HTTP request (complete header section, a declared body
   length that is actually sent) always gets an answer;
 * every non-200 leaves the response cache directory and the raw-body
@@ -76,7 +77,7 @@ KNOBS = {
     "heuristic": st.sampled_from(HEURISTICS),
     "ties": st.sampled_from(["deterministic", "random"]),
     "backend": st.sampled_from(backend_names()),
-    "seed": st.integers(0, 2**32),
+    "seed": st.integers(-(2**32), 2**32),
     "seeded": st.booleans(),
     "max_iterations": st.integers(1, 4),
     "trace": st.booleans(),
@@ -229,6 +230,9 @@ def test_handle_answers_only_documented_statuses(service, payload):
     before = snapshot(service)
     status, body = asyncio.run(service.handle(payload))
     assert status in DOCUMENTED
+    seed = payload.get("seed") if isinstance(payload, dict) else None
+    if type(seed) is int and seed < 0:
+        assert status == 400
     json.dumps(body)  # every answer is encodable
     if status != 200:
         assert set(body) == {"error"}
